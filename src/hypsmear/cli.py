@@ -24,6 +24,7 @@ from hypsmear.bounds import (
 from hypsmear.volume import QuadratureSpec, ideal_regular_volume, regular_simplex_volume
 
 _BUNDLED = ("genus2", "holed_torus")
+_CLASS_NAMES = {1: "int", 2: "ext"}
 
 
 def _fmt(x) -> str:
@@ -52,18 +53,11 @@ def _json(obj, level: int = 0) -> str:
     return _fmt(obj)
 
 
-def _csv(columns, rows, header_comments=()) -> str:
-    lines = [f"# {c}" for c in header_comments]
-    lines.append(",".join(columns))
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in r))
-    return "\n".join(lines) + "\n"
-
-
 def _tabular(columns, rows, fmt: str, seed=None) -> str:
     if fmt == "csv":
-        comments = [f"seed={seed}"] if seed is not None else []
-        return _csv(columns, rows, comments)
+        lines = [f"# seed={seed}"] if seed is not None else []
+        lines += [",".join(columns)] + [",".join(_fmt(v) for v in r) for r in rows]
+        return "\n".join(lines) + "\n"
     doc = {"columns": list(columns), "rows": [list(r) for r in rows]}
     if seed is not None:
         doc = {"seed": seed, **doc}
@@ -237,8 +231,7 @@ def _cmd_glue(args) -> str:
 
 
 def _residual_summary(residuals) -> dict:
-    zs = np.array([r.z_score for r in residuals])
-    tot = np.array([r.total for r in residuals])
+    zs, tot = residuals.z_score, residuals.total
     edges = list(range(-6, 7))
     hist = np.histogram(zs, bins=edges)[0] if len(zs) else np.zeros(12, dtype=int)
     qualifying = tot >= 30
@@ -312,17 +305,17 @@ def _cmd_smear_run(args) -> str:
         },
     }
     if args.csv:
-        keys = chain.key_array()
-        _, _, _, areas = chain.counts()
-        names = {1: "int", 2: "ext"}
-        rows = [
-            list(keys[i])
-            + [int(bp[i]), int(bm[i]), names[int(cls[i])], float(areas[i])]
-            for i in range(len(chain))
-        ]
+        keys, area = chain.key_array(), chain.counts()[3]
         cols = [f"k{j}" for j in range(15)] + ["b_plus", "b_minus", "class", "area"]
         with open(args.csv, "w", newline="") as fh:
-            fh.write(_csv(cols, rows, [f"seed={args.seed}"]))
+            fh.write(f"# seed={args.seed}\n" + ",".join(cols) + "\n")
+            # one row per stored cell simplex, streamed from the columns in blocks
+            for i in range(0, len(chain), 8192):
+                part = [col[i : i + 8192].tolist() for col in (keys, bp, bm, cls, area)]
+                fh.writelines(
+                    ",".join(map(str, k)) + f",{p},{m},{_CLASS_NAMES[c]},{a:.12g}\n"
+                    for k, p, m, c, a in zip(*part)
+                )
     return _json(doc) + "\n"
 
 
@@ -356,10 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False):
+    def common(sp, seed=False, tabular=False):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--tol", type=float, default=None)
+        if tabular:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         if seed:
             sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
@@ -371,6 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("regvol", help="regular simplex volume by quadrature")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--edge", type=float, required=True)
+    sp.add_argument("--tol", type=float, default=None, help="quadrature abs tolerance")
     common(sp)
     sp.set_defaults(fn=_cmd_regvol)
 
@@ -411,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--volm", type=float, default=None)
     sp.add_argument("--volb", type=float, default=None)
     sp.add_argument("--restarts", type=int, default=6)
-    common(sp, seed=True)
+    common(sp, seed=True, tabular=True)
     sp.set_defaults(fn=_cmd_curve)
 
     sp = sub.add_parser("glue", help="gap bounds along a gluing tower")
@@ -419,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--volb", type=float, required=True)
     sp.add_argument("--imax", type=int, required=True)
     sp.add_argument("--dim", type=int, default=2)
-    common(sp, seed=True)
+    common(sp, seed=True, tabular=True)
     sp.set_defaults(fn=_cmd_glue)
 
     sp = sub.add_parser("smear", help="smearing experiments on surface models")

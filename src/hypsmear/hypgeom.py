@@ -223,13 +223,6 @@ class Isometry:
             return IdealPoint(c)
         return HPoint(c)
 
-    def apply_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Apply to raw hyperboloid coordinates (batch over leading axes),
-        renormalizing rows back onto the sheet."""
-        out = coords @ self.matrix.T
-        q = -(out[..., 0] ** 2) + np.sum(out[..., 1:] ** 2, axis=-1)
-        return out / np.sqrt(-q)[..., None]
-
     def inverse(self) -> "Isometry":
         j = _mink_matrix(self.n)
         return Isometry(j @ self.matrix.T @ j, validate=False)

@@ -6,6 +6,7 @@ from hypsmear.smear.chain import (
     SmearChain,
     RatioReport,
     FaceResidual,
+    FaceResiduals,
     haar_sample,
     accumulate_chain,
     boundary_residuals,
@@ -24,6 +25,7 @@ __all__ = [
     "SmearChain",
     "RatioReport",
     "FaceResidual",
+    "FaceResiduals",
     "haar_sample",
     "accumulate_chain",
     "boundary_residuals",

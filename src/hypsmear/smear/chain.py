@@ -16,6 +16,11 @@ representative to the actual center, normalized so the first vertex's
 element is the identity.  Quantization grids sit orders of magnitude above
 the measured float noise and below the minimal separations, so equal keys
 mean equal cell simplices and conversely.
+
+The chain is a set of growable numpy columns, one row per key in first-seen
+order (new keys of one shard in signed-lexicographic order).  Keys and faces
+merge through an exact 64-bit row hash; every hash match is checked against
+the full rows, so a collision raises instead of merging distinct keys.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from hypsmear.hypgeom import Frame, HPoint
-from hypsmear.smear.net import CENTER_TOKEN_GRID, ELEMENT_TOKEN_GRID, GammaNet
+from hypsmear.smear.net import ELEMENT_TOKEN_GRID, GammaNet
 from hypsmear.smear.surface import SurfaceModel, _renormalize_rows
 from hypsmear.volume import regular_simplex
 
@@ -35,6 +40,7 @@ __all__ = [
     "SmearChain",
     "RatioReport",
     "FaceResidual",
+    "FaceResiduals",
     "haar_sample",
     "accumulate_chain",
     "boundary_residuals",
@@ -50,7 +56,6 @@ _J = np.array([-1.0, 1.0, 1.0])
 CLASS_DISCARD = 0
 CLASS_INT = 1
 CLASS_EXT = 2
-_CLASS_NAMES = {CLASS_INT: "int", CLASS_EXT: "ext"}
 
 
 # --- sampling ---------------------------------------------------------------
@@ -209,11 +214,57 @@ def _process_sign(model, net, lines, mats, qverts):
 # --- the chain --------------------------------------------------------------
 
 
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+# growable per-key columns, name -> (row shape, dtype); _keys holds the 15
+# key tokens and, in columns 15-17, the element token of face 0
+_COLUMNS = {"_keys": ((18,), np.int64), "_bp": ((), np.int64), "_bm": ((), np.int64),
+            "_cls": ((), np.int8), "_area": ((), float), "_verts": ((3, 3), float)}
+# face j drops vertex j: _keys columns of its two center tokens and of the
+# element token carrying the second center's representative from the first
+_FACES = np.array([[3, 4, 5, 9, 10, 11, 15, 16, 17],
+                   [0, 1, 2, 9, 10, 11, 12, 13, 14],
+                   [0, 1, 2, 3, 4, 5, 6, 7, 8]])
+
+
+def _row_hash(columns) -> np.ndarray:
+    """Exact 64-bit hash of integer rows given column by column (wrapping
+    multiply-xorshift): equal rows hash equally, distinct rows rarely do."""
+    h = 0
+    for col in columns:
+        h = (h ^ col.view(np.uint64)) * _HASH_MUL
+        h ^= h >> np.uint64(31)
+    return h
+
+
+def _check_rows(a, b) -> None:
+    if not np.array_equal(a, b):
+        raise RuntimeError("64-bit hash collision between distinct integer rows")
+
+
 class FaceResidual(NamedTuple):
     key: tuple
     residual: float
     z_score: float
     total: int
+
+
+@dataclass(frozen=True, eq=False)
+class FaceResiduals:
+    """Boundary faces as columns, by descending |z| (ties by face key);
+    iterating yields FaceResidual rows."""
+
+    keys: np.ndarray
+    residual: np.ndarray
+    z_score: np.ndarray
+    total: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.total)
+
+    def __iter__(self) -> Iterator[FaceResidual]:
+        cols = (self.residual.tolist(), self.z_score.tolist(), self.total.tolist())
+        for k, *rest in zip(self.keys.tolist(), *cols):
+            yield FaceResidual(tuple(k), *rest)
 
 
 @dataclass(frozen=True)
@@ -238,58 +289,38 @@ class SmearChain:
         # negative-family vertices sit up to ~2*inradius beyond the
         # circumradius, hence the wide margin on the line set
         self.lines = model.boundary_lines(model.domain_radius() + _simplex_radius(2, L) + 3.5)
-        self._index: dict = {}
         self._count = 0
-        self._bp: list = []
-        self._bm: list = []
-        self._cls: list = []
-        self._area: list = []
-        # per-key geometry arrives in per-shard blocks, concatenated on demand
-        self._vblocks: list = []
-        self._e1blocks: list = []
-        self._e2blocks: list = []
+        for name, (shape, dtype) in _COLUMNS.items():
+            setattr(self, name, np.zeros((0,) + shape, dtype))
+        # key hashes in ascending order, and the key index of each
+        self._hsorted = np.empty(0, dtype=np.uint64)
+        self._hperm = np.empty(0, dtype=np.int64)
         self.u_sum = 0.0
         self.u_sqsum = 0.0
         self.discarded = {1: 0, -1: 0}
-        self._entries_cache = None
 
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def entries(self) -> dict:
-        """SimplexKey tuple -> (b_plus, b_minus, class tag)."""
-        if self._entries_cache is None or len(self._entries_cache) != self._count:
-            self._entries_cache = {
-                tuple(int(t) for t in k): (int(p), int(m), _CLASS_NAMES[c])
-                for k, p, m, c in zip(self.key_array(), self._bp, self._bm, self._cls)
-            }
-        return self._entries_cache
-
     def key_array(self) -> np.ndarray:
         """Keys as an (K, 15) int64 array, in first-seen order."""
-        if self._count == 0:
-            return np.empty((0, 15), dtype=np.int64)
-        buf = b"".join(self._index.keys())
-        return np.frombuffer(buf, dtype=np.int64).reshape(self._count, 15)
-
-    def _stacked(self, blocks: list) -> np.ndarray:
-        if not blocks:
-            return np.empty((0, 3, 3))
-        if len(blocks) > 1:
-            blocks[:] = [np.concatenate(blocks)]
-        return blocks[0]
+        return self._keys[: self._count, :15]
 
     def key_vertices(self) -> np.ndarray:
-        return self._stacked(self._vblocks)
+        return self._verts[: self._count]
 
     def counts(self) -> tuple:
-        return (
-            np.array(self._bp, dtype=np.int64),
-            np.array(self._bm, dtype=np.int64),
-            np.array(self._cls, dtype=np.int8),
-            np.array(self._area, dtype=float),
-        )
+        n = self._count
+        return self._bp[:n], self._bm[:n], self._cls[:n], self._area[:n]
+
+    def _reserve(self, extra: int) -> None:
+        if self._count + extra > len(self._bp):
+            cap = max(self._count + extra, len(self._bp) * 3 // 2)
+            for name in _COLUMNS:
+                old = getattr(self, name)
+                new = np.zeros((cap,) + old.shape[1:], old.dtype)
+                new[: self._count] = old[: self._count]
+                setattr(self, name, new)
 
     def _absorb(self, sign: int, cls, rows, pos3, e0inv, em) -> np.ndarray:
         """Merge one shard's rows; returns per-sample interior simplex areas."""
@@ -299,39 +330,43 @@ class SmearChain:
         self.discarded[sign] += int(b - kept.size)
         if kept.size == 0:
             return areas
-        urows, first, inverse, counts = np.unique(
-            rows[kept], axis=0, return_index=True, return_inverse=True, return_counts=True
+        krows = rows[kept]
+        uh, first, inverse, counts = np.unique(
+            _row_hash(krows.T), return_index=True, return_inverse=True, return_counts=True
         )
-        index = self._index
-        gidx = np.empty(len(urows), dtype=np.int64)
-        fresh_src = []
-        for i, row in enumerate(urows):
-            bk = row.tobytes()
-            hit = index.get(bk)
-            if hit is None:
-                hit = self._count
-                index[bk] = hit
-                self._count += 1
-                src = kept[first[i]]
-                self._bp.append(0)
-                self._bm.append(0)
-                self._cls.append(int(cls[src]))
-                fresh_src.append(src)
-            gidx[i] = hit
-        if fresh_src:
-            src = np.array(fresh_src)
-            verts = pos3[src]
-            self._vblocks.append(verts)
-            self._e1blocks.append(np.einsum("bij,bjk->bik", e0inv[src], em[src, 1]))
-            self._e2blocks.append(np.einsum("bij,bjk->bik", e0inv[src], em[src, 2]))
-            self._area.extend(_triangle_areas(verts).tolist())
+        urows = krows[first]
+        _check_rows(krows, urows[inverse])
+        pos = np.searchsorted(self._hsorted, uh)
+        hit = pos < len(self._hsorted)
+        hit[hit] = self._hsorted[pos[hit]] == uh[hit]
+        gidx = np.zeros(len(uh), dtype=np.int64)
+        gidx[hit] = self._hperm[pos[hit]]
+        _check_rows(self._keys[gidx[hit], :15], urows[hit])
+
+        fresh = np.flatnonzero(~hit)
+        if fresh.size:
+            # new keys append in signed-lexicographic row order
+            lex = fresh[np.lexsort(urows[fresh].T[::-1])]
+            n0, n1 = self._count, self._count + lex.size
+            gidx[lex] = np.arange(n0, n1)
+            at = np.searchsorted(self._hsorted, uh[fresh])
+            self._hsorted = np.insert(self._hsorted, at, uh[fresh])
+            self._hperm = np.insert(self._hperm, at, gidx[fresh])
+            self._reserve(lex.size)
+            src = kept[first[lex]]
+            e1 = np.einsum("bij,bjk->bik", e0inv[src], em[src, 1])
+            e2 = np.einsum("bij,bjk->bik", e0inv[src], em[src, 2])
+            t0 = np.einsum("bij,bj->bi", _lorentz_inv(e1), e2[:, :, 0])
+            self._keys[n0:n1, :15] = urows[lex]
+            self._keys[n0:n1, 15:] = np.round(t0 / ELEMENT_TOKEN_GRID)
+            self._cls[n0:n1] = cls[src]
+            self._verts[n0:n1] = pos3[src]
+            self._area[n0:n1] = _triangle_areas(self._verts[n0:n1])
+            self._count = n1
         tallies = self._bp if sign > 0 else self._bm
-        for i, c in zip(gidx.tolist(), counts.tolist()):
-            tallies[i] += c
-        garea = np.array(self._area, dtype=float)
-        gcls = np.array(self._cls, dtype=np.int8)
+        tallies[gidx] += counts
         sample_keys = gidx[inverse]
-        areas[kept] = garea[sample_keys] * (gcls[sample_keys] == CLASS_INT)
+        areas[kept] = self._area[sample_keys] * (self._cls[sample_keys] == CLASS_INT)
         return areas
 
 
@@ -403,71 +438,42 @@ def ratio_report(chain: SmearChain) -> RatioReport:
     )
 
 
-def boundary_residuals(chain: SmearChain) -> list:
+def boundary_residuals(chain: SmearChain) -> FaceResiduals:
     """Per-face coefficients of the boundary of the chain, with z-scores.
 
     For each stored simplex the three faces enter with alternating signs; in
     exact measure the interior-face coefficients cancel.  The z-score is the
     signed count over the square root of the total count feeding the face.
     """
-    k = len(chain)
-    if k == 0:
-        return []
-    keys = chain.key_array()
-    bp, bm, cls, _ = chain.counts()
-    signed = bp - bm
-    total = bp + bm
-    verts = chain.key_vertices()
-    e1 = chain._stacked(chain._e1blocks)
-    e2 = chain._stacked(chain._e2blocks)
-    e1inv = _lorentz_inv(e1)
+    bp, bm, _, _ = chain.counts()
+    x, verts = chain._keys[: len(chain)], chain.key_vertices()
+    # a face is dropped when both its vertices lie beyond one boundary line
+    ok = np.empty((3, len(chain)), dtype=bool)
+    for s in range(0, len(chain), _SHARD):
+        out = np.einsum("bvj,j,lj->bvl", verts[s : s + _SHARD], _J, chain.lines) >= 0.0
+        for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+            ok[j, s : s + _SHARD] = ~(out[:, a] & out[:, b]).any(axis=1)
+    fam, src = np.nonzero(ok)
 
-    c0, c1, c2 = keys[:, 0:3], keys[:, 3:6], keys[:, 9:12]
-    face_rows, face_signed, face_total, face_ok = [], [], [], []
-    for j, (i0, i1) in enumerate(((1, 2), (0, 2), (0, 1))):
-        if j == 0:
-            col = np.einsum("bij,bj->bi", e1inv, e2[:, :, 0])
-            ca, cb = c1, c2
-        elif j == 1:
-            col = e2[:, :, 0]
-            ca, cb = c0, c2
-        else:
-            col = e1[:, :, 0]
-            ca, cb = c0, c1
-        etok = np.round(col / ELEMENT_TOKEN_GRID).astype(np.int64)
-        face_rows.append(np.concatenate([ca, cb, etok], axis=1))
-        face_signed.append(signed if j != 1 else -signed)
-        face_total.append(total)
-        if chain.lines.shape[0]:
-            s = np.einsum("bvj,j,lj->bvl", verts[:, (i0, i1)], _J, chain.lines)
-            face_ok.append(~(s >= 0.0).all(axis=1).any(axis=1))
-        else:
-            face_ok.append(np.ones(k, dtype=bool))
+    def column(c):
+        return x[src, _FACES[fam, c]]
 
-    rows = np.concatenate(face_rows)
-    fs = np.concatenate(face_signed)
-    ft = np.concatenate(face_total)
-    ok = np.concatenate(face_ok)
-    rows, fs, ft = rows[ok], fs[ok], ft[ok]
-    urows, inverse = np.unique(rows, axis=0, return_inverse=True)
-    agg_s = np.zeros(len(urows), dtype=np.int64)
-    agg_t = np.zeros(len(urows), dtype=np.int64)
-    np.add.at(agg_s, inverse, fs)
-    np.add.at(agg_t, inverse, ft)
+    _, first, inverse = np.unique(
+        _row_hash(map(column, range(9))), return_index=True, return_inverse=True
+    )
+    rep = first[inverse]
+    for c in range(9):
+        col = column(c)
+        _check_rows(col, col[rep])
+    urows = x[src[first, None], _FACES[fam[first]]]
+    fs = np.where(fam == 1, -1, 1) * (bp - bm)[src]
+    agg_s = np.bincount(inverse, weights=fs, minlength=len(first)).astype(np.int64)
+    agg_t = np.bincount(inverse, weights=(bp + bm)[src], minlength=len(first)).astype(np.int64)
 
     z = agg_s / np.sqrt(np.maximum(agg_t, 1))
     order = np.lexsort(np.concatenate([urows.T[::-1], -np.abs(z)[None, :]]))
-    out = []
-    for i in order:
-        out.append(
-            FaceResidual(
-                key=tuple(int(t) for t in urows[i]),
-                residual=chain.scale * float(agg_s[i]) / 2.0,
-                z_score=float(z[i]),
-                total=int(agg_t[i]),
-            )
-        )
-    return out
+    return FaceResiduals(keys=urows[order], residual=chain.scale * agg_s[order] / 2.0,
+                         z_score=z[order], total=agg_t[order])
 
 
 def measure_sandwich(chain: SmearChain) -> dict:

@@ -34,6 +34,7 @@ _LINE_MARGIN = 0.05
 _MAX_CENTERS = 4000
 _COVER_SAMPLE = 10_000
 _NET_SEED = 20210809
+_PAIRING_BLOCK = 8192
 
 
 def _uniform_polygon_points(model: SurfaceModel, count: int, rng) -> np.ndarray:
@@ -106,11 +107,15 @@ class GammaNet:
         folded, unfold = model.fold_batch(x1, lines)
         red, gam2 = model.reduce_batch(folded, want_elements=True)
 
-        # <red, cloud> = -cosh(distance); nearest center maximizes the pairing
+        # <red, cloud> = -cosh(distance); nearest center maximizes the
+        # pairing, taken in row blocks to bound the (rows, cloud) transient
         j = np.array([-1.0, 1.0, 1.0])
-        pairing = (red * j) @ self._cloud_pts.T
-        idx = np.argmax(pairing, axis=1)
-        best = -pairing[np.arange(len(red)), idx]
+        idx = np.empty(len(red), dtype=np.intp)
+        best = np.empty(len(red))
+        for s in range(0, len(red), _PAIRING_BLOCK):
+            pairing = (red[s : s + _PAIRING_BLOCK] * j) @ self._cloud_pts.T
+            idx[s : s + _PAIRING_BLOCK] = i = np.argmax(pairing, axis=1)
+            best[s : s + _PAIRING_BLOCK] = -pairing[np.arange(len(i)), i]
         if np.any(best > math.cosh(self.covering_radius + self._lookup_slack)):
             raise RuntimeError("cell lookup failure: nearest center beyond covering radius")
 

@@ -1,0 +1,141 @@
+"""The columnar chain store against a direct dict-and-sort reference."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hypsmear.smear import SmearChain, accumulate_chain, boundary_residuals
+from hypsmear.smear import chain as chain_mod
+
+J = np.array([-1.0, 1.0, 1.0])
+SHARD = 500  # several shards, so keys merge across shards
+
+
+def reference_chain(model, net, L, samples, seed):
+    """Replays the accumulation with np.unique(axis=0) per shard and a dict
+    of key tuples; new keys enter in the sorted order of each shard."""
+    q_plus, q_minus = chain_mod._mirror_pair(L)
+    lines = SmearChain(model, net, L, samples, seed).lines
+    index, bp, bm, cls_of, area, verts, e1s, e2s = {}, [], [], [], [], [], [], []
+    for shard, count in chain_mod._shards(samples):
+        mats = chain_mod._shard_mats(model, seed, shard, count)
+        for sign, q in ((1, q_plus), (-1, q_minus)):
+            _, pos3, cls, rows, e0inv, em = chain_mod._process_sign(model, net, lines, mats, q)
+            kept = np.flatnonzero(cls != chain_mod.CLASS_DISCARD)
+            urows, first, counts = np.unique(
+                rows[kept], axis=0, return_index=True, return_counts=True
+            )
+            fresh = []
+            for row, f, c in zip(urows.tolist(), first, counts):
+                key = tuple(row)
+                if key not in index:
+                    index[key] = len(index)
+                    bp.append(0)
+                    bm.append(0)
+                    cls_of.append(int(cls[kept[f]]))
+                    fresh.append(kept[f])
+                (bp if sign > 0 else bm)[index[key]] += int(c)
+            if fresh:
+                src = np.array(fresh)
+                area.extend(chain_mod._triangle_areas(pos3[src]).tolist())
+                verts.extend(pos3[src])
+                e1s.extend(np.einsum("bij,bjk->bik", e0inv[src], em[src, 1]))
+                e2s.extend(np.einsum("bij,bjk->bik", e0inv[src], em[src, 2]))
+    return {
+        "keys": np.array(list(index), dtype=np.int64).reshape(-1, 15),
+        "bp": np.array(bp), "bm": np.array(bm), "cls": np.array(cls_of), "area": np.array(area),
+        "verts": verts, "e1": e1s, "e2": e2s, "lines": lines,
+    }
+
+
+def recount_faces(ref) -> dict:
+    """Face row -> [signed, total], one key at a time; face j drops vertex j
+    and carries the element token of its second center from its first."""
+    faces = {}
+    for i, k in enumerate(ref["keys"].tolist()):
+        e1, e2, v = ref["e1"][i], ref["e2"][i], ref["verts"][i]
+        e1inv = np.diag(J) @ e1.T @ np.diag(J)
+        tokens = (e1inv @ e2[:, 0], e2[:, 0], e1[:, 0])
+        centers = ((k[3:6], k[9:12]), (k[0:3], k[9:12]), (k[0:3], k[3:6]))
+        pairs = ((1, 2), (0, 2), (0, 1))
+        signed = int(ref["bp"][i] - ref["bm"][i])
+        for j in range(3):
+            a, b = pairs[j]
+            beyond = ((v[a] * J) @ ref["lines"].T >= 0.0) & ((v[b] * J) @ ref["lines"].T >= 0.0)
+            if beyond.any():
+                continue
+            row = tuple(centers[j][0] + centers[j][1] + np.round(tokens[j]).astype(int).tolist())
+            acc = faces.setdefault(row, [0, 0])
+            acc[0] += -signed if j == 1 else signed
+            acc[1] += int(ref["bp"][i] + ref["bm"][i])
+    return faces
+
+
+@pytest.fixture(params=["genus2", "torus"])
+def small_case(request, monkeypatch, genus2, genus2_net, torus, torus_net):
+    monkeypatch.setattr(chain_mod, "_SHARD", SHARD)
+    if request.param == "genus2":
+        model, net, L = genus2, genus2_net[0], 6.0
+    else:
+        model, net, L = torus, torus_net[0], 4.0
+    chain = accumulate_chain(model, net, L, 4 * SHARD, seed=21)
+    return chain, reference_chain(model, net, L, 4 * SHARD, seed=21)
+
+
+def test_columns_match_reference(small_case):
+    chain, ref = small_case
+    bp, bm, cls, area = chain.counts()
+    assert np.array_equal(chain.key_array(), ref["keys"])  # same keys, same order
+    assert np.array_equal(bp, ref["bp"]) and np.array_equal(bm, ref["bm"])
+    assert np.array_equal(cls, ref["cls"])
+    assert np.array_equal(area, ref["area"])
+    assert np.array_equal(chain.key_vertices(), np.array(ref["verts"]))
+
+
+def test_face_aggregates_match_recount(small_case):
+    chain, ref = small_case
+    faces = recount_faces(ref)
+    res = boundary_residuals(chain)
+    assert len(res) == len(faces)
+    got = {tuple(k): (s, t) for k, s, t in zip(res.keys.tolist(), res.residual, res.total)}
+    assert got == {
+        k: (chain.scale * s / 2.0, t) for k, (s, t) in faces.items()
+    }
+    expected_z = {k: s / math.sqrt(max(t, 1)) for k, (s, t) in faces.items()}
+    assert [expected_z[tuple(k)] for k in res.keys.tolist()] == res.z_score.tolist()
+    # descending |z|, ties in face-key order
+    order = sorted(faces, key=lambda k: (-abs(expected_z[k]), k))
+    assert [tuple(k) for k in res.keys.tolist()] == order
+    assert [f.key for f in res] == order
+
+
+def test_constant_hash_raises_instead_of_merging(monkeypatch, genus2, genus2_net):
+    net, _ = genus2_net
+    chain = accumulate_chain(genus2, net, 6.0, 200, seed=3)
+
+    def constant(columns):
+        return np.zeros(len(next(iter(columns))), dtype=np.uint64)
+
+    monkeypatch.setattr(chain_mod, "_row_hash", constant)
+    with pytest.raises(RuntimeError, match="collision"):
+        boundary_residuals(chain)
+    # one shard into an empty chain: the rows of the shard itself collide
+    mats = chain_mod._shard_mats(genus2, 3, 0, 200)
+    q_plus, _ = chain_mod._mirror_pair(6.0)
+    _, pos3, cls, rows, e0inv, em = chain_mod._process_sign(genus2, net, chain.lines, mats, q_plus)
+    with pytest.raises(RuntimeError, match="collision"):
+        SmearChain(genus2, net, 6.0, 200, 3)._absorb(1, cls, rows, pos3, e0inv, em)
+
+
+def test_collision_with_stored_key_raises(monkeypatch, genus2, genus2_net):
+    # hashes distinct within one absorb call but reused by the next one
+    # exercise the check against keys already stored
+    net, _ = genus2_net
+    monkeypatch.setattr(
+        chain_mod, "_row_hash",
+        lambda columns: np.arange(len(next(iter(columns))), dtype=np.uint64),
+    )
+    with pytest.raises(RuntimeError, match="collision"):
+        accumulate_chain(genus2, net, 6.0, 200, seed=3)
+

@@ -126,6 +126,22 @@ def test_glue_halving_ratios(capsys):
     assert bounds == sorted(bounds)
 
 
+def test_format_only_on_tabular_commands(capsys):
+    # a flag that would be ignored is a usage error, not silent JSON
+    assert run(capsys, "vl", "--dim", "2", "--edge", "4.0", "--format", "csv")[0] == 2
+    assert run(capsys, "smear", "run", "--model", "genus2", "--edge", "4.0",
+               "--samples", "10", "--format", "csv")[0] == 2
+    code, out, _ = run(capsys, "glue", "--volm", "10", "--volb", "2", "--imax", "2",
+                       "--format", "csv")
+    assert code == 0
+    assert out.split("\n")[1] == "i,r,bound"
+
+
+def test_tol_only_on_regvol(capsys):
+    assert run(capsys, "vn", "--dim", "2", "--tol", "1e-9")[0] == 2
+    assert run(capsys, "tube", "--dim", "3", "--t", "1.25", "--tol", "1e-9")[0] == 2
+
+
 def test_smear_run_summary_and_csv(capsys, tmp_path):
     csv_path = tmp_path / "cells.csv"
     code, out, _ = run(
