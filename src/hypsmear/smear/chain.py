@@ -33,7 +33,7 @@ import numpy as np
 
 from hypsmear.hypgeom import Frame, HPoint
 from hypsmear.smear.net import ELEMENT_TOKEN_GRID, GammaNet
-from hypsmear.smear.surface import SurfaceModel, _renormalize_rows
+from hypsmear.smear.surface import SurfaceModel, _J, _accept_area_uniform, _renormalize_rows
 from hypsmear.volume import regular_simplex
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 _SHARD = 32768
-_J = np.array([-1.0, 1.0, 1.0])
 
 CLASS_DISCARD = 0
 CLASS_INT = 1
@@ -74,11 +73,7 @@ def _rejection_positions(model: SurfaceModel, count: int, rng) -> tuple:
         u = rng.uniform(-r_box, r_box, size=(8192, 2))
         acc = rng.random(8192)
         theta = rng.random(8192) * (2.0 * math.pi)
-        rho2 = np.sum(u * u, axis=1)
-        density = np.zeros(8192)
-        disk = rho2 < 1.0
-        density[disk] = ((1.0 - r_max2) / (1.0 - rho2[disk])) ** 1.5
-        keep = model.point_in_polygon(u) & (acc < density)
+        keep = _accept_area_uniform(model, u, acc, r_max2)
         pts.append(u[keep])
         angs.append(theta[keep])
         have += int(keep.sum())
@@ -166,14 +161,20 @@ def _triangle_areas(verts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _line_sides(pos3: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """Minkowski pairings (b, 3, lines) of vertex triples with line polars,
+    positive on the funnel side.  They only feed sign tests, so a BLAS
+    product against the J-folded polars is exact enough."""
+    return (pos3.reshape(-1, 3) @ (lines * _J).T).reshape(len(pos3), 3, len(lines))
+
+
 def _classify(pos3: np.ndarray, lines: np.ndarray) -> np.ndarray:
     """0 = image misses the surface interior (all vertices beyond one common
     boundary line), 1 = all vertices strictly inside, 2 = crossing."""
     b = len(pos3)
     if lines.shape[0] == 0:
         return np.full(b, CLASS_INT, dtype=np.int8)
-    s = np.einsum("bvj,j,lj->bvl", pos3, _J, lines)
-    outside = s >= 0.0
+    outside = _line_sides(pos3, lines) >= 0.0
     discard = outside.all(axis=1).any(axis=1)
     interior = ~outside.any(axis=(1, 2))
     out = np.full(b, CLASS_EXT, dtype=np.int8)
@@ -354,8 +355,9 @@ class SmearChain:
             self._hperm = np.insert(self._hperm, at, gidx[fresh])
             self._reserve(lex.size)
             src = kept[first[lex]]
-            e1 = np.einsum("bij,bjk->bik", e0inv[src], em[src, 1])
-            e2 = np.einsum("bij,bjk->bik", e0inv[src], em[src, 2])
+            # face-0 tokens only round t0, so BLAS products do
+            e1 = e0inv[src] @ em[src, 1]
+            e2 = e0inv[src] @ em[src, 2]
             t0 = np.einsum("bij,bj->bi", _lorentz_inv(e1), e2[:, :, 0])
             self._keys[n0:n1, :15] = urows[lex]
             self._keys[n0:n1, 15:] = np.round(t0 / ELEMENT_TOKEN_GRID)
@@ -450,7 +452,7 @@ def boundary_residuals(chain: SmearChain) -> FaceResiduals:
     # a face is dropped when both its vertices lie beyond one boundary line
     ok = np.empty((3, len(chain)), dtype=bool)
     for s in range(0, len(chain), _SHARD):
-        out = np.einsum("bvj,j,lj->bvl", verts[s : s + _SHARD], _J, chain.lines) >= 0.0
+        out = _line_sides(verts[s : s + _SHARD], chain.lines) >= 0.0
         for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
             ok[j, s : s + _SHARD] = ~(out[:, a] & out[:, b]).any(axis=1)
     fam, src = np.nonzero(ok)

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from hypsmear.hypgeom import HPoint
-from hypsmear.smear.surface import SurfaceModel, _renormalize_rows
+from hypsmear.smear.surface import SurfaceModel, _J, _accept_area_uniform, _renormalize_rows
 
 __all__ = ["GammaNet", "build_net"]
 
@@ -48,12 +48,7 @@ def _uniform_polygon_points(model: SurfaceModel, count: int, rng) -> np.ndarray:
     while have < count:
         u = rng.uniform(-r_box, r_box, size=(8192, 2))
         acc = rng.random(8192)
-        rho2 = np.sum(u * u, axis=1)
-        density = np.zeros(8192)
-        disk = rho2 < 1.0
-        density[disk] = ((1.0 - r_max * r_max) / (1.0 - rho2[disk])) ** 1.5
-        keep = model.point_in_polygon(u) & (acc < density)
-        got = u[keep]
+        got = u[_accept_area_uniform(model, u, acc, r_max * r_max)]
         out.append(got)
         have += len(got)
     u = np.concatenate(out)[:count]
@@ -105,46 +100,45 @@ class GammaNet:
         # like cosh(2 dist) and would corrupt deep funnel queries
         x1, gam1 = model.reduce_batch(x, want_elements=True)
         folded, unfold = model.fold_batch(x1, lines)
-        red, gam2 = model.reduce_batch(folded, want_elements=True)
+        # only folded rows can have left the domain; a second reduction
+        # would hand every other row back renormalized and unmoved
+        rows = np.flatnonzero(np.abs(unfold[:, 0, 0] - 1.0) > 1e-15)
+        red = _renormalize_rows(folded)
+        if rows.size:
+            red[rows], gam2 = model.reduce_batch(folded[rows], want_elements=True)
 
         # <red, cloud> = -cosh(distance); nearest center maximizes the
         # pairing, taken in row blocks to bound the (rows, cloud) transient
-        j = np.array([-1.0, 1.0, 1.0])
         idx = np.empty(len(red), dtype=np.intp)
         best = np.empty(len(red))
         for s in range(0, len(red), _PAIRING_BLOCK):
-            pairing = (red[s : s + _PAIRING_BLOCK] * j) @ self._cloud_pts.T
+            pairing = (red[s : s + _PAIRING_BLOCK] * _J) @ self._cloud_pts.T
             idx[s : s + _PAIRING_BLOCK] = i = np.argmax(pairing, axis=1)
             best[s : s + _PAIRING_BLOCK] = -pairing[np.arange(len(i)), i]
         if np.any(best > math.cosh(self.covering_radius + self._lookup_slack)):
             raise RuntimeError("cell lookup failure: nearest center beyond covering radius")
 
-        cid = self._cloud_cid[idx]
-        was_folded = np.abs(unfold[:, 0, 0] - 1.0) > 1e-15
-
         # center position in the sample frame, one well-conditioned stage at
         # a time: eta c -> gam2 -> unfold -> gam1
-        pos = np.einsum("bij,bj->bi", gam2, self._cloud_pts[idx])
-        if was_folded.any():
-            pos[was_folded] = np.einsum(
-                "bij,bj->bi", unfold[was_folded], pos[was_folded]
+        pos = self._cloud_pts[idx]
+        if rows.size:
+            pos[rows] = np.einsum(
+                "bij,bj->bi", unfold[rows], np.einsum("bij,bj->bi", gam2, pos[rows])
             )
         pos_dom = _renormalize_rows(pos)
         pos = _renormalize_rows(np.einsum("bij,bj->bi", gam1, pos_dom))
 
-        emat = np.einsum(
-            "bij,bjk->bik", gam1, np.einsum("bij,bjk->bik", gam2, self._cloud_mats[idx])
-        )
-        ctok = self._ctok[cid].copy()
+        # E only feeds rounding to integer element tokens: BLAS products do
+        emat = gam1 @ self._cloud_mats[idx]
+        ctok = self._ctok[self._cloud_cid[idx]]
 
-        rows = np.flatnonzero(was_folded)
         if rows.size:
             # funnel-side centers: reduce the mirrored center position to its
             # orbit representative; snap to a stored interior center when it
             # is one, otherwise quantize the exterior representative
             rep, e2 = model.reduce_batch(pos_dom[rows], want_elements=True)
-            emat[rows] = np.einsum("bij,bjk->bik", gam1[rows], e2)
-            near = (rep * j) @ self._coords.T
+            emat[rows] = gam1[rows] @ e2
+            near = (rep * _J) @ self._coords.T
             ci2 = np.argmax(near, axis=1)
             is_interior = -near[np.arange(len(rep)), ci2] < 1.0 + 1e-9
             tok = np.round(rep / CENTER_TOKEN_GRID).astype(np.int64)
@@ -180,7 +174,6 @@ def build_net(model: SurfaceModel, target_radius: float) -> GammaNet:
         cand_ok = np.ones(len(sample), dtype=bool)
 
     ball = model.element_ball(2.0 * model.domain_radius() + 1.0)
-    j = np.array([-1.0, 1.0, 1.0])
     mins = np.full(len(sample), np.inf)
     centers = []
     while len(centers) < _MAX_CENTERS:
@@ -190,16 +183,16 @@ def build_net(model: SurfaceModel, target_radius: float) -> GammaNet:
         if not cand_ok.any():
             raise RuntimeError("covering not achieved: admissible candidates exhausted")
         # candidate nearest to the worst-covered point
-        d_far = -(sample[cand_ok] * j) @ sample[far]
+        d_far = -(sample[cand_ok] * _J) @ sample[far]
         pick = np.flatnonzero(cand_ok)[int(np.argmin(d_far))]
         c = sample[pick]
         centers.append(c)
         cand_ok[pick] = False
         imgs = ball @ c
-        dist = np.arccosh(np.maximum(1.0, -(sample * j) @ imgs.T))
+        dist = np.arccosh(np.maximum(1.0, -(sample * _J) @ imgs.T))
         np.minimum(mins, dist.min(axis=1), out=mins)
         # keep later centers clear of this one
-        cand_ok &= np.arccosh(np.maximum(1.0, -(sample * j) @ c)) > 1e-3
+        cand_ok &= np.arccosh(np.maximum(1.0, -(sample * _J) @ c)) > 1e-3
     else:
         raise RuntimeError("covering not achieved within the center budget")
 

@@ -63,9 +63,28 @@ def _axis_translation(theta: float, t: float) -> np.ndarray:
     return r @ _x_translation(t) @ r.T
 
 
+# diagonal of the Minkowski form: <x, y> = sum(x * _J * y)
+_J = np.array([-1.0, 1.0, 1.0])
+
+
 def _renormalize_rows(x: np.ndarray) -> np.ndarray:
     q = -(x[..., 0] ** 2) + np.sum(x[..., 1:] ** 2, axis=-1)
     return x / np.sqrt(-q)[..., None]
+
+
+def _accept_area_uniform(model: SurfaceModel, u: np.ndarray, acc: np.ndarray,
+                         r_max2: float) -> np.ndarray:
+    """Acceptance mask of area-uniform rejection sampling in the Klein chart:
+    candidate u is kept when acc < ((1 - r_max2) / (1 - |u|^2))^{3/2} and u
+    lies in the polygon.  The cheap density test runs first, so the polygon
+    test only sees its survivors; the mask is the same either way."""
+    rho2 = np.sum(u * u, axis=1)
+    density = np.zeros(len(u))
+    disk = rho2 < 1.0
+    density[disk] = ((1.0 - r_max2) / (1.0 - rho2[disk])) ** 1.5
+    keep = acc < density
+    keep[keep] = model.point_in_polygon(u[keep])
+    return keep
 
 
 class SurfaceModel:
@@ -287,8 +306,14 @@ class SurfaceModel:
             raise ValueError("point beyond the distance-40 reduction budget")
         x = _renormalize_rows(x)
         n = x.shape[0]
-        elems = np.broadcast_to(np.eye(3), (n, 3, 3)).copy() if want_elements else None
         inv_mats = self.gen_mats[self._inv_index]
+        ngen = len(inv_mats)
+        # each row's element is a generator word multiplied out left to
+        # right; rows sharing a word share its matrix, formed once per step
+        # in table[-1], whose first word id is `base`
+        word = np.zeros(n, dtype=np.intp)
+        table = [np.eye(3)[None]]
+        base = 0
         active = np.arange(n)
         steps = 0
         while active.size:
@@ -308,8 +333,13 @@ class SurfaceModel:
                 np.einsum("bij,bj->bi", self.gen_mats[b], x[rows])
             )
             if want_elements:
-                elems[rows] = np.einsum("bij,bjk->bik", elems[rows], inv_mats[b])
+                pair, inv = np.unique((word[rows] - base) * ngen + b, return_inverse=True)
+                prev = table[-1]
+                table.append(np.einsum("bij,bjk->bik", prev[pair // ngen], inv_mats[pair % ngen]))
+                base += len(prev)
+                word[rows] = base + inv
             active = rows
+        elems = np.concatenate(table)[word] if want_elements else None
         return x, elems
 
     def fold_batch(self, coords: np.ndarray, lines: np.ndarray):
@@ -321,12 +351,13 @@ class SurfaceModel:
         unf = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
         if lines.shape[0] == 0:
             return x, unf
-        j = np.array([-1.0, 1.0, 1.0])
+        # the pairings only feed argmax and sign tests: a BLAS product will do
+        jlines_t = (lines * _J).T
         active = np.arange(n)
         for _ in range(64):
             if not active.size:
                 break
-            s = np.einsum("bj,lj,j->bl", x[active], lines, j)
+            s = x[active] @ jlines_t
             worst = np.argmax(s, axis=1)
             val = s[np.arange(active.size), worst]
             out = val > 1e-14
@@ -334,10 +365,10 @@ class SurfaceModel:
                 break
             rows = active[out]
             u = lines[worst[out]]
-            proj = np.einsum("bj,bj->b", x[rows] * j, u)
+            proj = np.einsum("bj,bj->b", x[rows] * _J, u)
             x[rows] = x[rows] - 2.0 * proj[:, None] * u
             # reflection matrix R = I - 2 u (Ju)^T is an involution
-            refl = np.eye(3) - 2.0 * np.einsum("bi,bj->bij", u, u * j)
+            refl = np.eye(3) - 2.0 * np.einsum("bi,bj->bij", u, u * _J)
             unf[rows] = np.einsum("bij,bjk->bik", unf[rows], refl)
             active = rows
         else:
@@ -350,8 +381,7 @@ class SurfaceModel:
         x = np.atleast_2d(coords)
         if lines.shape[0] == 0:
             return np.full(x.shape[0], np.inf)
-        j = np.array([-1.0, 1.0, 1.0])
-        s = np.einsum("bj,lj,j->bl", x, lines, j)
+        s = np.einsum("bj,lj,j->bl", x, lines, _J)
         worst = np.max(s, axis=1)
         return -np.arcsinh(worst)
 

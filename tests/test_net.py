@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hypsmear.smear import build_net
-from hypsmear.smear.net import CENTER_TOKEN_GRID, GammaNet
+from hypsmear.smear import SmearChain, build_net
+from hypsmear.smear import chain as chain_mod
+from hypsmear.smear.net import CENTER_TOKEN_GRID, ELEMENT_TOKEN_GRID, GammaNet
+from hypsmear.smear.surface import _renormalize_rows
 
 J = np.array([-1.0, 1.0, 1.0])
 
@@ -140,3 +142,51 @@ def test_net_covers_dense_sample(torus, torus_net):
     _, _, pos = net.assign(torus, pts, lines)
     worst = max(hdist(q, p) for q, p in zip(pts, pos))
     assert worst <= net.covering_radius + net._lookup_slack
+
+
+def assign_two_reductions(net, model, coords, lines):
+    """Cell lookup that reduces every row a second time after folding and
+    takes the gam2 products for all rows, folded or not."""
+    x1, gam1 = model.reduce_batch(coords)
+    folded, unfold = model.fold_batch(x1, lines)
+    red, gam2 = model.reduce_batch(folded)
+    idx = np.argmax((red * J) @ net._cloud_pts.T, axis=1)
+    was_folded = np.abs(unfold[:, 0, 0] - 1.0) > 1e-15
+    pos = np.einsum("bij,bj->bi", gam2, net._cloud_pts[idx])
+    pos[was_folded] = np.einsum("bij,bj->bi", unfold[was_folded], pos[was_folded])
+    pos_dom = _renormalize_rows(pos)
+    pos = _renormalize_rows(np.einsum("bij,bj->bi", gam1, pos_dom))
+    emat = np.einsum(
+        "bij,bjk->bik", gam1, np.einsum("bij,bjk->bik", gam2, net._cloud_mats[idx])
+    )
+    ctok = net._ctok[net._cloud_cid[idx]]
+    rows = np.flatnonzero(was_folded)
+    rep, e2 = model.reduce_batch(pos_dom[rows])
+    emat[rows] = np.einsum("bij,bjk->bik", gam1[rows], e2)
+    near = (rep * J) @ net._coords.T
+    ci2 = np.argmax(near, axis=1)
+    is_interior = -near[np.arange(len(rep)), ci2] < 1.0 + 1e-9
+    tok = np.round(rep / CENTER_TOKEN_GRID).astype(np.int64)
+    tok[is_interior] = net._ctok[ci2[is_interior]]
+    ctok[rows] = tok
+    return ctok, emat, pos, was_folded
+
+
+def test_assign_matches_two_reduction_replay(torus, torus_net):
+    """Re-reducing only the folded rows changes no center token or position,
+    and no element token of the keys built from them."""
+    net, _ = torus_net
+    b = 1000  # 3000 vertices: a single pairing block
+    mats = chain_mod._shard_mats(torus, 11, 0, b)
+    lines = SmearChain(torus, net, 4.0, b, 11).lines
+    for q in chain_mod._mirror_pair(4.0):
+        verts = _renormalize_rows(np.einsum("bij,vj->bvi", mats, q)).reshape(-1, 3)
+        ctok, emat, pos = net.assign(torus, verts, lines)
+        rctok, remat, rpos, was_folded = assign_two_reductions(net, torus, verts, lines)
+        assert 0 < was_folded.sum() < len(verts)
+        assert np.array_equal(ctok, rctok)
+        assert np.array_equal(pos, rpos)
+        tokens = np.round(emat[:, :, 0] / ELEMENT_TOKEN_GRID)
+        assert np.array_equal(tokens, np.round(remat[:, :, 0] / ELEMENT_TOKEN_GRID))
+        rows, _ = chain_mod._key_rows(ctok, emat, b)
+        assert np.array_equal(rows, chain_mod._key_rows(rctok, remat, b)[0])

@@ -15,6 +15,8 @@ from hypsmear.smear import (
     measure_sandwich,
     ratio_report,
 )
+from hypsmear.smear import chain as chain_mod
+from hypsmear.smear import net as net_mod
 
 import oracles
 
@@ -35,6 +37,50 @@ def test_haar_sample_deterministic_and_prefix_stable(torus):
     assert np.array_equal(a, b[:40_000])
     c = np.array([f.base.coords for f in haar_sample(torus, 40_000, seed=6)])
     assert not np.array_equal(a, c)
+
+
+def reference_positions(model, count, rng, r_max2, angles=True):
+    """Area-uniform rejection that tests polygon membership of every
+    candidate; returns Klein points and (if drawn) rotation angles."""
+    r_box = float(np.max(np.abs(model.klein_polygon())))
+    pts, angs = [], []
+    have = 0
+    while have < count:
+        u = rng.uniform(-r_box, r_box, size=(8192, 2))
+        acc = rng.random(8192)
+        theta = rng.random(8192) * (2.0 * math.pi) if angles else np.zeros(8192)
+        rho2 = np.sum(u * u, axis=1)
+        density = np.zeros(8192)
+        disk = rho2 < 1.0
+        density[disk] = ((1.0 - r_max2) / (1.0 - rho2[disk])) ** 1.5
+        keep = model.point_in_polygon(u) & (acc < density)
+        pts.append(u[keep])
+        angs.append(theta[keep])
+        have += int(keep.sum())
+    return np.concatenate(pts)[:count], np.concatenate(angs)[:count]
+
+
+def hyperboloid(u):
+    w = 1.0 / np.sqrt(1.0 - np.sum(u * u, axis=1))
+    return np.column_stack([w, u[:, 0] * w, u[:, 1] * w])
+
+
+# acceptance is ~1.9% on genus2 and ~15% on the torus: both counts need
+# several 8192-candidate blocks
+@pytest.mark.parametrize("name, count", [("genus2", 1000), ("torus", 5000)])
+def test_sampler_streams_match_full_polygon_test(request, name, count):
+    model = request.getfixturevalue(name)
+    kv = model.klein_polygon()
+    p, theta = chain_mod._rejection_positions(model, count, np.random.default_rng(3))
+    r_max2 = float(np.max(np.sum(kv * kv, axis=1)))
+    ref, ref_theta = reference_positions(model, count, np.random.default_rng(3), r_max2)
+    assert np.array_equal(p, hyperboloid(ref))
+    assert np.array_equal(theta, ref_theta)
+    # the net's sampler draws no angles and squares the norm itself
+    got = net_mod._uniform_polygon_points(model, count, np.random.default_rng(3))
+    r_max = float(np.max(np.linalg.norm(kv, axis=1)))
+    ref, _ = reference_positions(model, count, np.random.default_rng(3), r_max * r_max, False)
+    assert np.array_equal(got, hyperboloid(ref))
 
 
 def test_haar_bases_lie_in_polygon(torus):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hypsmear.hypgeom import HPoint, distance, minkowski, origin
+from hypsmear.smear import chain as chain_mod
 from hypsmear.smear.surface import (
     SurfaceModel,
+    _renormalize_rows,
     bundled_model_path,
     load_model,
     reduce_to_domain,
@@ -116,6 +118,43 @@ def test_reduce_batch_lands_in_polygon(genus2):
     assert genus2.point_in_polygon(red, tol=1e-9).all()
     back = np.einsum("bij,bj->bi", elems, red)
     assert np.max(np.abs(back - pts)) < 1e-4
+
+
+def reduce_reference(model, coords):
+    """Dirichlet descent accumulating each moving row's element on its own,
+    one product per row and step.  Returns (reduced, elements, steps)."""
+    x = _renormalize_rows(np.array(coords, dtype=float))
+    elems = np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy()
+    steps = np.zeros(len(x), dtype=int)
+    inv_mats = model.gen_mats[model._inv_index]
+    active = np.arange(len(x))
+    while active.size:
+        xa = x[active]
+        imgs0 = np.einsum("gj,bj->bg", model.gen_mats[:, 0, :], xa)
+        best = np.argmin(imgs0, axis=1)
+        improve = imgs0[np.arange(active.size), best] < xa[:, 0] * (1.0 - 1e-15)
+        rows, b = active[improve], best[improve]
+        x[rows] = _renormalize_rows(np.einsum("bij,bj->bi", model.gen_mats[b], x[rows]))
+        elems[rows] = np.einsum("bij,bjk->bik", elems[rows], inv_mats[b])
+        steps[rows] += 1
+        active = rows
+    return x, elems, steps
+
+
+# torus vertices need an edge of 14 before hundreds of them take >= 4 steps
+@pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 14.0)])
+def test_reduce_batch_matches_per_row_reference(request, name, L):
+    """Elements shared through generator words are bit-equal to per-row ones."""
+    model = request.getfixturevalue(name)
+    mats = chain_mod._shard_mats(model, 7, 0, 1500)
+    verts = np.concatenate(
+        [np.einsum("bij,vj->bvi", mats, q).reshape(-1, 3) for q in chain_mod._mirror_pair(L)]
+    )
+    red, elems = model.reduce_batch(verts)
+    ref_red, ref_elems, steps = reduce_reference(model, verts)
+    assert (steps >= 4).sum() > 100
+    assert np.array_equal(red, ref_red)
+    assert np.array_equal(elems, ref_elems)
 
 
 def test_reduce_batch_distance_budget(genus2):
