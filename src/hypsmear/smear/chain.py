@@ -216,10 +216,12 @@ def _process_sign(model, net, lines, mats, qverts):
 
 
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_INT32 = np.iinfo(np.int32)
 # growable per-key columns, name -> (row shape, dtype); _keys holds the 15
-# key tokens and, in columns 15-17, the element token of face 0
-_COLUMNS = {"_keys": ((18,), np.int64), "_bp": ((), np.int64), "_bm": ((), np.int64),
-            "_cls": ((), np.int8), "_area": ((), float), "_verts": ((3, 3), float)}
+# key tokens and, in columns 15-17, the element token of face 0, all int32;
+# _drop[:, j] flags face j as dropped (both its vertices beyond one line)
+_COLUMNS = {"_keys": ((18,), np.int32), "_bp": ((), np.int64), "_bm": ((), np.int64),
+            "_cls": ((), np.int8), "_area": ((), float), "_drop": ((3,), bool)}
 # face j drops vertex j: _keys columns of its two center tokens and of the
 # element token carrying the second center's representative from the first
 _FACES = np.array([[3, 4, 5, 9, 10, 11, 15, 16, 17],
@@ -229,12 +231,33 @@ _FACES = np.array([[3, 4, 5, 9, 10, 11, 15, 16, 17],
 
 def _row_hash(columns) -> np.ndarray:
     """Exact 64-bit hash of integer rows given column by column (wrapping
-    multiply-xorshift): equal rows hash equally, distinct rows rarely do."""
-    h = 0
+    multiply-xorshift): equal rows hash equally, distinct rows rarely do.
+    Each column enters as its int64 bit pattern, so an int32 copy of a row
+    hashes like the int64 original."""
+    h = shifted = None
     for col in columns:
-        h = (h ^ col.view(np.uint64)) * _HASH_MUL
-        h ^= h >> np.uint64(31)
+        if h is None:
+            h, shifted = np.zeros(len(col), np.uint64), np.empty(len(col), np.uint64)
+        np.bitwise_xor(h, col, out=h, dtype=np.uint64, casting="unsafe")
+        h *= _HASH_MUL
+        np.right_shift(h, np.uint64(31), out=shifted)
+        h ^= shifted
     return h
+
+
+def _as_int32(tokens: np.ndarray) -> np.ndarray:
+    """Tokens narrowed to the store's int32; raises rather than wrap."""
+    if tokens.size and not (_INT32.min <= tokens.min() and tokens.max() <= _INT32.max):
+        raise RuntimeError("key token outside the int32 range of the chain store")
+    return tokens.astype(np.int32)
+
+
+def _dropped_faces(pos3: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """(b, 3) flags: face j (which drops vertex j) has both of its vertices
+    beyond one boundary line, so it leaves the chain's boundary."""
+    out = _line_sides(pos3, lines) >= 0.0
+    return np.stack([(out[:, a] & out[:, b]).any(axis=1)
+                     for a, b in ((1, 2), (0, 2), (0, 1))], axis=1)
 
 
 def _check_rows(a, b) -> None:
@@ -304,11 +327,8 @@ class SmearChain:
         return self._count
 
     def key_array(self) -> np.ndarray:
-        """Keys as an (K, 15) int64 array, in first-seen order."""
+        """Keys as an (K, 15) int32 array, in first-seen order."""
         return self._keys[: self._count, :15]
-
-    def key_vertices(self) -> np.ndarray:
-        return self._verts[: self._count]
 
     def counts(self) -> tuple:
         n = self._count
@@ -348,22 +368,24 @@ class SmearChain:
         if fresh.size:
             # new keys append in signed-lexicographic row order
             lex = fresh[np.lexsort(urows[fresh].T[::-1])]
+            src = kept[first[lex]]
+            # face-0 tokens only round t0, so BLAS products do
+            e1 = e0inv[src] @ em[src, 1]
+            e2 = e0inv[src] @ em[src, 2]
+            t0 = np.einsum("bij,bj->bi", _lorentz_inv(e1), e2[:, :, 0])
+            # narrowed before the store changes: an overflow leaves it intact
+            keys = _as_int32(urows[lex]), _as_int32(np.round(t0 / ELEMENT_TOKEN_GRID))
             n0, n1 = self._count, self._count + lex.size
             gidx[lex] = np.arange(n0, n1)
             at = np.searchsorted(self._hsorted, uh[fresh])
             self._hsorted = np.insert(self._hsorted, at, uh[fresh])
             self._hperm = np.insert(self._hperm, at, gidx[fresh])
             self._reserve(lex.size)
-            src = kept[first[lex]]
-            # face-0 tokens only round t0, so BLAS products do
-            e1 = e0inv[src] @ em[src, 1]
-            e2 = e0inv[src] @ em[src, 2]
-            t0 = np.einsum("bij,bj->bi", _lorentz_inv(e1), e2[:, :, 0])
-            self._keys[n0:n1, :15] = urows[lex]
-            self._keys[n0:n1, 15:] = np.round(t0 / ELEMENT_TOKEN_GRID)
+            verts = pos3[src]
+            self._keys[n0:n1, :15], self._keys[n0:n1, 15:] = keys
             self._cls[n0:n1] = cls[src]
-            self._verts[n0:n1] = pos3[src]
-            self._area[n0:n1] = _triangle_areas(self._verts[n0:n1])
+            self._area[n0:n1] = _triangle_areas(verts)
+            self._drop[n0:n1] = _dropped_faces(verts, self.lines)
             self._count = n1
         tallies = self._bp if sign > 0 else self._bm
         tallies[gidx] += counts
@@ -447,30 +469,46 @@ def boundary_residuals(chain: SmearChain) -> FaceResiduals:
     exact measure the interior-face coefficients cancel.  The z-score is the
     signed count over the square root of the total count feeding the face.
     """
+    n = len(chain)
     bp, bm, _, _ = chain.counts()
-    x, verts = chain._keys[: len(chain)], chain.key_vertices()
-    # a face is dropped when both its vertices lie beyond one boundary line
-    ok = np.empty((3, len(chain)), dtype=bool)
-    for s in range(0, len(chain), _SHARD):
-        out = _line_sides(verts[s : s + _SHARD], chain.lines) >= 0.0
-        for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-            ok[j, s : s + _SHARD] = ~(out[:, a] & out[:, b]).any(axis=1)
-    fam, src = np.nonzero(ok)
+    x = chain._keys[:n]
+    # faces family by family: face j of every key that does not drop it, as
+    # int32 key indices (keys and faces number far below 2**31); the face
+    # arrays set a run's memory peak, so they are built a family at a time
+    srcs = [np.flatnonzero(~chain._drop[:n, j]).astype(np.int32) for j in range(3)]
+    ends = np.cumsum([len(s) for s in srcs])
+    fams = [(j, s, slice(e - len(s), e)) for j, (s, e) in enumerate(zip(srcs, ends))]
 
-    def column(c):
-        return x[src, _FACES[fam, c]]
-
-    _, first, inverse = np.unique(
-        _row_hash(map(column, range(9))), return_index=True, return_inverse=True
-    )
+    h = np.empty(ends[-1], np.uint64)
+    for j, s, part in fams:
+        h[part] = _row_hash(x[s, c] for c in _FACES[j])
+    # equal hashes sit together in hash order: number their runs
+    order = np.argsort(h)
+    h = h[order]
+    starts = np.empty(len(h), bool)
+    starts[:1] = True
+    np.not_equal(h[1:], h[:-1], out=starts[1:])
+    del h
+    first = order[starts].astype(np.int32)
+    inverse = np.empty(len(order), np.int32)
+    inverse[order] = np.cumsum(starts, dtype=np.int32) - 1
+    del order, starts
     rep = first[inverse]
     for c in range(9):
-        col = column(c)
+        col = np.concatenate([x[s, _FACES[j, c]] for j, s, _ in fams])
         _check_rows(col, col[rep])
-    urows = x[src[first, None], _FACES[fam[first]]]
-    fs = np.where(fam == 1, -1, 1) * (bp - bm)[src]
-    agg_s = np.bincount(inverse, weights=fs, minlength=len(first)).astype(np.int64)
-    agg_t = np.bincount(inverse, weights=(bp + bm)[src], minlength=len(first)).astype(np.int64)
+    del rep, col
+    fam = np.searchsorted(ends, first, side="right")
+    urows = x[np.concatenate(srcs)[first, None], _FACES[fam]]
+    # the sums are of integers below 2**53, so adding them family by family
+    # gives the same floats as one pass over all faces
+    signed, total = bp - bm, bp + bm
+    agg_s, agg_t = np.zeros(len(first)), np.zeros(len(first))
+    for j, s, part in fams:
+        sign = -1 if j == 1 else 1
+        agg_s += np.bincount(inverse[part], weights=sign * signed[s], minlength=len(first))
+        agg_t += np.bincount(inverse[part], weights=total[s], minlength=len(first))
+    agg_s, agg_t = agg_s.astype(np.int64), agg_t.astype(np.int64)
 
     z = agg_s / np.sqrt(np.maximum(agg_t, 1))
     order = np.lexsort(np.concatenate([urows.T[::-1], -np.abs(z)[None, :]]))

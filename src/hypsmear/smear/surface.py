@@ -345,15 +345,16 @@ class SurfaceModel:
     def fold_batch(self, coords: np.ndarray, lines: np.ndarray):
         """Reflect rows across boundary-line lifts until none is in a funnel
         half-plane.  Returns (folded coords, unfold matrices U) with
-        U @ folded = original.  No-op for closed models."""
+        U @ folded = original.  No-op for closed models, whose U is a
+        read-only identity stack."""
         x = np.array(coords, dtype=float)
-        n = x.shape[0]
-        unf = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+        unf = np.broadcast_to(np.eye(3), (x.shape[0], 3, 3))
         if lines.shape[0] == 0:
             return x, unf
+        unf = unf.copy()
         # the pairings only feed argmax and sign tests: a BLAS product will do
         jlines_t = (lines * _J).T
-        active = np.arange(n)
+        active = np.arange(len(x))
         for _ in range(64):
             if not active.size:
                 break

@@ -127,6 +127,17 @@ def _klein_defect(x) -> float:
     return 1.0 / (c[..., 0] ** 2)
 
 
+@lru_cache(maxsize=None)
+def _rule_setup(n: int, rule_order: int):
+    """Both Grundmann-Moeller rules of the pair for the n-simplex, their
+    points stacked (high-degree rule first), plus the edge vertex pairs."""
+    s_lo = (rule_order - 1) // 2
+    pts_lo, w_lo = _gm_rule(n, s_lo)
+    pts_hi, w_hi = _gm_rule(n, s_lo + 1)
+    pi, pj = (np.array(p) for p in zip(*combinations(range(n + 1), 2)))
+    return np.concatenate([pts_hi, pts_lo]), w_hi, w_lo, pi, pj
+
+
 def _rule_values(verts, hs, dets, rules, expo):
     """Integral and error estimate per simplex.
 
@@ -135,19 +146,17 @@ def _rule_values(verts, hs, dets, rules, expo):
     The density argument 1 - |P|^2 at a barycentric point lam is evaluated as
     lam.h + (1/2) lam^T D lam with D the squared-edge-length matrix; every
     term is nonnegative, so deep near-boundary cells lose no precision.
+    Both rules are evaluated in one pass over their stacked points.
     """
-    (pts_lo, w_lo), (pts_hi, w_hi) = rules
+    pts, w_hi, w_lo = rules
     diff = verts[:, :, None, :] - verts[:, None, :, :]
     d2 = np.einsum("mijk,mijk->mij", diff, diff)
-
-    def one_rule(pts, w):
-        lin = np.einsum("mj,pj->mp", hs, pts)
-        quad = 0.5 * np.einsum("pi,mij,pj->mp", pts, d2, pts)
-        dens = (lin + quad) ** expo
-        return dens @ w
-
-    hi = one_rule(pts_hi, w_hi)
-    lo = one_rule(pts_lo, w_lo)
+    lin = np.einsum("mj,pj->mp", hs, pts)
+    quad = 0.5 * np.einsum("pi,mij,pj->mp", pts, d2, pts)
+    dens = (lin + quad) ** expo
+    nh = len(w_hi)
+    hi = dens[:, :nh] @ w_hi
+    lo = dens[:, nh:] @ w_lo
     val = dets * hi
     err = np.abs(dets * (hi - lo))
     return val, err
@@ -155,17 +164,12 @@ def _rule_values(verts, hs, dets, rules, expo):
 
 def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
     n = kverts.shape[1]
-    s_lo = (spec.rule_order - 1) // 2
-    rules = (_gm_rule(n, s_lo), _gm_rule(n, s_lo + 1))
+    *rules, pi, pj = _rule_setup(n, spec.rule_order)
     expo = -(n + 1) / 2.0
 
     det0 = abs(float(np.linalg.det(kverts[1:] - kverts[0])))
     if det0 == 0.0:
         return 0.0, 0.0, True
-
-    pairs = list(combinations(range(n + 1), 2))
-    pi = np.array([p[0] for p in pairs])
-    pj = np.array([p[1] for p in pairs])
 
     verts = kverts[None, :, :].copy()
     hs = hs0[None, :].copy()

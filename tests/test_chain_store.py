@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hypsmear.cli import main
 from hypsmear.smear import SmearChain, accumulate_chain, boundary_residuals
 from hypsmear.smear import chain as chain_mod
 
@@ -90,7 +91,12 @@ def test_columns_match_reference(small_case):
     assert np.array_equal(bp, ref["bp"]) and np.array_equal(bm, ref["bm"])
     assert np.array_equal(cls, ref["cls"])
     assert np.array_equal(area, ref["area"])
-    assert np.array_equal(chain.key_vertices(), np.array(ref["verts"]))
+    # face j is dropped when its two vertices lie beyond one boundary line
+    drop = []
+    for v in ref["verts"]:
+        beyond = (v * J) @ ref["lines"].T >= 0.0
+        drop.append([bool((beyond[a] & beyond[b]).any()) for a, b in ((1, 2), (0, 2), (0, 1))])
+    assert np.array_equal(chain._drop[: len(chain)], np.array(drop, dtype=bool).reshape(-1, 3))
 
 
 def test_face_aggregates_match_recount(small_case):
@@ -139,3 +145,25 @@ def test_collision_with_stored_key_raises(monkeypatch, genus2, genus2_net):
     with pytest.raises(RuntimeError, match="collision"):
         accumulate_chain(genus2, net, 6.0, 200, seed=3)
 
+
+def test_store_bytes_per_key_within_budget(genus2, genus2_net):
+    # every per-key column plus the hash index (sorted hashes and key
+    # indices), counted on the arrays a chain actually allocates
+    net, _ = genus2_net
+    chain = accumulate_chain(genus2, net, 6.0, 500, seed=3)
+    capacity = len(chain._bp)
+    per_key = sum(getattr(chain, name).nbytes for name in chain_mod._COLUMNS) / capacity
+    per_key += (chain._hsorted.nbytes + chain._hperm.nbytes) / len(chain)
+    assert per_key <= 120
+    assert chain.key_array().dtype == np.int32
+
+
+def test_token_beyond_int32_raises_instead_of_wrapping(monkeypatch, capsys, genus2, genus2_net):
+    # a finer element grid blows every element token past 2**31
+    net, _ = genus2_net
+    monkeypatch.setattr(chain_mod, "ELEMENT_TOKEN_GRID", 1e-12)
+    with pytest.raises(RuntimeError, match="int32"):
+        accumulate_chain(genus2, net, 6.0, 200, seed=3)
+    code = main(["smear", "run", "--model", "genus2", "--edge", "6.0", "--samples", "200"])
+    assert code == 1
+    assert "int32" in capsys.readouterr().err

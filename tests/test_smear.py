@@ -157,8 +157,18 @@ def test_key_vertex_geometry(torus, torus_net):
     net, _ = torus_net
     L = 4.0
     chain = accumulate_chain(torus, net, L, 1500, seed=13)
-    v = chain.key_vertices()
-    assert v.shape == (len(chain), 3, 3)
+    # replay the chain's shards: the snapped vertices of every retained
+    # simplex, whose rows make up exactly the chain's keys
+    verts, rows = [], []
+    for shard, count in chain_mod._shards(1500):
+        mats = chain_mod._shard_mats(torus, 13, shard, count)
+        for q in chain_mod._mirror_pair(L):
+            _, pos3, cls, krows, _, _ = chain_mod._process_sign(torus, net, chain.lines, mats, q)
+            kept = cls != chain_mod.CLASS_DISCARD
+            verts.append(pos3[kept])
+            rows.append(krows[kept])
+    assert len(np.unique(np.concatenate(rows), axis=0)) == len(chain)
+    v = np.concatenate(verts)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         c = -np.einsum("kj,j,kj->k", v[:, i], J, v[:, j])
         d = np.arccosh(np.maximum(1.0, c))

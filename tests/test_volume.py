@@ -145,3 +145,23 @@ def test_regular_volume_monotone_in_L():
     vals = [regular_simplex_volume(2, L).value for L in (1.0, 2.0, 4.0, 8.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < math.pi
+
+
+def test_klein_volume_frozen_values():
+    # exact values and error estimates of the adaptive quadrature, frozen
+    # so that a rework of the integrator must keep every bit
+    cases = [
+        (regular_simplex(3, 2.0), QuadratureSpec(),
+         (0.39933855732678025, 5.134096834934914e-09)),
+        (GeodesicSimplex([from_klein(u) for u in ([0.1, -0.2, 0.05], [0.7, 0.1, -0.3],
+                                                  [-0.4, 0.6, 0.2], [0.0, -0.5, 0.8])]),
+         QuadratureSpec(abs_tol=3e-4),
+         (0.10144033777460651, 0.000205257729774096)),
+        (GeodesicSimplex([from_klein(u) for u in ([0.9, 0.05], [-0.3, 0.8], [-0.2, -0.7])]),
+         QuadratureSpec(abs_tol=1e-10, max_subdivisions=2000, rule_order=7),
+         (1.2960937345326573, 9.930063188552923e-11)),
+    ]
+    for s, spec, (value, err) in cases:
+        r = klein_volume(s, spec)
+        assert r.converged
+        assert (r.value, r.err_estimate) == (value, err)
