@@ -29,7 +29,9 @@ from hypsmear.hypgeom import (
     GeodesicSimplex,
     HPoint,
     log_direction,
+    mink_diag,
     origin,
+    renormalize_rows,
     transport_from_origin,
 )
 from hypsmear.volume import (
@@ -41,7 +43,6 @@ from hypsmear.volume import (
 )
 
 __all__ = [
-    "BoundaryRatio",
     "VLEstimate",
     "GapCertificate",
     "tube_factor",
@@ -53,27 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1789
-
-_J_CACHE: dict = {}
-
-
-def _mink_diag(n: int) -> np.ndarray:
-    if n not in _J_CACHE:
-        j = np.ones(n + 1)
-        j[0] = -1.0
-        _J_CACHE[n] = j
-    return _J_CACHE[n]
-
-
-@dataclass(frozen=True)
-class BoundaryRatio:
-    """A validated boundary-to-volume ratio vol(dM)/vol(M)."""
-
-    r: float
-
-    def __post_init__(self):
-        if not self.r >= 0:
-            raise ValueError("boundary ratio must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -130,12 +110,11 @@ def _perturbed_vertices(qs: np.ndarray, bases: np.ndarray, w: np.ndarray) -> np.
     big = r > 1e-14
     rb = r[big]
     out[big] = np.cosh(rb)[:, None] * qs[big] + (np.sinh(rb) / rb)[:, None] * v[big]
-    q = -(out[:, 0] ** 2) + np.sum(out[:, 1:] ** 2, axis=1)
-    return out / np.sqrt(-q)[:, None]
+    return renormalize_rows(out)
 
 
 def _frame_coefficients(direction: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
-    return (direction * _mink_diag(n)) @ basis
+    return (direction * mink_diag(n)) @ basis
 
 
 _VL_CACHE: dict = {}
@@ -298,7 +277,7 @@ def gap_bound(n: int, L: float, r, vl) -> float:
 
     Negative values (vacuous bound) are returned unclamped.
     """
-    rv = float(getattr(r, "r", r))
+    rv = float(r)
     if rv < 0:
         raise ValueError("boundary ratio must be >= 0")
     value = float(getattr(vl, "value", vl))

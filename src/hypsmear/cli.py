@@ -25,6 +25,9 @@ from hypsmear.volume import QuadratureSpec, ideal_regular_volume, regular_simple
 
 _BUNDLED = ("genus2", "holed_torus")
 _CLASS_NAMES = {1: "int", 2: "ext"}
+# curve flags that only one --kind reads
+_CURVE_FLAG_KIND = {"r": "bound_vs_L", "edge_grid": "bound_vs_r",
+                    "volm": "glue_sequence", "volb": "glue_sequence"}
 
 
 def _fmt(x) -> str:
@@ -194,6 +197,9 @@ def _curve_edges(args):
 
 
 def _cmd_curve(args) -> str:
+    for name, kind in _CURVE_FLAG_KIND.items():
+        if getattr(args, name) is not None and args.kind != kind:
+            raise _Usage(f"--{name.replace('_', '-')} applies only to --kind {kind}")
     grid = _parse_grid(args.grid)
     if args.kind == "vl_vs_L":
         rows = [
@@ -204,7 +210,7 @@ def _cmd_curve(args) -> str:
         rows = []
         for L in grid:
             est = vl_estimate(args.dim, L, args.restarts, args.seed)
-            rows.append((L, gap_bound(args.dim, L, args.r, est)))
+            rows.append((L, gap_bound(args.dim, L, args.r or 0.0, est)))
         return _tabular(("L", "bound"), rows, args.format, args.seed)
     if args.kind == "bound_vs_r":
         edges = _curve_edges(args)
@@ -219,7 +225,8 @@ def _cmd_curve(args) -> str:
             raise _Usage("glue_sequence needs --volm and --volb")
         imax = int(max(grid))
         wanted = {int(i) for i in grid}
-        seq = gluing_ratio_sequence(args.volm, args.volb, imax, args.dim, seed=args.seed)
+        seq = gluing_ratio_sequence(args.volm, args.volb, imax, args.dim,
+                                    restarts=args.restarts, seed=args.seed)
         rows = [row for row in seq if row[0] in wanted]
         return _tabular(("i", "r", "bound"), rows, args.format, args.seed)
     raise _Usage(f"unknown curve kind '{args.kind}'")
@@ -400,10 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=("bound_vs_r", "bound_vs_L", "vl_vs_L", "glue_sequence"))
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--grid", required=True, help="A:B:STEP")
-    sp.add_argument("--r", type=float, default=0.0)
+    sp.add_argument("--r", type=float, default=None, help="bound_vs_L only (default 0)")
     sp.add_argument("--edge-grid", default=None, help="L grid for bound_vs_r")
-    sp.add_argument("--volm", type=float, default=None)
-    sp.add_argument("--volb", type=float, default=None)
+    sp.add_argument("--volm", type=float, default=None, help="glue_sequence only")
+    sp.add_argument("--volb", type=float, default=None, help="glue_sequence only")
     sp.add_argument("--restarts", type=int, default=6)
     common(sp, seed=True, tabular=True)
     sp.set_defaults(fn=_cmd_curve)

@@ -20,12 +20,16 @@ rows are the point coordinates is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 __all__ = [
     "minkowski",
+    "mink_diag",
+    "renormalize_rows",
+    "lorentz_inverse",
     "distance",
     "HPoint",
     "IdealPoint",
@@ -50,10 +54,26 @@ CLAMP_TOL = 1e-9
 SHORT_GEODESIC = 1e-6
 
 
-def _mink_matrix(n: int) -> np.ndarray:
-    j = np.eye(n + 1)
-    j[0, 0] = -1.0
+@cache
+def mink_diag(n: int) -> np.ndarray:
+    """Read-only diagonal (-1, 1, ..., 1) of the Minkowski form on R^{n+1}:
+    <x, y> = sum(x * mink_diag(n) * y)."""
+    j = np.ones(n + 1)
+    j[0] = -1.0
+    j.setflags(write=False)
     return j
+
+
+def renormalize_rows(x: np.ndarray) -> np.ndarray:
+    """Scale timelike vectors (last axis) onto the unit sheet <x, x> = -1."""
+    q = -(x[..., 0] ** 2) + np.sum(x[..., 1:] ** 2, axis=-1)
+    return x / np.sqrt(-q)[..., None]
+
+
+def lorentz_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse J M^T J of Lorentz matrices, batched over leading axes."""
+    j = mink_diag(m.shape[-1] - 1)
+    return j[:, None] * np.swapaxes(m, -1, -2) * j
 
 
 def minkowski(x, y) -> float:
@@ -195,51 +215,30 @@ class Isometry:
     """A Lorentz matrix preserving the upper sheet (M^T J M = J, M[0,0] > 0)."""
 
     matrix: np.ndarray
-    orientation: int = field(init=False)
 
     def __init__(self, matrix, validate: bool = True):
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("isometry matrix must be square")
         if validate:
-            j = _mink_matrix(m.shape[0] - 1)
+            j = np.diag(mink_diag(m.shape[0] - 1))
             defect = np.max(np.abs(m.T @ j @ m - j))
             if defect > LORENTZ_TOL:
                 raise ValueError(f"not a Lorentz matrix: |M^T J M - J| = {defect}")
             if m[0, 0] <= 0:
                 raise ValueError("matrix swaps hyperboloid sheets")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "orientation", 1 if np.linalg.det(m) > 0 else -1)
         self.matrix.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0] - 1
 
-    def apply(self, point):
-        """Apply to an HPoint or IdealPoint, renormalizing the result."""
-        c = self.matrix @ _coords(point)
-        if isinstance(point, IdealPoint):
-            return IdealPoint(c)
-        return HPoint(c)
-
     def inverse(self) -> "Isometry":
-        j = _mink_matrix(self.n)
-        return Isometry(j @ self.matrix.T @ j, validate=False)
+        return Isometry(lorentz_inverse(self.matrix), validate=False)
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         return Isometry(self.matrix @ other.matrix, validate=False)
-
-    @staticmethod
-    def identity(n: int) -> "Isometry":
-        return Isometry(np.eye(n + 1), validate=False)
-
-    @staticmethod
-    def orientation_reversing(n: int) -> "Isometry":
-        """The fixed reflection flipping the last spatial axis."""
-        m = np.eye(n + 1)
-        m[n, n] = -1.0
-        return Isometry(m, validate=False)
 
 
 def transport_from_origin(p) -> np.ndarray:
@@ -258,7 +257,7 @@ def transport_from_origin(p) -> np.ndarray:
         return np.eye(n + 1)
     mid = pa + o
     mid = mid / np.sqrt(2.0 * (1.0 - c))
-    j = _mink_matrix(n)
+    j = np.diag(mink_diag(n))
 
     def point_reflection(m):
         return -np.eye(n + 1) - 2.0 * np.outer(m, j @ m)
@@ -308,7 +307,7 @@ def frame_to_isometry(frame: Frame) -> Isometry:
     m = np.empty((n + 1, n + 1))
     m[:, 0] = frame.base.coords
     m[:, 1:] = frame.tangents.T
-    j = _mink_matrix(n)
+    j = np.diag(mink_diag(n))
     defect = np.max(np.abs(m.T @ j @ m - j))
     if defect > 1e-8:
         raise ValueError(f"degenerate frame: orthonormality defect {defect}")
@@ -381,17 +380,6 @@ class GeodesicSimplex:
         """Ambient dimension."""
         return self.vertices.shape[1] - 1
 
-    def point(self, i: int):
-        if self.ideal[i]:
-            return IdealPoint(self.vertices[i])
-        return HPoint(self.vertices[i])
-
-    def points(self):
-        return [self.point(i) for i in range(self.k + 1)]
-
-    def klein_vertices(self) -> np.ndarray:
-        return to_klein(self.vertices)
-
     def orientation(self) -> int:
         """Sign of det of the vertex-coordinate matrix (0 if not full rank)."""
         if self.k != self.n:
@@ -402,14 +390,6 @@ class GeodesicSimplex:
         if d < 0:
             return -1
         return 0
-
-    def transformed(self, iso: Isometry) -> "GeodesicSimplex":
-        return GeodesicSimplex(
-            [iso.apply(p) for p in self.points()]
-        )
-
-    def permuted(self, perm) -> "GeodesicSimplex":
-        return GeodesicSimplex([self.point(i) for i in perm])
 
 
 def _validate_barycentric(weights, k: int) -> np.ndarray:

@@ -5,7 +5,6 @@ from hypsmear.smear.net import GammaNet, build_net
 from hypsmear.smear.chain import (
     SmearChain,
     RatioReport,
-    FaceResidual,
     FaceResiduals,
     haar_sample,
     accumulate_chain,
@@ -24,7 +23,6 @@ __all__ = [
     "build_net",
     "SmearChain",
     "RatioReport",
-    "FaceResidual",
     "FaceResiduals",
     "haar_sample",
     "accumulate_chain",

@@ -27,19 +27,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from hypsmear.hypgeom import Frame, HPoint
+from hypsmear.hypgeom import lorentz_inverse, mink_diag, renormalize_rows
 from hypsmear.smear.net import ELEMENT_TOKEN_GRID, GammaNet
-from hypsmear.smear.surface import SurfaceModel, _J, _accept_area_uniform, _renormalize_rows
+from hypsmear.smear.surface import SurfaceModel
 from hypsmear.volume import regular_simplex
 
 __all__ = [
     "SmearChain",
     "RatioReport",
-    "FaceResidual",
     "FaceResiduals",
     "haar_sample",
     "accumulate_chain",
@@ -51,6 +50,7 @@ __all__ = [
 ]
 
 _SHARD = 32768
+_J = mink_diag(2)
 
 CLASS_DISCARD = 0
 CLASS_INT = 1
@@ -73,7 +73,7 @@ def _rejection_positions(model: SurfaceModel, count: int, rng) -> tuple:
         u = rng.uniform(-r_box, r_box, size=(8192, 2))
         acc = rng.random(8192)
         theta = rng.random(8192) * (2.0 * math.pi)
-        keep = _accept_area_uniform(model, u, acc, r_max2)
+        keep = model.accept_area_uniform(u, acc, r_max2)
         pts.append(u[keep])
         angs.append(theta[keep])
         have += int(keep.sum())
@@ -108,31 +108,19 @@ def _frame_matrices(p: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.einsum("bij,bjk->bik", t, r)
 
 
-def _shards(samples: int) -> Iterator[tuple]:
-    idx = 0
-    done = 0
-    while done < samples:
-        take = min(_SHARD, samples - done)
-        yield idx, take
-        idx += 1
-        done += take
-
-
-def _shard_mats(model: SurfaceModel, seed: int, shard: int, count: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, shard])
-    p, theta = _rejection_positions(model, count, rng)
-    return _frame_matrices(p, theta)
-
-
-def haar_sample(model: SurfaceModel, samples: int, seed: int) -> Iterator[Frame]:
-    """Stream of frames distributed by the group's Haar measure, normalized
-    so Monte-Carlo masses scale by exact_area/samples."""
+def haar_sample(model: SurfaceModel, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Frames distributed by the group's Haar measure, normalized so
+    Monte-Carlo masses scale by exact_area/samples: one (count, 3, 3) block
+    of frame matrices per shard of at most _SHARD samples, base point in
+    column 0 and tangents in columns 1-2.  Shard s draws from the generator
+    seeded [seed, s], so a longer stream extends a shorter one."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    for shard, count in _shards(samples):
-        mats = _shard_mats(model, seed, shard, count)
-        for m in mats:
-            yield Frame(HPoint(m[:, 0]), m[:, 1:].T.copy())
+    return (
+        _frame_matrices(*_rejection_positions(
+            model, min(_SHARD, samples - start), np.random.default_rng([seed, shard])))
+        for shard, start in enumerate(range(0, samples, _SHARD))
+    )
 
 
 # --- geometry helpers -------------------------------------------------------
@@ -183,16 +171,12 @@ def _classify(pos3: np.ndarray, lines: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lorentz_inv(mats: np.ndarray) -> np.ndarray:
-    return _J[None, :, None] * np.swapaxes(mats, -1, -2) * _J[None, None, :]
-
-
 def _key_rows(ctok: np.ndarray, emat: np.ndarray, count: int) -> tuple:
     """Canonical integer key rows (count, 15) plus the per-vertex normalized
     element matrices of each row (needed lazily for new keys only)."""
     ct = ctok.reshape(count, 3, 3)
     em = emat.reshape(count, 3, 3, 3)
-    e0inv = _lorentz_inv(em[:, 0])
+    e0inv = lorentz_inverse(em[:, 0])
     t1 = np.einsum("bij,bj->bi", e0inv, em[:, 1, :, 0])
     t2 = np.einsum("bij,bj->bi", e0inv, em[:, 2, :, 0])
     et1 = np.round(t1 / ELEMENT_TOKEN_GRID).astype(np.int64)
@@ -204,7 +188,7 @@ def _key_rows(ctok: np.ndarray, emat: np.ndarray, count: int) -> tuple:
 def _process_sign(model, net, lines, mats, qverts):
     """One shard, one simplex family: vertex images, cell data, key rows."""
     b = len(mats)
-    verts = _renormalize_rows(np.einsum("bij,vj->bvi", mats, qverts))
+    verts = renormalize_rows(np.einsum("bij,vj->bvi", mats, qverts))
     ctok, emat, cpos = net.assign(model, verts.reshape(-1, 3), lines)
     pos3 = cpos.reshape(b, 3, 3)
     cls = _classify(pos3, lines)
@@ -265,17 +249,9 @@ def _check_rows(a, b) -> None:
         raise RuntimeError("64-bit hash collision between distinct integer rows")
 
 
-class FaceResidual(NamedTuple):
-    key: tuple
-    residual: float
-    z_score: float
-    total: int
-
-
 @dataclass(frozen=True, eq=False)
 class FaceResiduals:
-    """Boundary faces as columns, by descending |z| (ties by face key);
-    iterating yields FaceResidual rows."""
+    """Boundary faces as columns, by descending |z| (ties by face key)."""
 
     keys: np.ndarray
     residual: np.ndarray
@@ -284,11 +260,6 @@ class FaceResiduals:
 
     def __len__(self) -> int:
         return len(self.total)
-
-    def __iter__(self) -> Iterator[FaceResidual]:
-        cols = (self.residual.tolist(), self.z_score.tolist(), self.total.tolist())
-        for k, *rest in zip(self.keys.tolist(), *cols):
-            yield FaceResidual(tuple(k), *rest)
 
 
 @dataclass(frozen=True)
@@ -372,7 +343,7 @@ class SmearChain:
             # face-0 tokens only round t0, so BLAS products do
             e1 = e0inv[src] @ em[src, 1]
             e2 = e0inv[src] @ em[src, 2]
-            t0 = np.einsum("bij,bj->bi", _lorentz_inv(e1), e2[:, :, 0])
+            t0 = np.einsum("bij,bj->bi", lorentz_inverse(e1), e2[:, :, 0])
             # narrowed before the store changes: an overflow leaves it intact
             keys = _as_int32(urows[lex]), _as_int32(np.round(t0 / ELEMENT_TOKEN_GRID))
             n0, n1 = self._count, self._count + lex.size
@@ -407,6 +378,9 @@ def _mirror_pair(L: float) -> tuple:
     of independent unit deposits, which is what the binomial z-score model
     of boundary_residuals assumes.
     """
+    # the edge-length guard of both chain loops
+    if L < 1.0:
+        raise ValueError("L must be >= 1")
     q_plus = regular_simplex(2, L).vertices
     polar = np.cross(_J * q_plus[0], _J * q_plus[1])
     polar = polar / math.sqrt(np.dot(polar * _J, polar))
@@ -419,15 +393,11 @@ def accumulate_chain(
     model: SurfaceModel, net: GammaNet, L: float, samples: int, seed: int = 1789
 ) -> SmearChain:
     """Sample `samples` frames and tally both simplex families into a chain."""
-    if L < 1.0:
-        raise ValueError("L must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    chain = SmearChain(model, net, L, samples, seed)
     q_plus, q_minus = _mirror_pair(L)
-    for shard, count in _shards(samples):
-        mats = _shard_mats(model, seed, shard, count)
-        u = np.zeros(count)
+    frames = haar_sample(model, samples, seed)  # rejects samples < 1 before the chain divides by it
+    chain = SmearChain(model, net, L, samples, seed)
+    for mats in frames:
+        u = np.zeros(len(mats))
         for sign, q in ((1, q_plus), (-1, q_minus)):
             _, pos3, cls, rows, e0inv, em = _process_sign(model, net, chain.lines, mats, q)
             areas = chain._absorb(sign, cls, rows, pos3, e0inv, em)
@@ -546,8 +516,7 @@ def inclusion_check(
     q_plus, q_minus = _mirror_pair(L)
     lines = model.boundary_lines(model.domain_radius() + _simplex_radius(2, L) + 3.5)
     violations = 0
-    for shard, count in _shards(samples):
-        mats = _shard_mats(model, seed, shard, count)
+    for mats in haar_sample(model, samples, seed):
         for q in (q_plus, q_minus):
             verts, _, cls, _, _, _ = _process_sign(model, net, lines, mats, q)
             depth = model.distance_to_boundary(verts[:, 0], lines)

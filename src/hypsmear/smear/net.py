@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from hypsmear.hypgeom import HPoint
-from hypsmear.smear.surface import SurfaceModel, _J, _accept_area_uniform, _renormalize_rows
+from hypsmear.hypgeom import HPoint, mink_diag, renormalize_rows
+from hypsmear.smear.surface import SurfaceModel
 
 __all__ = ["GammaNet", "build_net"]
 
@@ -35,6 +35,7 @@ _MAX_CENTERS = 4000
 _COVER_SAMPLE = 10_000
 _NET_SEED = 20210809
 _PAIRING_BLOCK = 8192
+_J = mink_diag(2)
 
 
 def _uniform_polygon_points(model: SurfaceModel, count: int, rng) -> np.ndarray:
@@ -48,7 +49,7 @@ def _uniform_polygon_points(model: SurfaceModel, count: int, rng) -> np.ndarray:
     while have < count:
         u = rng.uniform(-r_box, r_box, size=(8192, 2))
         acc = rng.random(8192)
-        got = u[_accept_area_uniform(model, u, acc, r_max * r_max)]
+        got = u[model.accept_area_uniform(u, acc, r_max * r_max)]
         out.append(got)
         have += len(got)
     u = np.concatenate(out)[:count]
@@ -103,7 +104,7 @@ class GammaNet:
         # only folded rows can have left the domain; a second reduction
         # would hand every other row back renormalized and unmoved
         rows = np.flatnonzero(np.abs(unfold[:, 0, 0] - 1.0) > 1e-15)
-        red = _renormalize_rows(folded)
+        red = renormalize_rows(folded)
         if rows.size:
             red[rows], gam2 = model.reduce_batch(folded[rows], want_elements=True)
 
@@ -125,8 +126,8 @@ class GammaNet:
             pos[rows] = np.einsum(
                 "bij,bj->bi", unfold[rows], np.einsum("bij,bj->bi", gam2, pos[rows])
             )
-        pos_dom = _renormalize_rows(pos)
-        pos = _renormalize_rows(np.einsum("bij,bj->bi", gam1, pos_dom))
+        pos_dom = renormalize_rows(pos)
+        pos = renormalize_rows(np.einsum("bij,bj->bi", gam1, pos_dom))
 
         # E only feeds rounding to integer element tokens: BLAS products do
         emat = gam1 @ self._cloud_mats[idx]
@@ -164,7 +165,7 @@ def build_net(model: SurfaceModel, target_radius: float) -> GammaNet:
     extra = np.concatenate([kv, mids])
     w = 1.0 / np.sqrt(1.0 - np.sum(extra * extra, axis=1))
     extra = np.column_stack([w, extra[:, 0] * w, extra[:, 1] * w])
-    sample = np.concatenate([sample, _renormalize_rows(extra)])
+    sample = np.concatenate([sample, renormalize_rows(extra)])
 
     if model.boundary:
         lines = model.boundary_lines(model.domain_radius() + 1.0)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hypsmear import cli
 from hypsmear.bounds import gap_bound, tube_factor, vl_estimate
 from hypsmear.cli import main
 
@@ -113,6 +114,29 @@ def test_curve_glue_requires_volumes(capsys):
     assert code == 2
 
 
+def test_curve_rejects_flags_of_other_kinds(capsys, monkeypatch):
+    # each of these flags is read by one kind only; elsewhere it would be ignored
+    base = ("curve", "--grid", "4:4:1", "--restarts", "2")
+    for kind, flag in (("vl_vs_L", ("--r", "0.1")), ("bound_vs_r", ("--r", "0.1")),
+                       ("vl_vs_L", ("--edge-grid", "4:4:1")),
+                       ("bound_vs_L", ("--edge-grid", "4:4:1")),
+                       ("bound_vs_L", ("--volm", "10")), ("vl_vs_L", ("--volb", "2"))):
+        code, _, err = run(capsys, *base, "--kind", kind, *flag)
+        assert code == 2 and "usage error" in err
+    # glue_sequence passes --restarts on, with the library's default of 6
+    seen = []
+
+    def sequence(volm, volb, imax, n, restarts=6, seed=None):
+        seen.append(restarts)
+        return [(1, volb / volm, 0.5)]
+
+    monkeypatch.setattr(cli, "gluing_ratio_sequence", sequence)
+    glue = ("curve", "--kind", "glue_sequence", "--grid", "1:1:1", "--volm", "10", "--volb", "2")
+    assert run(capsys, *glue, "--restarts", "3")[0] == 0
+    assert run(capsys, *glue)[0] == 0
+    assert seen == [3, 6]
+
+
 def test_glue_halving_ratios(capsys):
     code, out, _ = run(capsys, "glue", "--volm", "10", "--volb", "2", "--imax", "3")
     assert code == 0
@@ -177,6 +201,14 @@ def test_smear_check_zero_violations(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["violations"] == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--edge", "0.5")])
+def test_smear_check_rejects_input_it_cannot_honour(capsys, flag, value):
+    args = {"--model": "holed_torus", "--edge": "4.0", "--samples": "100", flag: value}
+    code, out, err = run(capsys, "smear", "check", *(x for kv in args.items() for x in kv))
+    assert code == 1
+    assert out == "" and "error" in err
 
 
 def test_out_files_byte_identical(capsys, tmp_path):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hypsmear.hypgeom import renormalize_rows
 from hypsmear.smear import SmearChain, build_net
 from hypsmear.smear import chain as chain_mod
 from hypsmear.smear.net import CENTER_TOKEN_GRID, ELEMENT_TOKEN_GRID, GammaNet
-from hypsmear.smear.surface import _renormalize_rows
 
 J = np.array([-1.0, 1.0, 1.0])
 
@@ -154,8 +154,8 @@ def assign_two_reductions(net, model, coords, lines):
     was_folded = np.abs(unfold[:, 0, 0] - 1.0) > 1e-15
     pos = np.einsum("bij,bj->bi", gam2, net._cloud_pts[idx])
     pos[was_folded] = np.einsum("bij,bj->bi", unfold[was_folded], pos[was_folded])
-    pos_dom = _renormalize_rows(pos)
-    pos = _renormalize_rows(np.einsum("bij,bj->bi", gam1, pos_dom))
+    pos_dom = renormalize_rows(pos)
+    pos = renormalize_rows(np.einsum("bij,bj->bi", gam1, pos_dom))
     emat = np.einsum(
         "bij,bjk->bik", gam1, np.einsum("bij,bjk->bik", gam2, net._cloud_mats[idx])
     )
@@ -177,10 +177,10 @@ def test_assign_matches_two_reduction_replay(torus, torus_net):
     and no element token of the keys built from them."""
     net, _ = torus_net
     b = 1000  # 3000 vertices: a single pairing block
-    mats = chain_mod._shard_mats(torus, 11, 0, b)
+    mats = next(chain_mod.haar_sample(torus, b, 11))
     lines = SmearChain(torus, net, 4.0, b, 11).lines
     for q in chain_mod._mirror_pair(4.0):
-        verts = _renormalize_rows(np.einsum("bij,vj->bvi", mats, q)).reshape(-1, 3)
+        verts = renormalize_rows(np.einsum("bij,vj->bvi", mats, q)).reshape(-1, 3)
         ctok, emat, pos = net.assign(torus, verts, lines)
         rctok, remat, rpos, was_folded = assign_two_reductions(net, torus, verts, lines)
         assert 0 < was_folded.sum() < len(verts)

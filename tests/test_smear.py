@@ -32,10 +32,10 @@ def test_haar_sample_guards(torus):
 
 
 def test_haar_sample_deterministic_and_prefix_stable(torus):
-    a = np.array([f.base.coords for f in haar_sample(torus, 40_000, seed=5)])
-    b = np.array([f.base.coords for f in haar_sample(torus, 70_000, seed=5)])
+    a = np.concatenate([m[:, :, 0] for m in haar_sample(torus, 40_000, seed=5)])
+    b = np.concatenate([m[:, :, 0] for m in haar_sample(torus, 70_000, seed=5)])
     assert np.array_equal(a, b[:40_000])
-    c = np.array([f.base.coords for f in haar_sample(torus, 40_000, seed=6)])
+    c = np.concatenate([m[:, :, 0] for m in haar_sample(torus, 40_000, seed=6)])
     assert not np.array_equal(a, c)
 
 
@@ -84,7 +84,7 @@ def test_sampler_streams_match_full_polygon_test(request, name, count):
 
 
 def test_haar_bases_lie_in_polygon(torus):
-    pts = np.array([f.base.coords for f in haar_sample(torus, 2000, seed=8)])
+    pts = np.concatenate([m[:, :, 0] for m in haar_sample(torus, 2000, seed=8)])
     assert torus.point_in_polygon(pts, tol=1e-9).all()
 
 
@@ -93,9 +93,8 @@ def test_haar_rotation_part_is_uniform(torus):
     n = 30_000
     angs = np.empty(n)
     jm = np.diag(J)
-    for i, fr in enumerate(haar_sample(torus, n, seed=6)):
-        m = np.column_stack([fr.base.coords, fr.tangents.T])
-        t = transport_from_origin(fr.base)
+    for i, m in enumerate(np.concatenate(list(haar_sample(torus, n, seed=6)))):
+        t = transport_from_origin(m[:, 0])
         r = jm @ t.T @ jm @ m
         angs[i] = math.atan2(r[2, 1], r[1, 1])
     counts, _ = np.histogram(angs, bins=36, range=(-math.pi, math.pi))
@@ -109,7 +108,7 @@ def test_haar_normalization_disk_mass(genus2):
     # disk's hyperbolic area under the stated normalization
     n = 60_000
     limit = math.cosh(1.0)
-    hits = sum(1 for f in haar_sample(genus2, n, seed=1789) if f.base.coords[0] <= limit)
+    hits = sum(int((m[:, :, 0][:, 0] <= limit).sum()) for m in haar_sample(genus2, n, seed=1789))
     p = hits / n
     est = genus2.exact_area * p
     sigma = genus2.exact_area * math.sqrt(p * (1.0 - p) / n)
@@ -160,8 +159,7 @@ def test_key_vertex_geometry(torus, torus_net):
     # replay the chain's shards: the snapped vertices of every retained
     # simplex, whose rows make up exactly the chain's keys
     verts, rows = [], []
-    for shard, count in chain_mod._shards(1500):
-        mats = chain_mod._shard_mats(torus, 13, shard, count)
+    for mats in haar_sample(torus, 1500, seed=13):
         for q in chain_mod._mirror_pair(L):
             _, pos3, cls, krows, _, _ = chain_mod._process_sign(torus, net, chain.lines, mats, q)
             kept = cls != chain_mod.CLASS_DISCARD
@@ -205,13 +203,14 @@ def test_single_sample_boundary_structure(genus2, genus2_net):
     assert len(chain) == 2
     res = boundary_residuals(chain)
     assert len(res) == 5
-    signed = sorted(round(r.residual / chain.scale, 12) for r in res)
+    residual, total = res.residual.tolist(), res.total.tolist()
+    signed = sorted(round(r / chain.scale, 12) for r in residual)
     assert signed == [-0.5, -0.5, 0.0, 0.5, 0.5]
-    assert sorted(r.total for r in res) == [1, 1, 1, 1, 2]
-    assert sorted(round(r.z_score, 12) for r in res) == [-1.0, -1.0, 0.0, 1.0, 1.0]
-    shared = [r for r in res if r.total == 2][0]
-    assert shared.residual == 0.0
-    assert abs(sum(r.residual for r in res)) < 1e-15
+    assert sorted(total) == [1, 1, 1, 1, 2]
+    assert sorted(round(z, 12) for z in res.z_score.tolist()) == [-1.0, -1.0, 0.0, 1.0, 1.0]
+    shared = [r for r, t in zip(residual, total) if t == 2][0]
+    assert shared == 0.0
+    assert abs(sum(residual)) < 1e-15
 
 
 def test_single_sample_ratio_near_reference_area(genus2, genus2_net):

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hypsmear.hypgeom import HPoint, distance, minkowski, origin
+from hypsmear.hypgeom import HPoint, distance, minkowski, origin, renormalize_rows
 from hypsmear.smear import chain as chain_mod
 from hypsmear.smear.surface import (
     SurfaceModel,
-    _renormalize_rows,
     bundled_model_path,
     load_model,
     reduce_to_domain,
@@ -123,7 +122,7 @@ def test_reduce_batch_lands_in_polygon(genus2):
 def reduce_reference(model, coords):
     """Dirichlet descent accumulating each moving row's element on its own,
     one product per row and step.  Returns (reduced, elements, steps)."""
-    x = _renormalize_rows(np.array(coords, dtype=float))
+    x = renormalize_rows(np.array(coords, dtype=float))
     elems = np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy()
     steps = np.zeros(len(x), dtype=int)
     inv_mats = model.gen_mats[model._inv_index]
@@ -134,7 +133,7 @@ def reduce_reference(model, coords):
         best = np.argmin(imgs0, axis=1)
         improve = imgs0[np.arange(active.size), best] < xa[:, 0] * (1.0 - 1e-15)
         rows, b = active[improve], best[improve]
-        x[rows] = _renormalize_rows(np.einsum("bij,bj->bi", model.gen_mats[b], x[rows]))
+        x[rows] = renormalize_rows(np.einsum("bij,bj->bi", model.gen_mats[b], x[rows]))
         elems[rows] = np.einsum("bij,bjk->bik", elems[rows], inv_mats[b])
         steps[rows] += 1
         active = rows
@@ -146,7 +145,7 @@ def reduce_reference(model, coords):
 def test_reduce_batch_matches_per_row_reference(request, name, L):
     """Elements shared through generator words are bit-equal to per-row ones."""
     model = request.getfixturevalue(name)
-    mats = chain_mod._shard_mats(model, 7, 0, 1500)
+    mats = next(chain_mod.haar_sample(model, 1500, 7))
     verts = np.concatenate(
         [np.einsum("bij,vj->bvi", mats, q).reshape(-1, 3) for q in chain_mod._mirror_pair(L)]
     )
