@@ -317,11 +317,11 @@ def _cmd_smear_run(args) -> str:
         with open(args.csv, "w", newline="") as fh:
             fh.write(f"# seed={args.seed}\n" + ",".join(cols) + "\n")
             # one row per stored cell simplex, streamed from the columns in blocks
+            row = "%d," * 17 + "%s,%.12g\n"
             for i in range(0, len(chain), 8192):
                 part = [col[i : i + 8192].tolist() for col in (keys, bp, bm, cls, area)]
                 fh.writelines(
-                    ",".join(map(str, k)) + f",{p},{m},{_CLASS_NAMES[c]},{a:.12g}\n"
-                    for k, p, m, c, a in zip(*part)
+                    row % (*k, p, m, _CLASS_NAMES[c], a) for k, p, m, c, a in zip(*part)
                 )
     return _json(doc) + "\n"
 

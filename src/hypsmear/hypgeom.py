@@ -66,7 +66,10 @@ def mink_diag(n: int) -> np.ndarray:
 
 def renormalize_rows(x: np.ndarray) -> np.ndarray:
     """Scale timelike vectors (last axis) onto the unit sheet <x, x> = -1."""
-    q = -(x[..., 0] ** 2) + np.sum(x[..., 1:] ** 2, axis=-1)
+    sq = x[..., 1:] ** 2
+    # two spatial columns: the explicit sum is np.sum's bits at ~1/8 the cost
+    space = sq[..., 0] + sq[..., 1] if sq.shape[-1] == 2 else np.sum(sq, axis=-1)
+    q = -(x[..., 0] ** 2) + space
     return x / np.sqrt(-q)[..., None]
 
 

@@ -320,7 +320,7 @@ class SurfaceModel:
         # the pairings only feed argmax and sign tests: a BLAS product will do
         jlines_t = (lines * _J).T
         active = np.arange(len(x))
-        for _ in range(64):
+        for step in range(64):
             if not active.size:
                 break
             s = x[active] @ jlines_t
@@ -335,7 +335,9 @@ class SurfaceModel:
             x[rows] = x[rows] - 2.0 * proj[:, None] * u
             # reflection matrix R = I - 2 u (Ju)^T is an involution
             refl = np.eye(3) - 2.0 * np.einsum("bi,bj->bij", u, u * _J)
-            unf[rows] = np.einsum("bij,bjk->bik", unf[rows], refl)
+            # first step: the rows still hold I, and I @ R is R bit for bit
+            # (R has no -0.0 entries, since 0.0 - 0.0 is +0.0)
+            unf[rows] = refl if step == 0 else np.einsum("bij,bjk->bik", unf[rows], refl)
             active = rows
         else:
             raise RuntimeError("funnel folding did not terminate")

@@ -147,6 +147,10 @@ def _rule_values(verts, hs, dets, rules, expo):
     lam.h + (1/2) lam^T D lam with D the squared-edge-length matrix; every
     term is nonnegative, so deep near-boundary cells lose no precision.
     Both rules are evaluated in one pass over their stacked points.
+    The einsum parts give each row the same bits in any batch, but the BLAS
+    products `dens @ w` do not: a row's value depends on the batch size and
+    its position in it, so re-batching the cells of _integrate_adaptive
+    moves the last bits of every volume.
     """
     pts, w_hi, w_lo = rules
     diff = verts[:, :, None, :] - verts[:, None, :, :]

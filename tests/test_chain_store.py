@@ -165,3 +165,49 @@ def test_token_beyond_int32_raises_instead_of_wrapping(monkeypatch, capsys, genu
     code = main(["smear", "run", "--model", "genus2", "--edge", "6.0", "--samples", "200"])
     assert code == 1
     assert "int32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("L", [4.0, 6.0])
+def test_mirror_pair_shares_two_vertices_bitwise(L):
+    q_plus, q_minus = chain_mod._mirror_pair(L)
+    assert np.array_equal(q_minus[:2].view(np.uint64), q_plus[:2].view(np.uint64))
+    for v in q_plus[:2]:
+        d = math.acosh(-float(np.sum(q_minus[2] * J * v)))
+        assert d == pytest.approx(L, abs=1e-12)
+    # the mirror copy has the opposite orientation
+    assert np.linalg.det(q_plus) * np.linalg.det(q_minus) < 0.0
+
+
+@pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
+def test_shard_families_match_single_family_reference(request, monkeypatch, name, L):
+    """Sharing the cells of vertices 0 and 1 gives each family the arrays of
+    _process_sign on that family alone, bit for bit, and four net lookups
+    per frame instead of six."""
+    model = request.getfixturevalue(name)
+    net = request.getfixturevalue(f"{name}_net")[0]
+    monkeypatch.setattr(chain_mod, "_SHARD", SHARD)
+    lines = SmearChain(model, net, L, 1, 0).lines
+    q_plus, q_minus = chain_mod._mirror_pair(L)
+    assigned, assign = [], net.assign
+
+    def counting_assign(m, coords, ls):
+        assigned.append(len(coords))
+        return assign(m, coords, ls)
+
+    monkeypatch.setattr(net, "assign", counting_assign)
+    classes = []
+    for mats in chain_mod.haar_sample(model, 3 * SHARD, 31):
+        del assigned[:]
+        fams = list(chain_mod._shard_families(model, net, lines, mats, q_plus, q_minus))
+        assert sum(assigned) == 4 * len(mats)
+        for (sign, fam), q in zip(fams, (q_plus, q_minus)):
+            _, pos3, cls, rows, e0inv, em = chain_mod._process_sign(model, net, lines, mats, q)
+            for got, ref in zip(fam, (cls, rows, pos3, e0inv, em)):
+                assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+                assert got.tobytes() == ref.tobytes()
+            classes.append(cls)
+        # the families share vertices 0 and 1, hence their key tokens
+        assert np.array_equal(fams[0][1][1][:, :9], fams[1][1][1][:, :9])
+    if name == "torus":
+        # the funnel paths are exercised: discards, crossings and interiors
+        assert set(np.concatenate(classes).tolist()) == {0, 1, 2}

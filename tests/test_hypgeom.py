@@ -18,6 +18,7 @@ from hypsmear.hypgeom import (
     minkowski,
     origin,
     reference_frame,
+    renormalize_rows,
     straight_eval,
     to_klein,
     transport_from_origin,
@@ -169,3 +170,16 @@ def test_straight_eval_vertices_and_interior():
         for j in range(i + 1, 3)
     )
     assert all(distance(c, HPoint(v)) <= edge + 1e-9 for v in s.vertices)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_renormalize_rows_bits_match_sum_formula(width):
+    # two spatial columns take an explicit sum; it must give np.sum's bits
+    rng = np.random.default_rng(width)
+    space = rng.normal(size=(4000, width - 1)) * rng.uniform(0.0, 30.0, size=(4000, 1))
+    x = np.column_stack([np.sqrt(1.0 + np.sum(space**2, axis=1)), space])
+    x *= rng.uniform(0.5, 2.0, size=(4000, 1))
+    for rows in (x, x.reshape(1000, 4, width)):
+        q = -(rows[..., 0] ** 2) + np.sum(rows[..., 1:] ** 2, axis=-1)
+        expected = rows / np.sqrt(-q)[..., None]
+        assert np.array_equal(renormalize_rows(rows).view(np.uint64), expected.view(np.uint64))

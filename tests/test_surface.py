@@ -221,3 +221,41 @@ def test_element_ball_contains_identity_and_is_lorentz(genus2):
 def test_point_in_polygon_basics(genus2):
     assert genus2.point_in_polygon(np.array([[0.0, 0.0]]))[0]
     assert not genus2.point_in_polygon(np.array([[0.99, 0.0]]))[0]
+
+
+def fold_reference(model, coords, lines):
+    """fold_batch composing the unfold matrices by einsum on every step,
+    plus each row's step count."""
+    x = np.array(coords, dtype=float)
+    unf = np.tile(np.eye(3), (len(x), 1, 1))
+    steps = np.zeros(len(x), dtype=int)
+    active = np.arange(len(x))
+    while active.size:
+        s = x[active] @ (lines * J).T
+        worst = np.argmax(s, axis=1)
+        out = s[np.arange(active.size), worst] > 1e-14
+        rows = active[out]
+        u = lines[worst[out]]
+        proj = np.einsum("bj,bj->b", x[rows] * J, u)
+        x[rows] = x[rows] - 2.0 * proj[:, None] * u
+        refl = np.eye(3) - 2.0 * np.einsum("bi,bj->bij", u, u * J)
+        unf[rows] = np.einsum("bij,bjk->bik", unf[rows], refl)
+        steps[rows] += 1
+        active = rows
+    return x, unf, steps
+
+
+def test_fold_batch_matches_always_compose_reference(torus):
+    """Writing the first reflection straight into the unfold matrices gives
+    the composed ones bit for bit, sign bits of zeros included."""
+    lines = torus.boundary_lines(torus.domain_radius() + chain_mod._simplex_radius(2, 4.0) + 3.5)
+    mats = next(chain_mod.haar_sample(torus, 3000, 5))
+    verts = np.concatenate(
+        [np.einsum("bij,vj->bvi", mats, q).reshape(-1, 3) for q in chain_mod._mirror_pair(4.0)]
+    )
+    x1, _ = torus.reduce_batch(verts)
+    folded, unf = torus.fold_batch(x1, lines)
+    ref_x, ref_unf, steps = fold_reference(torus, x1, lines)
+    assert (steps == 1).sum() > 100 and (steps >= 2).sum() > 100
+    assert np.array_equal(folded.view(np.uint64), ref_x.view(np.uint64))
+    assert np.array_equal(unf.view(np.uint64), ref_unf.view(np.uint64))
