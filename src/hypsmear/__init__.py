@@ -10,8 +10,6 @@ from hypsmear.hypgeom import (
     GeodesicSimplex,
     distance,
     minkowski,
-    geodesic_point,
-    straight_eval,
     to_klein,
     from_klein,
     origin,
@@ -50,8 +48,6 @@ __all__ = [
     "GeodesicSimplex",
     "distance",
     "minkowski",
-    "geodesic_point",
-    "straight_eval",
     "to_klein",
     "from_klein",
     "origin",

@@ -26,8 +26,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from hypsmear.hypgeom import (
-    GeodesicSimplex,
-    HPoint,
     log_direction,
     mink_diag,
     origin,
@@ -153,7 +151,9 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
         rows = _perturbed_vertices(qs, bases, x.reshape(n + 1, n))
         if exact:
             return triangle_signed_area(rows[0], rows[1], rows[2])
-        return signed_volume(GeodesicSimplex([HPoint(r) for r in rows]), spec)
+        # normalized a second time: that moves the last bit of about half the
+        # rows, and the frozen V_L values were computed on twice-normalized rows
+        return signed_volume(renormalize_rows(rows), spec)
 
     inward = np.stack([
         _frame_coefficients(log_direction(q, o), b, n) for q, b in zip(qs, bases)

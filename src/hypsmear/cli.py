@@ -112,30 +112,26 @@ def _load_model(path: str):
 # --- sub-commands -----------------------------------------------------------
 
 
-def _cmd_vn(args) -> str:
+def _cmd_vn(args) -> dict:
     vc = ideal_regular_volume(args.dim)
-    return _json({"n": vc.n, "v_n": vc.v_n, "method": vc.method}) + "\n"
+    return {"n": vc.n, "v_n": vc.v_n, "method": vc.method}
 
 
-def _cmd_regvol(args) -> str:
-    quad = QuadratureSpec(abs_tol=args.tol) if args.tol else None
+def _cmd_regvol(args) -> dict:
+    # --tol 0 must reach QuadratureSpec, which rejects it
+    quad = QuadratureSpec(abs_tol=args.tol) if args.tol is not None else None
     res = regular_simplex_volume(args.dim, args.edge, quad)
-    return (
-        _json(
-            {
-                "n": args.dim,
-                "edge": args.edge,
-                "volume": res.value,
-                "err_estimate": res.err_estimate,
-                "converged": res.converged,
-            }
-        )
-        + "\n"
-    )
+    return {
+        "n": args.dim,
+        "edge": args.edge,
+        "volume": res.value,
+        "err_estimate": res.err_estimate,
+        "converged": res.converged,
+    }
 
 
-def _cmd_tube(args) -> str:
-    return _json({"n": args.dim, "t": args.t, "tube_factor": tube_factor(args.dim, args.t)}) + "\n"
+def _cmd_tube(args) -> dict:
+    return {"n": args.dim, "t": args.t, "tube_factor": tube_factor(args.dim, args.t)}
 
 
 def _vl_doc(est) -> dict:
@@ -149,45 +145,35 @@ def _vl_doc(est) -> dict:
     }
 
 
-def _cmd_vl(args) -> str:
+def _cmd_vl(args) -> dict:
     est = vl_estimate(args.dim, args.edge, args.restarts, args.seed)
-    return _json({"seed": args.seed, **_vl_doc(est)}) + "\n"
+    return {"seed": args.seed, **_vl_doc(est)}
 
 
-def _cmd_bound(args) -> str:
+def _cmd_bound(args) -> dict:
     est = vl_estimate(args.dim, args.edge, args.restarts, args.seed)
     val = gap_bound(args.dim, args.edge, args.r, est)
-    return (
-        _json(
-            {
-                "seed": args.seed,
-                "n": args.dim,
-                "L": args.edge,
-                "r": args.r,
-                "vl": est.value,
-                "bound": val,
-            }
-        )
-        + "\n"
-    )
+    return {
+        "seed": args.seed,
+        "n": args.dim,
+        "L": args.edge,
+        "r": args.r,
+        "vl": est.value,
+        "bound": val,
+    }
 
 
-def _cmd_solvek(args) -> str:
+def _cmd_solvek(args) -> dict:
     cert = solve_k(args.dim, args.eta, seed=args.seed)
-    return (
-        _json(
-            {
-                "seed": args.seed,
-                "n": cert.n,
-                "eta": cert.eta,
-                "L1": cert.L1,
-                "k": cert.k,
-                "bound_value": cert.bound_value,
-                "vL1": _vl_doc(cert.vL1),
-            }
-        )
-        + "\n"
-    )
+    return {
+        "seed": args.seed,
+        "n": cert.n,
+        "eta": cert.eta,
+        "L1": cert.L1,
+        "k": cert.k,
+        "bound_value": cert.bound_value,
+        "vL1": _vl_doc(cert.vL1),
+    }
 
 
 def _curve_edges(args):
@@ -253,7 +239,7 @@ def _residual_summary(residuals) -> dict:
     }
 
 
-def _cmd_smear_run(args) -> str:
+def _cmd_smear_run(args) -> dict:
     from hypsmear.smear import (
         accumulate_chain,
         boundary_residuals,
@@ -323,27 +309,22 @@ def _cmd_smear_run(args) -> str:
                 fh.writelines(
                     row % (*k, p, m, _CLASS_NAMES[c], a) for k, p, m, c, a in zip(*part)
                 )
-    return _json(doc) + "\n"
+    return doc
 
 
-def _cmd_smear_check(args) -> str:
+def _cmd_smear_check(args) -> dict:
     from hypsmear.smear import build_net, inclusion_check
 
     model = _load_model(args.model)
     net = build_net(model, args.net_radius)
     violations = inclusion_check(model, net, args.edge, args.samples, args.seed)
-    return (
-        _json(
-            {
-                "model": args.model,
-                "L": args.edge,
-                "samples": args.samples,
-                "seed": args.seed,
-                "violations": violations,
-            }
-        )
-        + "\n"
-    )
+    return {
+        "model": args.model,
+        "L": args.edge,
+        "samples": args.samples,
+        "seed": args.seed,
+        "violations": violations,
+    }
 
 
 # --- parser -----------------------------------------------------------------
@@ -453,14 +434,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = args.fn(args)
+        out = args.fn(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
+    # JSON commands return their document, tabular ones their text
+    _emit(out if isinstance(out, str) else _json(out) + "\n", args.out)
     return 0
 
 

@@ -36,14 +36,10 @@ __all__ = [
     "Isometry",
     "Frame",
     "GeodesicSimplex",
-    "geodesic_point",
-    "straight_eval",
     "to_klein",
     "from_klein",
-    "frame_to_isometry",
-    "reference_frame",
+    "from_klein_rows",
     "transport_from_origin",
-    "exp_point",
     "log_direction",
     "origin",
 ]
@@ -51,7 +47,6 @@ __all__ = [
 POINT_NORM_TOL = 1e-12
 LORENTZ_TOL = 1e-10
 CLAMP_TOL = 1e-9
-SHORT_GEODESIC = 1e-6
 
 
 @cache
@@ -151,10 +146,6 @@ class IdealPoint:
         object.__setattr__(self, "coords", c)
         self.coords.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0] - 1
-
 
 def origin(n: int) -> HPoint:
     """The reference point (1, 0, ..., 0) of H^n."""
@@ -175,21 +166,6 @@ def distance(x, y) -> float:
     if c < 1.0:
         return 0.0
     return float(np.arccosh(c))
-
-
-def geodesic_point(x, y, t: float) -> HPoint:
-    """Constant-speed geodesic from x (t=0) to y (t=1), evaluated at t.
-
-    Uses (sinh((1-t) l) x + sinh(t l) y) / sinh(l) with l = d(x, y); for
-    l < 1e-6 falls back to normalized linear interpolation, exact to O(l^2).
-    """
-    xa, ya = _coords(x), _coords(y)
-    ell = distance(xa, ya)
-    if ell < SHORT_GEODESIC:
-        c = (1.0 - t) * xa + t * ya
-    else:
-        c = (np.sinh((1.0 - t) * ell) * xa + np.sinh(t * ell) * ya) / np.sinh(ell)
-    return HPoint(c)
 
 
 def to_klein(x) -> np.ndarray:
@@ -213,35 +189,31 @@ def from_klein(u, ideal: bool = False):
     return HPoint(np.concatenate(([1.0], ua)) / np.sqrt(1.0 - r2))
 
 
+def from_klein_rows(u: np.ndarray) -> np.ndarray:
+    """Hyperboloid rows (w, w u), w = 1/sqrt(1 - |u|^2), of Klein points
+    given along the last axis; the batched, unvalidated from_klein."""
+    w = 1.0 / np.sqrt(1.0 - np.sum(u * u, axis=-1))[..., None]
+    return np.concatenate([w, u * w], axis=-1)
+
+
 @dataclass(frozen=True)
 class Isometry:
     """A Lorentz matrix preserving the upper sheet (M^T J M = J, M[0,0] > 0)."""
 
     matrix: np.ndarray
 
-    def __init__(self, matrix, validate: bool = True):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("isometry matrix must be square")
-        if validate:
-            j = np.diag(mink_diag(m.shape[0] - 1))
-            defect = np.max(np.abs(m.T @ j @ m - j))
-            if defect > LORENTZ_TOL:
-                raise ValueError(f"not a Lorentz matrix: |M^T J M - J| = {defect}")
-            if m[0, 0] <= 0:
-                raise ValueError("matrix swaps hyperboloid sheets")
+        j = np.diag(mink_diag(m.shape[0] - 1))
+        defect = np.max(np.abs(m.T @ j @ m - j))
+        if defect > LORENTZ_TOL:
+            raise ValueError(f"not a Lorentz matrix: |M^T J M - J| = {defect}")
+        if m[0, 0] <= 0:
+            raise ValueError("matrix swaps hyperboloid sheets")
         object.__setattr__(self, "matrix", m)
         self.matrix.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0] - 1
-
-    def inverse(self) -> "Isometry":
-        return Isometry(lorentz_inverse(self.matrix), validate=False)
-
-    def __matmul__(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.matrix @ other.matrix, validate=False)
 
 
 def transport_from_origin(p) -> np.ndarray:
@@ -287,49 +259,6 @@ class Frame:
         object.__setattr__(self, "tangents", t)
         self.tangents.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-
-def reference_frame(n: int) -> Frame:
-    """The frame at (1, 0, ..., 0) whose tangents are the spatial basis vectors."""
-    t = np.zeros((n, n + 1))
-    for i in range(n):
-        t[i, i + 1] = 1.0
-    return Frame(origin(n), t)
-
-
-def frame_to_isometry(frame: Frame) -> Isometry:
-    """The unique isometry carrying the reference frame to ``frame``.
-
-    Its matrix has the base point as column 0 and the tangent vectors as the
-    remaining columns; a degenerate (non-orthonormal) frame is an error.
-    """
-    n = frame.n
-    m = np.empty((n + 1, n + 1))
-    m[:, 0] = frame.base.coords
-    m[:, 1:] = frame.tangents.T
-    j = np.diag(mink_diag(n))
-    defect = np.max(np.abs(m.T @ j @ m - j))
-    if defect > 1e-8:
-        raise ValueError(f"degenerate frame: orthonormality defect {defect}")
-    return Isometry(m, validate=False)
-
-
-def exp_point(base, tangent) -> HPoint:
-    """Riemannian exponential: follow the tangent vector (in T_base H^n) for
-    its own length.  ``tangent`` must be Minkowski-orthogonal to base."""
-    b = _coords(base)
-    v = np.asarray(tangent, dtype=float)
-    vv = minkowski(v, v)
-    if vv < 0:
-        raise ValueError("tangent vector is not spacelike")
-    r = np.sqrt(vv)
-    if r < 1e-14:
-        return HPoint(b)
-    return HPoint(np.cosh(r) * b + np.sinh(r) * (v / r))
-
 
 def log_direction(base, target) -> np.ndarray:
     """Unit tangent vector at ``base`` pointing toward ``target``."""
@@ -372,59 +301,3 @@ class GeodesicSimplex:
         object.__setattr__(self, "ideal", np.array(flags, dtype=bool))
         self.vertices.setflags(write=False)
         self.ideal.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        """Simplex dimension (number of vertices minus one)."""
-        return self.vertices.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        """Ambient dimension."""
-        return self.vertices.shape[1] - 1
-
-    def orientation(self) -> int:
-        """Sign of det of the vertex-coordinate matrix (0 if not full rank)."""
-        if self.k != self.n:
-            raise ValueError("orientation needs a top-dimensional simplex")
-        d = np.linalg.det(self.vertices)
-        if d > 0:
-            return 1
-        if d < 0:
-            return -1
-        return 0
-
-
-def _validate_barycentric(weights, k: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape[0] != k + 1:
-        raise ValueError(f"expected {k + 1} barycentric weights, got {w.shape[0]}")
-    if np.any(w < -1e-12):
-        raise ValueError("barycentric weights must be nonnegative")
-    if abs(float(np.sum(w)) - 1.0) > 1e-12:
-        raise ValueError("barycentric weights must sum to 1")
-    return np.clip(w, 0.0, 1.0)
-
-
-def straight_eval(simplex: GeodesicSimplex, weights) -> HPoint:
-    """Evaluate the straight (geodesic-coned) simplex at barycentric weights.
-
-    Defined recursively: on the segment from a point of the front face to the
-    last vertex the map is the constant-speed geodesic between their images.
-    Vertices must be finite.
-    """
-    if bool(np.any(simplex.ideal)):
-        raise ValueError("straight_eval needs finite vertices")
-    w = _validate_barycentric(weights, simplex.k)
-    verts = simplex.vertices
-
-    def rec(vs: np.ndarray, wt: np.ndarray) -> np.ndarray:
-        if vs.shape[0] == 1:
-            return vs[0]
-        t = wt[-1]
-        if t >= 1.0 - 1e-15:
-            return vs[-1]
-        base = rec(vs[:-1], wt[:-1] / (1.0 - t))
-        return geodesic_point(base, vs[-1], t).coords
-
-    return HPoint(rec(verts, w))

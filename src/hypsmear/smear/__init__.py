@@ -1,6 +1,6 @@
 """Smearing simulator for explicit hyperbolic surfaces."""
 
-from hypsmear.smear.surface import SurfaceModel, load_model, reduce_to_domain
+from hypsmear.smear.surface import SurfaceModel, load_model
 from hypsmear.smear.net import GammaNet, build_net
 from hypsmear.smear.chain import (
     SmearChain,
@@ -18,7 +18,6 @@ from hypsmear.smear.chain import (
 __all__ = [
     "SurfaceModel",
     "load_model",
-    "reduce_to_domain",
     "GammaNet",
     "build_net",
     "SmearChain",

@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from hypsmear.hypgeom import lorentz_inverse, mink_diag, renormalize_rows
+from hypsmear.hypgeom import from_klein_rows, lorentz_inverse, mink_diag, renormalize_rows
 from hypsmear.smear.net import ELEMENT_TOKEN_GRID, GammaNet
 from hypsmear.smear.surface import SurfaceModel
 from hypsmear.volume import regular_simplex
@@ -84,11 +84,7 @@ def _rejection_positions(model: SurfaceModel, count: int, rng) -> tuple:
         drawn += 8192
         if drawn >= 65536 and have < max(1, drawn // 1000):
             raise RuntimeError("rejection efficiency below 1e-3: bad bounding box")
-    u = np.concatenate(pts)[:count]
-    theta = np.concatenate(angs)[:count]
-    w = 1.0 / np.sqrt(1.0 - np.sum(u * u, axis=1))
-    p = np.column_stack([w, u[:, 0] * w, u[:, 1] * w])
-    return p, theta
+    return from_klein_rows(np.concatenate(pts)[:count]), np.concatenate(angs)[:count]
 
 
 def _frame_matrices(p: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -318,9 +314,7 @@ class SmearChain:
         self.samples = int(samples)
         self.seed = int(seed)
         self.scale = model.exact_area / samples
-        # negative-family vertices sit up to ~2*inradius beyond the
-        # circumradius, hence the wide margin on the line set
-        self.lines = model.boundary_lines(model.domain_radius() + _simplex_radius(2, L) + 3.5)
+        self.lines = _chain_lines(model, L)
         self._count = 0
         for name, (shape, dtype) in _COLUMNS.items():
             setattr(self, name, np.zeros((0,) + shape, dtype))
@@ -404,6 +398,13 @@ class SmearChain:
 
 def _simplex_radius(n: int, L: float) -> float:
     return math.acosh(math.sqrt((n * math.cosh(L) + 1.0) / (n + 1.0)))
+
+
+def _chain_lines(model: SurfaceModel, L: float) -> np.ndarray:
+    """Boundary-line lifts the simplices of edge L can reach.  Negative-family
+    vertices sit up to ~2*inradius beyond the circumradius, hence the wide
+    margin on the line set."""
+    return model.boundary_lines(model.domain_radius() + _simplex_radius(2, L) + 3.5)
 
 
 def _mirror_pair(L: float) -> tuple:
@@ -555,7 +556,7 @@ def inclusion_check(
     vertex image is deeper than L+3 must be fully interior, and a retained
     simplex must have its base vertex image within depth L of the surface."""
     q_plus, q_minus = _mirror_pair(L)
-    lines = model.boundary_lines(model.domain_radius() + _simplex_radius(2, L) + 3.5)
+    lines = _chain_lines(model, L)
     violations = 0
     for mats in haar_sample(model, samples, seed):
         # both families share the base vertex

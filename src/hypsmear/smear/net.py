@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from hypsmear.hypgeom import HPoint, mink_diag, renormalize_rows
+from hypsmear.hypgeom import from_klein_rows, mink_diag, renormalize_rows
 from hypsmear.smear.surface import SurfaceModel
 
 __all__ = ["GammaNet", "build_net"]
@@ -52,20 +52,17 @@ def _uniform_polygon_points(model: SurfaceModel, count: int, rng) -> np.ndarray:
         got = u[model.accept_area_uniform(u, acc, r_max * r_max)]
         out.append(got)
         have += len(got)
-    u = np.concatenate(out)[:count]
-    w = 1.0 / np.sqrt(1.0 - np.sum(u * u, axis=1))
-    return np.column_stack([w, u[:, 0] * w, u[:, 1] * w])
+    return from_klein_rows(np.concatenate(out)[:count])
 
 
 class GammaNet:
     """Net centers plus the precomputed candidate cloud used by lookups."""
 
     def __init__(self, model: SurfaceModel, centers: np.ndarray, covering_radius: float):
-        self.centers = tuple(HPoint(c) for c in centers)
+        self.centers = renormalize_rows(np.asarray(centers, dtype=float))
         self.covering_radius = float(covering_radius)
         self.mirrored = bool(model.boundary)
-        self._coords = np.array([c.coords for c in self.centers])
-        self._ctok = np.round(self._coords / CENTER_TOKEN_GRID).astype(np.int64)
+        self._ctok = np.round(self.centers / CENTER_TOKEN_GRID).astype(np.int64)
 
         # the dense-sample covering radius underestimates the true one by at
         # most the sample gap; allow that slack in the lookup guard and reach
@@ -75,8 +72,8 @@ class GammaNet:
         pts, cids, eidx = [], [], []
         # candidate order (center index, BFS word order) implements the
         # lowest-(index, word) tie rule
-        for ci in range(len(self._coords)):
-            imgs = elems @ self._coords[ci]
+        for ci, c in enumerate(self.centers):
+            imgs = elems @ c
             keep = np.flatnonzero(imgs[:, 0] <= math.cosh(r_cloud))
             pts.append(imgs[keep])
             cids.append(np.full(keep.size, ci))
@@ -139,7 +136,7 @@ class GammaNet:
             # is one, otherwise quantize the exterior representative
             rep, e2 = model.reduce_batch(pos_dom[rows], want_elements=True)
             emat[rows] = gam1[rows] @ e2
-            near = (rep * _J) @ self._coords.T
+            near = (rep * _J) @ self.centers.T
             ci2 = np.argmax(near, axis=1)
             is_interior = -near[np.arange(len(rep)), ci2] < 1.0 + 1e-9
             tok = np.round(rep / CENTER_TOKEN_GRID).astype(np.int64)
@@ -162,9 +159,7 @@ def build_net(model: SurfaceModel, target_radius: float) -> GammaNet:
     sample = _uniform_polygon_points(model, _COVER_SAMPLE, rng)
     kv = model.klein_polygon()
     mids = 0.5 * (kv + np.roll(kv, -1, axis=0))
-    extra = np.concatenate([kv, mids])
-    w = 1.0 / np.sqrt(1.0 - np.sum(extra * extra, axis=1))
-    extra = np.column_stack([w, extra[:, 0] * w, extra[:, 1] * w])
+    extra = from_klein_rows(np.concatenate([kv, mids]))
     sample = np.concatenate([sample, renormalize_rows(extra)])
 
     if model.boundary:

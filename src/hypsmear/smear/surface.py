@@ -25,7 +25,15 @@ from importlib import resources
 
 import numpy as np
 
-from hypsmear.hypgeom import HPoint, Isometry, mink_diag, minkowski, renormalize_rows, to_klein
+from hypsmear.hypgeom import (
+    HPoint,
+    Isometry,
+    lorentz_inverse,
+    mink_diag,
+    minkowski,
+    renormalize_rows,
+    to_klein,
+)
 from hypsmear.volume import triangle_signed_area
 
 __all__ = [
@@ -33,7 +41,6 @@ __all__ = [
     "save_model",
     "load_model",
     "bundled_model_path",
-    "reduce_to_domain",
 ]
 
 REDUCE_MAX_STEPS = 200
@@ -43,21 +50,20 @@ _J = mink_diag(2)
 
 
 class SurfaceModel:
-    """Validated side-pairing data for a compact hyperbolic surface."""
+    """Validated side-pairing data for a compact hyperbolic surface, held as
+    arrays: generator matrices (g, 3, 3), polygon vertex rows (m, 3) and the
+    base point (3,), each checked by Isometry or HPoint on the way in."""
 
     def __init__(self, generators, polygon, boundary, base, chi: int):
-        self.generators = tuple(
-            g if isinstance(g, Isometry) else Isometry(g) for g in generators
-        )
-        self.polygon = tuple(p if isinstance(p, HPoint) else HPoint(p) for p in polygon)
+        self.gen_mats = np.stack([Isometry(g).matrix for g in generators])
+        self.poly_coords = np.array([HPoint(p).coords for p in polygon])
         self.boundary = tuple(np.asarray(u, dtype=float) for u in boundary)
-        self.base = base if isinstance(base, HPoint) else HPoint(base)
+        self.base = HPoint(base).coords
         self.chi = int(chi)
         if self.chi >= 0:
             raise ValueError("hyperbolic surfaces have negative Euler characteristic")
         self.exact_area = 2.0 * math.pi * abs(self.chi)
 
-        self.gen_mats = np.stack([g.matrix for g in self.generators])
         self._inv_index = self._closure_under_inverses()
         self._validate_boundary()
         self._validate_side_pairing()
@@ -70,11 +76,10 @@ class SurfaceModel:
     # --- validation -----------------------------------------------------
 
     def _closure_under_inverses(self) -> np.ndarray:
-        inv = np.full(len(self.generators), -1, dtype=int)
-        for i, g in enumerate(self.generators):
-            gi = g.inverse().matrix
-            for j, h in enumerate(self.generators):
-                if np.max(np.abs(h.matrix - gi)) < 1e-9:
+        inv = np.full(len(self.gen_mats), -1, dtype=int)
+        for i, gi in enumerate(lorentz_inverse(self.gen_mats)):
+            for j, h in enumerate(self.gen_mats):
+                if np.max(np.abs(h - gi)) < 1e-9:
                     inv[i] = j
                     break
             if inv[i] < 0:
@@ -88,7 +93,7 @@ class SurfaceModel:
             q = minkowski(u, u)
             if abs(q - 1.0) > 1e-9:
                 raise ValueError(f"boundary polar not unit spacelike: <u,u> = {q}")
-            if float(minkowski(self.base.coords, u)) >= 0:
+            if float(minkowski(self.base, u)) >= 0:
                 raise ValueError("base point must lie strictly inside every boundary line")
 
     def _side_is_boundary(self, a: np.ndarray, b: np.ndarray) -> bool:
@@ -98,7 +103,7 @@ class SurfaceModel:
         return False
 
     def _validate_side_pairing(self):
-        v = np.array([p.coords for p in self.polygon])
+        v = self.poly_coords
         m = len(v)
         sides = [(v[i], v[(i + 1) % m]) for i in range(m)]
         self._boundary_side_index = []
@@ -123,7 +128,7 @@ class SurfaceModel:
             raise ValueError("boundary polars listed but no polygon side lies on them")
 
     def _validate_area(self):
-        v = self.polygon
+        v = self.poly_coords
         total = 0.0
         for i in range(1, len(v) - 1):
             total += triangle_signed_area(v[0], v[i], v[i + 1])
@@ -136,10 +141,6 @@ class SurfaceModel:
         self._poly_area = total
 
     # --- derived geometry ------------------------------------------------
-
-    @property
-    def poly_coords(self) -> np.ndarray:
-        return np.array([p.coords for p in self.polygon])
 
     def klein_polygon(self) -> np.ndarray:
         return to_klein(self.poly_coords)
@@ -261,8 +262,8 @@ class SurfaceModel:
         """Dirichlet-descend every row into the fundamental domain.
 
         Returns (reduced coords, elements) with element @ reduced = original;
-        elements is None when not requested.  Rows must satisfy the distance
-        budget of reduce_to_domain.
+        elements is None when not requested.  A row farther than distance
+        40 from the base point is an error.
         """
         x = np.array(coords, dtype=float)
         # guard on the raw coordinates: past the budget the renormalizer
@@ -354,27 +355,16 @@ class SurfaceModel:
         return -np.arcsinh(worst)
 
 
-def reduce_to_domain(x: HPoint, model: SurfaceModel):
-    """Project a point to the fundamental domain.
-
-    Returns (point in the domain, Isometry gamma) with gamma applied to the
-    reduced point giving back x.
-    """
-    c = np.asarray(getattr(x, "coords", x), dtype=float)[None, :]
-    red, elems = model.reduce_batch(c, want_elements=True)
-    return HPoint(red[0]), Isometry(elems[0], validate=False)
-
-
 # --- model files -----------------------------------------------------------
 
 
 def save_model(model: SurfaceModel, path):
     doc = {
         "dim": 2,
-        "generators": [[float(v) for v in g.matrix.ravel()] for g in model.generators],
-        "polygon": [[float(v) for v in p.coords] for p in model.polygon],
+        "generators": [[float(v) for v in g.ravel()] for g in model.gen_mats],
+        "polygon": [[float(v) for v in p] for p in model.poly_coords],
         "boundary": [[float(v) for v in u] for u in model.boundary],
-        "base": [float(v) for v in model.base.coords],
+        "base": [float(v) for v in model.base],
         "chi": model.chi,
     }
     with open(path, "w") as fh:

@@ -6,10 +6,10 @@ element is (1 - |u|^2)^{-(n+1)/2} du.  The quadrature is adaptive
 longest-edge bisection with an interior (Grundmann-Moeller) rule pair for
 two-level error estimation.
 
-Closed forms: Gauss-Bonnet angle defect (n=2), Lobachevsky-function volume
-of the ideal tetrahedron (n=3), and the ideal regular volume v_n, which is
-exact for n=2, a Lobachevsky evaluation for n=3, and a geometric-sequence
-extrapolation of finite regular-simplex volumes for n >= 4.
+Closed forms: Gauss-Bonnet angle defect (n=2) and the ideal regular volume
+v_n, which is exact for n=2, a Lobachevsky evaluation for n=3, and a
+geometric-sequence extrapolation of finite regular-simplex volumes for
+n >= 4.
 """
 
 from __future__ import annotations
@@ -226,73 +226,38 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
     return float(np.sum(val)), float(np.sum(err)), converged
 
 
-def _stereographic_cross_ratio_volume(vertices: np.ndarray) -> float:
-    """Volume of an ideal tetrahedron from its four light-cone vertices."""
-    dirs = vertices[:, 1:]
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    # rotate until no vertex sits near the projection pole
-    for axis, ang in [(None, 0.0), (0, 0.7), (1, 1.1), (0, 1.9), (1, 2.6), (0, 0.4)]:
-        if axis is not None:
-            c, s = math.cos(ang), math.sin(ang)
-            rot = np.eye(3)
-            a, b = (1, 2) if axis == 0 else (0, 2)
-            rot[a, a] = c
-            rot[a, b] = -s
-            rot[b, a] = s
-            rot[b, b] = c
-            dirs = dirs @ rot.T
-        if np.all(dirs[:, 2] < 1.0 - 1e-6):
-            break
-    else:
-        raise ValueError("could not find a projection pole clear of all vertices")
-    z = (dirs[:, 0] + 1j * dirs[:, 1]) / (1.0 - dirs[:, 2])
-    cr = ((z[0] - z[2]) * (z[1] - z[3])) / ((z[0] - z[3]) * (z[1] - z[2]))
-    if not np.isfinite(cr.real) or not np.isfinite(cr.imag):
-        return 0.0
-    angles = [
-        np.angle(cr),
-        np.angle(1.0 / (1.0 - cr)),
-        np.angle((cr - 1.0) / cr),
-    ]
-    return abs(sum(lobachevsky(a) for a in angles))
+def klein_volume(s, q: QuadratureSpec | None = None) -> VolumeResult:
+    """Unsigned hyperbolic volume of a top-dimensional straight simplex,
+    integrated adaptively in Klein coordinates.
 
-
-def klein_volume(s: GeodesicSimplex, q: QuadratureSpec | None = None) -> VolumeResult:
-    """Unsigned hyperbolic volume of a top-dimensional straight simplex.
-
-    Finite vertices are integrated adaptively in Klein coordinates.
-    All-ideal simplices use closed forms and exist only for n in {2, 3};
-    mixing finite and ideal vertices is not supported.
+    ``s`` is a GeodesicSimplex or an (n+1, n+1) array of hyperboloid vertex
+    rows.  Vertices must be finite: an ideal vertex is an error.
     """
     spec = q if q is not None else QuadratureSpec()
-    if s.k != s.n:
-        raise ValueError(f"need a top-dimensional simplex: k={s.k}, n={s.n}")
-    if bool(np.any(s.ideal)):
-        if not bool(np.all(s.ideal)):
-            raise ValueError("mixed finite/ideal simplices are not supported")
-        if s.n == 2:
-            return VolumeResult(math.pi, 0.0, True)
-        if s.n == 3:
-            return VolumeResult(
-                _stereographic_cross_ratio_volume(s.vertices), 1e-13, True
-            )
-        raise ValueError("all-ideal volumes are only available for n in {2, 3}")
+    if bool(np.any(getattr(s, "ideal", False))):
+        raise ValueError("ideal vertices are not supported")
+    verts = np.asarray(getattr(s, "vertices", s), dtype=float)
+    k, n = verts.shape[0] - 1, verts.shape[1] - 1
+    if k != n:
+        raise ValueError(f"need a top-dimensional simplex: k={k}, n={n}")
 
     # canonical vertex order: the result is bit-identical under permutations
-    order = np.lexsort(s.vertices.T[::-1])
-    v = s.vertices[order]
+    order = np.lexsort(verts.T[::-1])
+    v = verts[order]
     kv = to_klein(v)
     hs = _klein_defect(v)
     value, err, conv = _integrate_adaptive(kv, hs, spec)
     return VolumeResult(value, err, conv)
 
 
-def signed_volume(s: GeodesicSimplex, q: QuadratureSpec | None = None) -> float:
-    """Orientation-signed volume; odd vertex permutations flip the sign."""
-    sign = s.orientation()
-    if sign == 0:
+def signed_volume(s, q: QuadratureSpec | None = None) -> float:
+    """Orientation-signed volume (sign of det of the vertex rows, 0 when
+    degenerate) of a GeodesicSimplex or vertex array, as in klein_volume;
+    odd vertex permutations flip the sign."""
+    d = np.linalg.det(np.asarray(getattr(s, "vertices", s), dtype=float))
+    if not abs(d) > 0:
         return 0.0
-    return sign * klein_volume(s, q).value
+    return (1.0 if d > 0 else -1.0) * klein_volume(s, q).value
 
 
 def _angles_from_sides(sides) -> list:

@@ -49,6 +49,13 @@ def test_regvol_quadrature(capsys):
     assert doc["converged"] is True
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_regvol_rejects_nonpositive_tol(capsys, tol):
+    code, out, err = run(capsys, "regvol", "--dim", "2", "--edge", "2.0", "--tol", tol)
+    assert code == 1
+    assert out == "" and "abs_tol" in err
+
+
 def test_vl_fields_and_determinism(capsys):
     args = ("vl", "--dim", "2", "--edge", "4.0", "--restarts", "2", "--seed", "7")
     code, out1, _ = run(capsys, *args)

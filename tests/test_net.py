@@ -45,7 +45,8 @@ def test_net_basic_properties(genus2, genus2_net):
     assert isinstance(net, GammaNet)
     assert 0.0 < net.covering_radius <= 0.4
     assert len(net) >= 3
-    coords = np.array([c.coords for c in net.centers])
+    coords = net.centers
+    assert coords.shape == (len(net), 3)
     assert genus2.point_in_polygon(coords).all()
     # stored integer tokens snap back onto the stored centers
     snapped = np.round(coords / CENTER_TOKEN_GRID).astype(np.int64)
@@ -55,9 +56,7 @@ def test_net_basic_properties(genus2, genus2_net):
 def test_net_determinism(torus, torus_net):
     net, _ = torus_net
     again = build_net(torus, 0.4)
-    a = np.array([c.coords for c in net.centers])
-    b = np.array([c.coords for c in again.centers])
-    assert np.array_equal(a, b)
+    assert np.array_equal(net.centers, again.centers)
     assert net.covering_radius == again.covering_radius
 
 
@@ -90,7 +89,7 @@ def test_assign_equivariance(genus2, genus2_net):
 def test_assign_center_fixed_points(genus2, genus2_net):
     net, _ = genus2_net
     lines = genus2.boundary_lines(genus2.domain_radius() + 2.0)
-    coords = np.array([c.coords for c in net.centers])
+    coords = net.centers
     ctok, emat, pos = net.assign(genus2, coords, lines)
     assert np.array_equal(ctok, net._ctok)
     assert np.max(np.abs(pos - coords)) < 1e-8
@@ -163,7 +162,7 @@ def assign_two_reductions(net, model, coords, lines):
     rows = np.flatnonzero(was_folded)
     rep, e2 = model.reduce_batch(pos_dom[rows])
     emat[rows] = np.einsum("bij,bjk->bik", gam1[rows], e2)
-    near = (rep * J) @ net._coords.T
+    near = (rep * J) @ net.centers.T
     ci2 = np.argmax(near, axis=1)
     is_interior = -near[np.arange(len(rep)), ci2] < 1.0 + 1e-9
     tok = np.round(rep / CENTER_TOKEN_GRID).astype(np.int64)

@@ -9,7 +9,6 @@ from hypsmear.smear.surface import (
     SurfaceModel,
     bundled_model_path,
     load_model,
-    reduce_to_domain,
     save_model,
 )
 
@@ -18,8 +17,8 @@ J = np.array([-1.0, 1.0, 1.0])
 
 def test_bundled_genus2_shape(genus2):
     assert genus2.chi == -2
-    assert len(genus2.generators) == 8
-    assert len(genus2.polygon) == 8
+    assert genus2.gen_mats.shape == (8, 3, 3)
+    assert genus2.poly_coords.shape == (8, 3)
     assert genus2.boundary == ()
     assert genus2.exact_area == pytest.approx(4.0 * math.pi, abs=1e-14)
     assert genus2.domain_radius() == pytest.approx(2.4484524476780756, abs=1e-9)
@@ -28,7 +27,7 @@ def test_bundled_genus2_shape(genus2):
 
 def test_bundled_torus_shape(torus):
     assert torus.chi == -1
-    assert len(torus.generators) == 4
+    assert torus.gen_mats.shape == (4, 3, 3)
     assert len(torus.boundary) > 0
     assert torus.exact_area == pytest.approx(2.0 * math.pi, abs=1e-14)
     assert torus.boundary_length() == pytest.approx(6.114283677923990, abs=1e-9)
@@ -84,7 +83,7 @@ def test_generators_are_lorentz_and_closed_under_inverse(genus2):
         assert np.allclose(genus2.gen_mats[i] @ genus2.gen_mats[j], np.eye(3), atol=1e-9)
 
 
-def test_reduce_to_domain_roundtrip(genus2):
+def test_reduce_batch_roundtrip(genus2):
     rng = np.random.default_rng(21)
     inside = origin(2)
     for _ in range(12):
@@ -93,10 +92,10 @@ def test_reduce_to_domain_roundtrip(genus2):
         for w in word:
             g = g @ genus2.gen_mats[w]
         moved = HPoint(g @ inside.coords)
-        red, gamma = reduce_to_domain(moved, genus2)
-        assert distance(red, inside) < 1e-4
+        red, gamma = genus2.reduce_batch(moved.coords[None, :])
+        assert distance(red[0], inside) < 1e-4
         # conditioning grows with cosh(distance); compare relative to scale
-        back_err = np.max(np.abs(gamma.matrix @ red.coords - moved.coords))
+        back_err = np.max(np.abs(gamma[0] @ red[0] - moved.coords))
         assert back_err <= 1e-4 * max(1.0, moved.coords[0])
 
 
@@ -168,7 +167,7 @@ def test_boundary_lines_are_unit_polars(torus):
     q = -(lines[:, 0] ** 2) + lines[:, 1] ** 2 + lines[:, 2] ** 2
     assert np.allclose(q, 1.0, atol=1e-9)
     # base point strictly on the surface side of every line
-    s = (torus.base.coords * J) @ lines.T
+    s = (torus.base * J) @ lines.T
     assert np.all(s < 0)
 
 
@@ -195,12 +194,12 @@ def test_fold_batch_unfolds(torus):
 
 def test_distance_to_boundary_signs(torus):
     lines = torus.boundary_lines(torus.domain_radius() + 3.0)
-    d0 = torus.distance_to_boundary(torus.base.coords[None, :], lines)[0]
+    d0 = torus.distance_to_boundary(torus.base[None, :], lines)[0]
     assert d0 > 0
     # reflect the base across its nearest boundary line: depth flips sign
-    s = (torus.base.coords * J) @ lines.T
+    s = (torus.base * J) @ lines.T
     u = lines[int(np.argmax(s))]
-    refl = torus.base.coords - 2.0 * minkowski(torus.base.coords, u) * u
+    refl = torus.base - 2.0 * minkowski(torus.base, u) * u
     d1 = torus.distance_to_boundary(refl[None, :], lines)[0]
     assert d1 == pytest.approx(-d0, abs=1e-9)
 
@@ -213,8 +212,8 @@ def test_element_ball_contains_identity_and_is_lorentz(genus2):
     for g in ball[:50]:
         assert np.allclose(g.T @ jm @ g, jm, atol=1e-9)
     # every element moves the base point by at most the requested radius
-    imgs = ball @ genus2.base.coords
-    cosh_d = -(imgs * J) @ genus2.base.coords
+    imgs = ball @ genus2.base
+    cosh_d = -(imgs * J) @ genus2.base
     assert np.all(np.arccosh(np.maximum(1.0, cosh_d)) <= 4.0 + 1e-6)
 
 

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from hypsmear.hypgeom import GeodesicSimplex, HPoint, from_klein, origin, to_klein
+from hypsmear.bounds import _perturbed_vertices
+from hypsmear.hypgeom import (
+    GeodesicSimplex,
+    HPoint,
+    IdealPoint,
+    from_klein,
+    origin,
+    renormalize_rows,
+    to_klein,
+    transport_from_origin,
+)
 from hypsmear.volume import (
     QuadratureSpec,
     extrapolated_regular_volume,
@@ -165,3 +175,42 @@ def test_klein_volume_frozen_values():
         r = klein_volume(s, spec)
         assert r.converged
         assert (r.value, r.err_estimate) == (value, err)
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_vertex_arrays_match_simplex_objects_bitwise(n):
+    # vl_estimate's objective hands signed_volume renormalize_rows(rows)
+    # instead of GeodesicSimplex([HPoint(r) ...]): the vertex rows and every
+    # result bit must agree on perturbed regular simplices like its own
+    rng = np.random.default_rng(17 + n)
+    spec = QuadratureSpec(abs_tol=3e-4, max_subdivisions=200)
+    for L in (4.0, 6.0, 9.0):
+        qs = regular_simplex(n, L).vertices
+        bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
+        for _ in range(170):
+            g = rng.normal(size=(n + 1, n))
+            # radii past 1 exercise the projection onto the radius-1 ball
+            w = g / np.linalg.norm(g, axis=1, keepdims=True) * rng.uniform(0.0, 1.3, (n + 1, 1))
+            rows = _perturbed_vertices(qs, bases, w)
+            arr = renormalize_rows(rows)
+            simplex = GeodesicSimplex([HPoint(r) for r in rows])
+            assert arr.tobytes() == simplex.vertices.tobytes()
+            a, b = klein_volume(arr, spec), klein_volume(simplex, spec)
+            assert a.converged == b.converged
+            assert _bits(a.value, a.err_estimate) == _bits(b.value, b.err_estimate)
+            assert _bits(signed_volume(arr, spec)) == _bits(signed_volume(simplex, spec))
+
+
+def test_ideal_vertices_are_an_error():
+    finite = [from_klein(u) for u in ([0.1, 0.2], [-0.3, 0.1])]
+    ideal = IdealPoint(np.array([1.0, 0.6, -0.8]))
+    for s in (GeodesicSimplex(finite + [ideal]),
+              GeodesicSimplex([ideal, IdealPoint([1.0, -1.0, 0.0]), IdealPoint([1.0, 0.0, 1.0])])):
+        with pytest.raises(ValueError, match="ideal"):
+            klein_volume(s)
+        with pytest.raises(ValueError, match="ideal"):
+            signed_volume(s)
