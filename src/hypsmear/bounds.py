@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from hypsmear.hypgeom import (
     log_direction,
@@ -33,6 +32,7 @@ from hypsmear.hypgeom import (
     transport_from_origin,
 )
 from hypsmear.volume import (
+    MAX_EDGE,
     QuadratureSpec,
     ideal_regular_volume,
     regular_simplex,
@@ -137,6 +137,7 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
     key = (n, round(float(L), 10), int(restarts), int(seed))
     if key in _VL_CACHE:
         return _VL_CACHE[key]
+    from scipy.optimize import minimize  # imported on first use: smear commands never need it
 
     base = regular_simplex(n, L)
     qs = np.array(base.vertices)
@@ -233,13 +234,13 @@ def _l0_bracket(n: int, restarts: int, seed: int):
 
     lo = 2.0
     hi = None
-    for cand in (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0):
+    for cand in (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, MAX_EDGE):
         if val(cand) > _L0_MARGIN:
             hi = cand
             break
         lo = cand
     if hi is None:
-        raise RuntimeError("no positive-volume threshold found below L = 64")
+        raise RuntimeError(f"no positive-volume threshold found up to L = {MAX_EDGE:g}")
     while hi - lo > 0.25 + 1e-12:
         mid = lo + 0.25 * round((hi - lo) / 2.0 / 0.25)
         if mid <= lo or mid >= hi:
@@ -316,12 +317,15 @@ def solve_k(
     def grid(i: int) -> float:
         return start + 0.5 * i
 
-    # doubling scan for an upper bracket, then bisection on the grid index
+    # doubling scan for an upper bracket, its last step clamped to the last
+    # grid point within MAX_EDGE, then bisection on the grid index
     # (vl_estimate is monotone in L per its contract)
+    last = int((MAX_EDGE - start) / 0.5)
     below = -1
     above = None
     i, stride = 0, 1
-    while grid(i) <= 64.0:
+    while below < last:
+        i = min(i, last)
         if val(grid(i)) > target:
             above = i
             break
@@ -330,7 +334,7 @@ def solve_k(
         stride *= 2
     if above is None:
         raise RuntimeError(
-            f"no half-integer L below 64 reaches V_L > v_n - eta/2 = {target}; "
+            f"no half-integer L up to {MAX_EDGE:g} reaches V_L > v_n - eta/2 = {target}; "
             "optimizer or quadrature accuracy insufficient for this eta"
         )
     while above - below > 1:

@@ -255,6 +255,12 @@ class Frame:
         n = base.n
         if t.shape != (n, n + 1):
             raise ValueError(f"tangents must have shape ({n}, {n + 1})")
+        # rows <e_i, base>, <e_i, e_1..n> against (0 | identity); pairings
+        # carry an absolute error ~ x0^2 * eps, so the check is relative
+        gram = (t * mink_diag(n)) @ np.vstack([base.coords, t]).T
+        defect = np.max(np.abs(gram - np.eye(n, n + 1, 1)))
+        if not defect <= LORENTZ_TOL * max(1.0, base.coords[0] ** 2):
+            raise ValueError(f"tangents are not an orthonormal frame at the base: defect {defect}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "tangents", t)
         self.tangents.setflags(write=False)

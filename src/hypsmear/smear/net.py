@@ -170,6 +170,7 @@ def build_net(model: SurfaceModel, target_radius: float) -> GammaNet:
         cand_ok = np.ones(len(sample), dtype=bool)
 
     ball = model.element_ball(2.0 * model.domain_radius() + 1.0)
+    sj = sample * _J
     mins = np.full(len(sample), np.inf)
     centers = []
     while len(centers) < _MAX_CENTERS:
@@ -179,16 +180,16 @@ def build_net(model: SurfaceModel, target_radius: float) -> GammaNet:
         if not cand_ok.any():
             raise RuntimeError("covering not achieved: admissible candidates exhausted")
         # candidate nearest to the worst-covered point
-        d_far = -(sample[cand_ok] * _J) @ sample[far]
+        d_far = -sj[cand_ok] @ sample[far]
         pick = np.flatnonzero(cand_ok)[int(np.argmin(d_far))]
         c = sample[pick]
         centers.append(c)
         cand_ok[pick] = False
-        imgs = ball @ c
-        dist = np.arccosh(np.maximum(1.0, -(sample * _J) @ imgs.T))
-        np.minimum(mins, dist.min(axis=1), out=mins)
+        # arccosh(max(1, .)) is monotone, so it is taken after the row minimum
+        nearest = -(sj @ (ball @ c).T).max(axis=1)
+        np.minimum(mins, np.arccosh(np.maximum(1.0, nearest)), out=mins)
         # keep later centers clear of this one
-        cand_ok &= np.arccosh(np.maximum(1.0, -(sample * _J) @ c)) > 1e-3
+        cand_ok &= np.arccosh(np.maximum(1.0, -(sj @ c))) > 1e-3
     else:
         raise RuntimeError("covering not achieved within the center budget")
 

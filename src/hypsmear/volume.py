@@ -18,11 +18,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import zeta
 
 from hypsmear.hypgeom import (
+    POINT_NORM_TOL,
     GeodesicSimplex,
     HPoint,
     minkowski,
@@ -30,6 +31,7 @@ from hypsmear.hypgeom import (
 )
 
 __all__ = [
+    "MAX_EDGE",
     "QuadratureSpec",
     "VolumeResult",
     "VolumeConstants",
@@ -45,6 +47,11 @@ __all__ = [
 ]
 
 _MAX_CELLS = 1_000_000
+
+# Longest supported regular-simplex edge.  Above about L = 36 the squared
+# circumradius cosh^2 nears 2^53 and the vertex rows lose <x,x> = -1 to
+# rounding, so HPoint rejects some of them; 32 keeps a margin of e^4.
+MAX_EDGE = 32.0
 
 
 @dataclass(frozen=True)
@@ -127,22 +134,51 @@ def _klein_defect(x) -> float:
     return 1.0 / (c[..., 0] ** 2)
 
 
+class _Rules(NamedTuple):
+    """Both Grundmann-Moeller rules of the pair for the n-simplex and the
+    column layout of the cell array that _integrate_adaptive refines."""
+
+    pts: np.ndarray  # (P, n+1) barycentric points, high-degree rule first
+    w_hi: np.ndarray
+    w_lo: np.ndarray
+    half_i: np.ndarray  # 0.5 * pts[:, I] over the off-diagonal pairs (I, J)
+    pts_j: np.ndarray  # pts[:, J]
+    pair_edge: np.ndarray  # edge index of each off-diagonal pair
+    pi: np.ndarray  # edge e joins vertices pi[e] < pj[e]
+    pj: np.ndarray
+    # cell columns: vertices [0, H), defects [H, DET), then det, value,
+    # error estimate, and squared edge lengths [E2, width)
+    H: int
+    DET: int
+    VAL: int
+    ERR: int
+    E2: int
+    width: int
+
+
 @lru_cache(maxsize=None)
-def _rule_setup(n: int, rule_order: int):
-    """Both Grundmann-Moeller rules of the pair for the n-simplex, their
-    points stacked (high-degree rule first), plus the edge vertex pairs."""
+def _rule_setup(n: int, rule_order: int) -> _Rules:
     s_lo = (rule_order - 1) // 2
     pts_lo, w_lo = _gm_rule(n, s_lo)
     pts_hi, w_hi = _gm_rule(n, s_lo + 1)
-    pi, pj = (np.array(p) for p in zip(*combinations(range(n + 1), 2)))
-    return np.concatenate([pts_hi, pts_lo]), w_hi, w_lo, pi, pj
+    pts = np.concatenate([pts_hi, pts_lo])
+    edges = list(combinations(range(n + 1), 2))
+    pi, pj = (np.array(p) for p in zip(*edges))
+    # i-major order: the quadratic form is summed in the order of the full
+    # (n+1) x (n+1) contraction, whose diagonal terms are exact zeros
+    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
+    ii, jj = (np.array(p) for p in zip(*pairs))
+    pair_edge = np.array([edges.index((min(i, j), max(i, j))) for i, j in pairs])
+    H = (n + 1) * n
+    DET = H + n + 1
+    return _Rules(pts, w_hi, w_lo, 0.5 * pts[:, ii], pts[:, jj], pair_edge, pi, pj,
+                  H, DET, DET + 1, DET + 2, DET + 3, DET + 3 + len(edges))
 
 
-def _rule_values(verts, hs, dets, rules, expo):
-    """Integral and error estimate per simplex.
+def _rule_values(cells, r: _Rules, expo) -> None:
+    """Fill the value, error-estimate and squared-edge columns of ``cells``
+    from their vertex, defect and |det| columns.
 
-    verts: (M, k+1, k) Klein vertices; hs: (M, k+1) boundary defects
-    1 - |v|^2 per vertex; dets: (M,) |det| of the edge matrices.
     The density argument 1 - |P|^2 at a barycentric point lam is evaluated as
     lam.h + (1/2) lam^T D lam with D the squared-edge-length matrix; every
     term is nonnegative, so deep near-boundary cells lose no precision.
@@ -150,80 +186,78 @@ def _rule_values(verts, hs, dets, rules, expo):
     The einsum parts give each row the same bits in any batch, but the BLAS
     products `dens @ w` do not: a row's value depends on the batch size and
     its position in it, so re-batching the cells of _integrate_adaptive
-    moves the last bits of every volume.
+    moves the last bits of every volume.  The einsum reductions follow their
+    operands' memory layout, too: the edge vectors must be C-ordered
+    (cell, edge, coordinate), which np.take gives and a gather that leaves
+    the cell axis innermost does not.
     """
-    pts, w_hi, w_lo = rules
-    diff = verts[:, :, None, :] - verts[:, None, :, :]
-    d2 = np.einsum("mijk,mijk->mij", diff, diff)
-    lin = np.einsum("mj,pj->mp", hs, pts)
-    quad = 0.5 * np.einsum("pi,mij,pj->mp", pts, d2, pts)
+    verts = cells[:, : r.H].reshape(len(cells), r.pts.shape[1], -1)
+    edge = np.take(verts, r.pi, axis=1) - np.take(verts, r.pj, axis=1)
+    e2 = np.einsum("mek,mek->me", edge, edge)
+    lin = np.einsum("mj,pj->mp", cells[:, r.H : r.DET], r.pts)
+    quad = np.einsum("pt,mt,pt->mp", r.half_i, e2[:, r.pair_edge], r.pts_j)
     dens = (lin + quad) ** expo
-    nh = len(w_hi)
-    hi = dens[:, :nh] @ w_hi
-    lo = dens[:, nh:] @ w_lo
-    val = dets * hi
-    err = np.abs(dets * (hi - lo))
-    return val, err
+    nh = len(r.w_hi)
+    hi = dens[:, :nh] @ r.w_hi
+    lo = dens[:, nh:] @ r.w_lo
+    dets = cells[:, r.DET]
+    cells[:, r.VAL] = dets * hi
+    cells[:, r.ERR] = np.abs(dets * (hi - lo))
+    cells[:, r.E2 :] = e2
 
 
 def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
     n = kverts.shape[1]
-    *rules, pi, pj = _rule_setup(n, spec.rule_order)
+    r = _rule_setup(n, spec.rule_order)
     expo = -(n + 1) / 2.0
 
     det0 = abs(float(np.linalg.det(kverts[1:] - kverts[0])))
     if det0 == 0.0:
         return 0.0, 0.0, True
 
-    verts = kverts[None, :, :].copy()
-    hs = hs0[None, :].copy()
-    dets = np.array([det0])
-    val, err = _rule_values(verts, hs, dets, rules, expo)
+    cells = np.empty((1, r.width))
+    cells[0, : r.H] = kverts.ravel()
+    cells[0, r.H : r.DET] = hs0
+    cells[0, r.DET] = det0
+    _rule_values(cells, r, expo)
 
     converged = False
     for _ in range(spec.max_subdivisions):
-        tot_err = float(np.sum(err))
-        if tot_err <= spec.abs_tol:
+        err = cells[:, r.ERR]
+        if float(np.sum(err)) <= spec.abs_tol:
             converged = True
             break
-        if verts.shape[0] >= _MAX_CELLS:
+        if len(cells) >= _MAX_CELLS:
             break
-        thr = spec.abs_tol / (2.0 * verts.shape[0])
+        thr = spec.abs_tol / (2.0 * len(cells))
         mask = err > thr
         if not mask.any():
             mask = err >= float(err.max())
 
-        sv, sh = verts[mask], hs[mask]
-        sd = dets[mask]
-        edge = sv[:, pi, :] - sv[:, pj, :]
-        lens = np.einsum("mek,mek->me", edge, edge)
-        am = np.argmax(lens, axis=1)
-        ii, jj = pi[am], pj[am]
-        ar = np.arange(sv.shape[0])
-        d = sv[ar, ii] - sv[ar, jj]
+        # bisect each selected cell across its longest edge (ii, jj); the
+        # children are all first halves (vertex ii moved), then all second
+        sel = cells[mask]
+        s = len(sel)
+        ar = np.arange(s)
+        am = np.argmax(sel[:, r.E2 :], axis=1)
+        ii, jj = r.pi[am], r.pj[am]
+        sv = sel[:, : r.H].reshape(s, n + 1, n)
+        sh = sel[:, r.H : r.DET]
         vm = 0.5 * (sv[ar, ii] + sv[ar, jj])
-        hm = 0.5 * (sh[ar, ii] + sh[ar, jj]) + 0.25 * np.einsum("mk,mk->m", d, d)
+        hm = 0.5 * (sh[ar, ii] + sh[ar, jj]) + 0.25 * sel[ar, r.E2 + am]
 
-        c1, h1 = sv.copy(), sh.copy()
-        c1[ar, ii] = vm
-        h1[ar, ii] = hm
-        c2, h2 = sv.copy(), sh.copy()
-        c2[ar, jj] = vm
-        h2[ar, jj] = hm
+        kids = np.concatenate([sel, sel])
+        kv = kids[:, : r.H].reshape(2 * s, n + 1, n)
+        kh = kids[:, r.H : r.DET]
+        kv[ar, ii] = vm
+        kh[ar, ii] = hm
+        kv[s + ar, jj] = vm
+        kh[s + ar, jj] = hm
+        kids[:, r.DET] *= 0.5
+        _rule_values(kids, r, expo)
+        cells = np.concatenate([cells[~mask], kids])
 
-        child_v = np.concatenate([c1, c2])
-        child_h = np.concatenate([h1, h2])
-        child_d = np.concatenate([0.5 * sd, 0.5 * sd])
-        cval, cerr = _rule_values(child_v, child_h, child_d, rules, expo)
-
-        keep = ~mask
-        verts = np.concatenate([verts[keep], child_v])
-        hs = np.concatenate([hs[keep], child_h])
-        dets = np.concatenate([dets[keep], child_d])
-        val = np.concatenate([val[keep], cval])
-        err = np.concatenate([err[keep], cerr])
-
-    return float(np.sum(val)), float(np.sum(err)), converged
+    return float(np.sum(cells[:, r.VAL])), float(np.sum(cells[:, r.ERR])), converged
 
 
 def klein_volume(s, q: QuadratureSpec | None = None) -> VolumeResult:
@@ -240,6 +274,12 @@ def klein_volume(s, q: QuadratureSpec | None = None) -> VolumeResult:
     k, n = verts.shape[0] - 1, verts.shape[1] - 1
     if k != n:
         raise ValueError(f"need a top-dimensional simplex: k={k}, n={n}")
+    # HPoint's own rule: <x,x> carries an absolute error ~ x0^2 * eps
+    x0 = verts[:, 0]
+    q = np.sum(verts[:, 1:] ** 2, axis=1) - x0 * x0
+    if not np.all((x0 > 0) & (np.abs(q + 1.0) <= POINT_NORM_TOL * np.maximum(1.0, x0 * x0))):
+        raise ValueError("vertex rows must be finite points of the upper sheet (<x,x> = -1); "
+                         "ideal vertices are not supported")
 
     # canonical vertex order: the result is bit-identical under permutations
     order = np.lexsort(verts.T[::-1])
@@ -299,6 +339,8 @@ def gauss_bonnet_area(angles=None, sides=None) -> float:
 
 @lru_cache(maxsize=None)
 def _zeta_even(m: int) -> float:
+    from scipy.special import zeta  # imported on first use: smear commands never need it
+
     return float(zeta(2 * m, 1))
 
 
@@ -343,12 +385,12 @@ def _unit_regular_directions(n: int) -> np.ndarray:
 
 
 def regular_simplex(n: int, L: float) -> GeodesicSimplex:
-    """The regular geodesic n-simplex with all edge lengths L, centered at
-    the reference point and positively oriented."""
+    """The regular geodesic n-simplex with all edge lengths L in
+    (0, MAX_EDGE], centered at the reference point and positively oriented."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if not L > 0:
-        raise ValueError("edge length must be positive")
+    if not 0 < L <= MAX_EDGE:
+        raise ValueError(f"edge length must lie in (0, {MAX_EDGE:g}], got {L}")
     u = _unit_regular_directions(n)
     cosh_s = math.sqrt((n * math.cosh(L) + 1.0) / (n + 1.0))
     sinh_s = math.sqrt(cosh_s * cosh_s - 1.0)

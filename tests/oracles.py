@@ -4,14 +4,24 @@ Everything here deliberately avoids the package's own algorithms: plain
 Monte-Carlo rejection for volumes, the slowly-converging log-sine Fourier
 series, dense grids instead of optimizers, and brute-force searches over
 group balls.  Slow but simple.
+
+Two exceptions are frozen copies of the package's own earlier code, kept so
+that reworks which must not move a bit can be checked against them: the
+adaptive Klein quadrature before its cells became one array, and the greedy
+net covering before arccosh moved after the row minimum.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 from scipy import integrate
+
+from hypsmear.hypgeom import to_klein
+from hypsmear.volume import QuadratureSpec, _gm_rule
 
 _J2 = np.array([-1.0, 1.0, 1.0])
 
@@ -104,3 +114,167 @@ def brute_nearest_orbit(model, x: np.ndarray, radius: float = 10.0) -> float:
     pts = ball[:, :, 0]
     d = np.arccosh(np.maximum(-(pts * (_J2 * x)).sum(axis=1), 1.0))
     return float(d.min())
+
+
+# --- the adaptive Klein quadrature before its cells became one array ---------
+# Kept verbatim (rule setup, rule evaluation, bisection loop) so tests can
+# assert that the production integrator reproduces it bit for bit.
+
+_MAX_CELLS = 1_000_000
+
+
+@lru_cache(maxsize=None)
+def _rule_setup(n: int, rule_order: int):
+    """Both Grundmann-Moeller rules of the pair for the n-simplex, their
+    points stacked (high-degree rule first), plus the edge vertex pairs."""
+    s_lo = (rule_order - 1) // 2
+    pts_lo, w_lo = _gm_rule(n, s_lo)
+    pts_hi, w_hi = _gm_rule(n, s_lo + 1)
+    pi, pj = (np.array(p) for p in zip(*combinations(range(n + 1), 2)))
+    return np.concatenate([pts_hi, pts_lo]), w_hi, w_lo, pi, pj
+
+
+def _rule_values(verts, hs, dets, rules, expo):
+    """Integral and error estimate per simplex.
+
+    verts: (M, k+1, k) Klein vertices; hs: (M, k+1) boundary defects
+    1 - |v|^2 per vertex; dets: (M,) |det| of the edge matrices.
+    The density argument 1 - |P|^2 at a barycentric point lam is evaluated as
+    lam.h + (1/2) lam^T D lam with D the squared-edge-length matrix; every
+    term is nonnegative, so deep near-boundary cells lose no precision.
+    Both rules are evaluated in one pass over their stacked points.
+    The einsum parts give each row the same bits in any batch, but the BLAS
+    products `dens @ w` do not: a row's value depends on the batch size and
+    its position in it, so re-batching the cells of _integrate_adaptive
+    moves the last bits of every volume.
+    """
+    pts, w_hi, w_lo = rules
+    diff = verts[:, :, None, :] - verts[:, None, :, :]
+    d2 = np.einsum("mijk,mijk->mij", diff, diff)
+    lin = np.einsum("mj,pj->mp", hs, pts)
+    quad = 0.5 * np.einsum("pi,mij,pj->mp", pts, d2, pts)
+    dens = (lin + quad) ** expo
+    nh = len(w_hi)
+    hi = dens[:, :nh] @ w_hi
+    lo = dens[:, nh:] @ w_lo
+    val = dets * hi
+    err = np.abs(dets * (hi - lo))
+    return val, err
+
+
+def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
+    n = kverts.shape[1]
+    *rules, pi, pj = _rule_setup(n, spec.rule_order)
+    expo = -(n + 1) / 2.0
+
+    det0 = abs(float(np.linalg.det(kverts[1:] - kverts[0])))
+    if det0 == 0.0:
+        return 0.0, 0.0, True
+
+    verts = kverts[None, :, :].copy()
+    hs = hs0[None, :].copy()
+    dets = np.array([det0])
+    val, err = _rule_values(verts, hs, dets, rules, expo)
+
+    converged = False
+    for _ in range(spec.max_subdivisions):
+        tot_err = float(np.sum(err))
+        if tot_err <= spec.abs_tol:
+            converged = True
+            break
+        if verts.shape[0] >= _MAX_CELLS:
+            break
+        thr = spec.abs_tol / (2.0 * verts.shape[0])
+        mask = err > thr
+        if not mask.any():
+            mask = err >= float(err.max())
+
+        sv, sh = verts[mask], hs[mask]
+        sd = dets[mask]
+        edge = sv[:, pi, :] - sv[:, pj, :]
+        lens = np.einsum("mek,mek->me", edge, edge)
+        am = np.argmax(lens, axis=1)
+        ii, jj = pi[am], pj[am]
+        ar = np.arange(sv.shape[0])
+        d = sv[ar, ii] - sv[ar, jj]
+        vm = 0.5 * (sv[ar, ii] + sv[ar, jj])
+        hm = 0.5 * (sh[ar, ii] + sh[ar, jj]) + 0.25 * np.einsum("mk,mk->m", d, d)
+
+        c1, h1 = sv.copy(), sh.copy()
+        c1[ar, ii] = vm
+        h1[ar, ii] = hm
+        c2, h2 = sv.copy(), sh.copy()
+        c2[ar, jj] = vm
+        h2[ar, jj] = hm
+
+        child_v = np.concatenate([c1, c2])
+        child_h = np.concatenate([h1, h2])
+        child_d = np.concatenate([0.5 * sd, 0.5 * sd])
+        cval, cerr = _rule_values(child_v, child_h, child_d, rules, expo)
+
+        keep = ~mask
+        verts = np.concatenate([verts[keep], child_v])
+        hs = np.concatenate([hs[keep], child_h])
+        dets = np.concatenate([dets[keep], child_d])
+        val = np.concatenate([val[keep], cval])
+        err = np.concatenate([err[keep], cerr])
+
+    return float(np.sum(val)), float(np.sum(err)), converged
+
+
+def klein_volume_reference(verts, spec) -> tuple:
+    """(value, err_estimate, converged) of the reference integrator on an
+    (n+1, n+1) array of finite hyperboloid vertex rows."""
+    verts = np.asarray(verts, dtype=float)
+    v = verts[np.lexsort(verts.T[::-1])]
+    return _integrate_adaptive(to_klein(v), 1.0 / (v[:, 0] ** 2), spec)
+
+
+def build_net_reference(model, target_radius: float) -> tuple:
+    """(centers, covering_radius) of the greedy net covering as it was before
+    arccosh moved after the row minimum: the distance to every ball image is
+    taken before the minimum."""
+    from hypsmear.hypgeom import from_klein_rows, renormalize_rows
+    from hypsmear.smear.net import (
+        _COVER_SAMPLE,
+        _J,
+        _LINE_MARGIN,
+        _MAX_CENTERS,
+        _NET_SEED,
+        _uniform_polygon_points,
+    )
+
+    rng = np.random.default_rng(_NET_SEED)
+    sample = _uniform_polygon_points(model, _COVER_SAMPLE, rng)
+    kv = model.klein_polygon()
+    mids = 0.5 * (kv + np.roll(kv, -1, axis=0))
+    extra = from_klein_rows(np.concatenate([kv, mids]))
+    sample = np.concatenate([sample, renormalize_rows(extra)])
+
+    if model.boundary:
+        lines = model.boundary_lines(model.domain_radius() + 1.0)
+        depth = model.distance_to_boundary(sample, lines)
+        cand_ok = depth >= _LINE_MARGIN
+    else:
+        cand_ok = np.ones(len(sample), dtype=bool)
+
+    ball = model.element_ball(2.0 * model.domain_radius() + 1.0)
+    mins = np.full(len(sample), np.inf)
+    centers = []
+    while len(centers) < _MAX_CENTERS:
+        far = int(np.argmax(mins))
+        if mins[far] <= target_radius:
+            break
+        assert cand_ok.any()
+        # candidate nearest to the worst-covered point
+        d_far = -(sample[cand_ok] * _J) @ sample[far]
+        pick = np.flatnonzero(cand_ok)[int(np.argmin(d_far))]
+        c = sample[pick]
+        centers.append(c)
+        cand_ok[pick] = False
+        imgs = ball @ c
+        dist = np.arccosh(np.maximum(1.0, -(sample * _J) @ imgs.T))
+        np.minimum(mins, dist.min(axis=1), out=mins)
+        # keep later centers clear of this one
+        cand_ok &= np.arccosh(np.maximum(1.0, -(sample * _J) @ c)) > 1e-3
+    return np.array(centers), float(np.max(mins))

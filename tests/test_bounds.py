@@ -1,15 +1,19 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hypsmear import bounds
 from hypsmear.bounds import (
     gap_bound,
     gluing_ratio_sequence,
     l0_estimate,
+    solve_k,
     tube_factor,
     vl_estimate,
 )
+from hypsmear.volume import MAX_EDGE, ideal_regular_volume
 
 import oracles
 
@@ -76,6 +80,44 @@ def test_vl_argument_guards():
         vl_estimate(2, 0.0)
     with pytest.raises(ValueError):
         vl_estimate(1, 4.0)
+    with pytest.raises(ValueError, match=r"\(0, 32\]"):
+        vl_estimate(3, 40.0)
+
+
+def _scripted_vl(monkeypatch, value_at):
+    """Replace vl_estimate by value_at(L), recording the edges asked for."""
+    asked = []
+
+    def fake(n, L, restarts=8, seed=0):
+        asked.append(L)
+        return SimpleNamespace(value=value_at(L))
+
+    monkeypatch.setattr(bounds, "vl_estimate", fake)
+    monkeypatch.setattr(bounds, "_L0_CACHE", {})
+    return asked
+
+
+def test_threshold_scans_stop_at_the_edge_limit(monkeypatch):
+    asked = _scripted_vl(monkeypatch, lambda L: 0.0)
+    with pytest.raises(RuntimeError, match="up to L = 32"):
+        l0_estimate(3)
+    assert max(asked) == MAX_EDGE
+
+    # positive from L = 3 on, but never above v_n - eta/2
+    asked = _scripted_vl(monkeypatch, lambda L: 0.5 if L >= 3.0 else 0.0)
+    with pytest.raises(RuntimeError, match="up to 32"):
+        solve_k(3, 0.1)
+    assert max(asked) == MAX_EDGE
+
+
+def test_solve_k_scan_reaches_the_last_grid_point(monkeypatch):
+    # the doubling scan from 3.0 would step from 18.5 past the limit; its
+    # clamped last step at 32 brackets the threshold, and bisection finds it
+    vn = ideal_regular_volume(3).v_n
+    asked = _scripted_vl(monkeypatch, lambda L: vn if L >= 25.0 else (0.5 if L >= 3.0 else 0.0))
+    cert = solve_k(3, 0.1)
+    assert cert.L1 == 25.0
+    assert max(asked) == MAX_EDGE
 
 
 def test_l0_estimate_frozen():

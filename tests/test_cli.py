@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypsmear
 from hypsmear import cli
 from hypsmear.bounds import gap_bound, tube_factor, vl_estimate
 from hypsmear.cli import main
@@ -228,3 +233,32 @@ def test_out_files_byte_identical(capsys, tmp_path):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_vl_edge_past_the_supported_range_is_an_error(capsys):
+    code, out, err = run(capsys, "vl", "--dim", "3", "--edge", "40")
+    assert code == 1
+    assert out == "" and "(0, 32]" in err
+
+
+def test_smear_commands_load_no_scipy(tmp_path):
+    # scipy is imported on first use by the bounds and the Lobachevsky
+    # series only; importing the CLI and running smear commands must not
+    # pay its start-up cost
+    script = f"""
+import sys, hypsmear.cli
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+before = loaded()
+for cmd in ("run", "check"):
+    argv = ["smear", cmd, "--model", "holed_torus", "--edge", "4.0", "--samples", "2000",
+            "--out", {str(tmp_path / "o.json")!r}]
+    assert hypsmear.cli.main(argv) == 0
+print(before, loaded())
+"""
+    src = str(Path(hypsmear.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "[] []"

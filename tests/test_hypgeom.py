@@ -126,10 +126,23 @@ def test_frame_shape_and_isometry_rejection():
     p = random_point()
     with pytest.raises(ValueError):
         Frame(p, np.ones((3, 3)))
-    # non-orthonormal tangents produce a non-Lorentz matrix
-    fr = Frame(p, np.ones((2, 3)))
+    # tangents that are not orthonormal at the base point are rejected, as
+    # the Lorentz matrix they would form is
+    with pytest.raises(ValueError, match="orthonormal"):
+        Frame(p, np.ones((2, 3)))
     with pytest.raises(ValueError):
-        Isometry(np.column_stack([fr.base.coords, fr.tangents.T]))
+        Isometry(np.column_stack([p.coords, np.ones((2, 3)).T]))
+    t = transport_from_origin(p)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Frame(p, t[:, 1:].T * 1.001)  # tangent, not unit
+    with pytest.raises(ValueError, match="orthonormal"):
+        Frame(p, np.eye(3)[1:])  # unit at the origin, not tangent at p
+    # a transported frame passes, and far from the origin its pairings'
+    # rounding (~x0^2 eps) stays inside the relative tolerance
+    fr = Frame(p, t[:, 1:].T)
+    Isometry(np.column_stack([fr.base.coords, fr.tangents.T]))
+    far = HPoint([math.cosh(12.0), math.sinh(12.0), 0.0])
+    Frame(far, transport_from_origin(far)[:, 1:].T)
 
 
 def test_simplex_shape_guard():

@@ -8,6 +8,8 @@ from hypsmear.smear import SmearChain, build_net
 from hypsmear.smear import chain as chain_mod
 from hypsmear.smear.net import CENTER_TOKEN_GRID, ELEMENT_TOKEN_GRID, GammaNet
 
+import oracles
+
 J = np.array([-1.0, 1.0, 1.0])
 
 
@@ -51,6 +53,17 @@ def test_net_basic_properties(genus2, genus2_net):
     # stored integer tokens snap back onto the stored centers
     snapped = np.round(coords / CENTER_TOKEN_GRID).astype(np.int64)
     assert np.array_equal(snapped, net._ctok)
+
+
+@pytest.mark.parametrize("name", ["genus2", "torus"])
+def test_build_net_matches_reference_greedy_loop(request, name):
+    # arccosh after the row minimum: centers and covering radius keep every
+    # bit of the loop that took arccosh of the whole pairing matrix
+    model = request.getfixturevalue(name)
+    net, _ = request.getfixturevalue(f"{name}_net")
+    centers, radius = oracles.build_net_reference(model, 0.4)
+    assert renormalize_rows(centers).tobytes() == net.centers.tobytes()
+    assert np.float64(radius).tobytes() == np.float64(net.covering_radius).tobytes()
 
 
 def test_net_determinism(torus, torus_net):

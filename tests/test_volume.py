@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypsmear.hypgeom import (
     transport_from_origin,
 )
 from hypsmear.volume import (
+    MAX_EDGE,
     QuadratureSpec,
     extrapolated_regular_volume,
     gauss_bonnet_area,
@@ -214,3 +216,75 @@ def test_ideal_vertices_are_an_error():
             klein_volume(s)
         with pytest.raises(ValueError, match="ideal"):
             signed_volume(s)
+
+
+def test_light_cone_rows_are_an_error():
+    # an array carries no ideal flags: the rows' own norm must reject a
+    # light-cone row, by HPoint's relative rule
+    finite = [from_klein(u).coords for u in ([0.1, 0.2], [-0.3, 0.1])]
+    ideal = IdealPoint([1.0, 0.6, -0.8]).coords
+    for rows in (np.array(finite + [ideal]), np.array([ideal, finite[0], finite[1]]),
+                 np.array([finite[0], -finite[1], ideal])):
+        with pytest.raises(ValueError, match="ideal"):
+            klein_volume(rows)
+        with pytest.raises(ValueError, match="ideal"):
+            signed_volume(rows)
+    lower = np.array(finite + [-from_klein([0.2, -0.5]).coords])
+    with pytest.raises(ValueError, match="upper sheet"):
+        klein_volume(lower)
+
+
+def test_far_perturbed_rows_pass_the_norm_rule():
+    # x0 ~ 1e6 at L = 30: <x,x> = -1 holds only up to ~x0^2 eps
+    rng = np.random.default_rng(30)
+    spec = QuadratureSpec(abs_tol=3e-4, max_subdivisions=200)
+    qs = regular_simplex(3, 30.0).vertices
+    bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
+    for _ in range(20):
+        g = rng.normal(size=(4, 3))
+        w = g / np.linalg.norm(g, axis=1, keepdims=True) * rng.uniform(0.0, 1.0, (4, 1))
+        rows = renormalize_rows(_perturbed_vertices(qs, bases, w))
+        assert klein_volume(rows, spec).value > 0.0
+
+
+@pytest.mark.parametrize("n, digest", [(2, "57d48654989e3d9d"), (3, "3e3a70f67b75f664"),
+                                       (4, "6ef5bf86d46ed4c0")])
+def test_regular_simplex_edge_range(n, digest):
+    # every half-integer edge up to MAX_EDGE builds, with the vertex bits it
+    # had before the range was enforced (frozen digest); past it, an error
+    # names the range instead of HPoint's "not a timelike vector"
+    h = hashlib.sha256()
+    for L in np.arange(0.5, MAX_EDGE + 0.25, 0.5):
+        h.update(regular_simplex(n, float(L)).vertices.tobytes())
+    assert h.hexdigest()[:16] == digest
+    for L in (MAX_EDGE + 0.5, 40.0, 64.0, math.inf, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=r"\(0, 32\]"):
+            regular_simplex(n, L)
+
+
+# (n, L, spec) grid of the bit-for-bit check against the reference
+# integrator in tests/oracles.py
+_ORACLE_SPECS = (
+    QuadratureSpec(abs_tol=3e-4, max_subdivisions=200),
+    QuadratureSpec(abs_tol=1e-6, max_subdivisions=1200),
+    QuadratureSpec(abs_tol=3e-4, max_subdivisions=200, rule_order=7),
+)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_klein_volume_matches_reference_integrator_bitwise(n):
+    # 2 x 4 x 3 x 42 = 1008 perturbed simplices; value, error estimate and
+    # convergence flag must equal the reference's in every bit
+    rng = np.random.default_rng(100 + n)
+    for L in (2.0, 4.0, 6.0, 9.0):
+        qs = regular_simplex(n, L).vertices
+        bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
+        for spec in _ORACLE_SPECS:
+            for _ in range(42):
+                g = rng.normal(size=(n + 1, n))
+                w = g / np.linalg.norm(g, axis=1, keepdims=True) * rng.uniform(0.0, 1.3, (n + 1, 1))
+                rows = renormalize_rows(_perturbed_vertices(qs, bases, w))
+                r = klein_volume(rows, spec)
+                ref = oracles.klein_volume_reference(rows, spec)
+                assert _bits(r.value, r.err_estimate) == _bits(*ref[:2])
+                assert r.converged == ref[2]
