@@ -208,7 +208,8 @@ class Isometry:
             raise ValueError("isometry matrix must be square")
         j = np.diag(mink_diag(m.shape[0] - 1))
         defect = np.max(np.abs(m.T @ j @ m - j))
-        if defect > LORENTZ_TOL:
+        # as in Frame: the products carry an absolute error ~ max|M|^2 * eps
+        if not defect <= LORENTZ_TOL * max(1.0, float(np.max(np.abs(m))) ** 2):
             raise ValueError(f"not a Lorentz matrix: |M^T J M - J| = {defect}")
         if m[0, 0] <= 0:
             raise ValueError("matrix swaps hyperboloid sheets")

@@ -21,10 +21,11 @@ element is the identity.  Quantization grids sit orders of magnitude above
 the measured float noise and below the minimal separations, so equal keys
 mean equal cell simplices and conversely.
 
-The chain is a set of growable numpy columns, one row per key in first-seen
-order (new keys of one shard in signed-lexicographic order).  Keys and faces
-merge through an exact 64-bit row hash; every hash match is checked against
-the full rows, so a collision raises instead of merging distinct keys.
+The chain is a set of numpy columns, one row per key in first-seen order
+(new keys of one shard in signed-lexicographic order), reserved once at
+2 * samples rows and committed page by page as keys are written.  Keys and
+faces merge through an exact 64-bit row hash; every hash match is checked
+against the full rows, so a collision raises instead of merging distinct keys.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from hypsmear.hypgeom import from_klein_rows, lorentz_inverse, mink_diag, renormalize_rows
+from hypsmear.smear import net as net_module
 from hypsmear.smear.net import ELEMENT_TOKEN_GRID, GammaNet
 from hypsmear.smear.surface import SurfaceModel
 from hypsmear.volume import regular_simplex
@@ -133,12 +135,16 @@ def _triangle_areas(verts: np.ndarray) -> np.ndarray:
     pair (p, q) is (G_pq + G_vp G_vq) / sqrt((G_vp^2-1)(G_vq^2-1)) with G the
     Minkowski Gram matrix; degenerate triples get area zero.
     """
-    g = np.einsum("kvi,i,kwi->kvw", verts, _J, verts)
+    # the three Gram entries read below, summed in einsum's order
+    g = {}
+    for p, q in ((0, 1), (0, 2), (1, 2)):
+        x, y = verts[:, p], verts[:, q]
+        g[p, q] = g[q, p] = -(x[:, 0] * y[:, 0]) + x[:, 1] * y[:, 1] + x[:, 2] * y[:, 2]
     angles = np.zeros(len(verts))
     degenerate = np.zeros(len(verts), dtype=bool)
     for v, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        num = g[:, p, q] + g[:, v, p] * g[:, v, q]
-        den2 = (g[:, v, p] ** 2 - 1.0) * (g[:, v, q] ** 2 - 1.0)
+        num = g[p, q] + g[v, p] * g[v, q]
+        den2 = (g[v, p] ** 2 - 1.0) * (g[v, q] ** 2 - 1.0)
         degenerate |= den2 <= 1e-24
         cosang = num / np.sqrt(np.maximum(den2, 1e-24))
         angles += np.arccos(np.clip(cosang, -1.0, 1.0))
@@ -147,13 +153,6 @@ def _triangle_areas(verts: np.ndarray) -> np.ndarray:
     out = np.abs(area) * np.where(sign == 0, 0.0, sign)
     out[degenerate] = 0.0
     return out
-
-
-def _line_sides(pos: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """Minkowski pairings (b, k, lines) of (b, k, 3) vertices with line
-    polars, positive on the funnel side.  They only feed sign tests, so a
-    BLAS product against the J-folded polars is exact enough."""
-    return (pos.reshape(-1, 3) @ (lines * _J).T).reshape(*pos.shape[:2], len(lines))
 
 
 def _classify(outside: np.ndarray) -> np.ndarray:
@@ -187,29 +186,36 @@ def _vertex_images(mats: np.ndarray, qverts: np.ndarray) -> np.ndarray:
     return renormalize_rows(np.einsum("bij,vj->bvi", mats, qverts))
 
 
-def _cells(model, net, lines, verts) -> list:
-    """Net cells of (b, k, 3) vertex images: center tokens (b, k, 3),
+def _cells(model, net, lines, mats, qverts, block: int) -> list:
+    """Net cells of the images of k reference vertices under (b, 3, 3)
+    frames, looked up `block` frames at a time: center tokens (b, k, 3),
     elements (b, k, 3, 3), center positions (b, k, 3) and the centers'
-    funnel-side flags (b, k, lines)."""
-    b, k = verts.shape[:2]
-    ctok, emat, cpos = net.assign(model, verts.reshape(-1, 3), lines)
-    pos = cpos.reshape(b, k, 3)
-    return [ctok.reshape(b, k, 3), emat.reshape(b, k, 3, 3), pos, _line_sides(pos, lines) >= 0.0]
+    funnel-side flags (b, k, lines).  The flags are signs of BLAS pairings
+    with the J-folded line polars, which is exact enough for a sign test."""
+    b, k = len(mats), len(qverts)
+    out = [np.empty((b, k, 3), np.int64), np.empty((b, k, 3, 3)), np.empty((b, k, 3)),
+           np.empty((b, k, len(lines)), bool)]
+    jlines_t = (lines * _J).T
+    for s in range(0, b, block):
+        cells = net.assign(model, _vertex_images(mats[s : s + block], qverts).reshape(-1, 3), lines)
+        for col, cell in zip(out, cells):
+            col[s : s + block] = cell.reshape(-1, *col.shape[1:])
+        pos, flags = out[2][s : s + block], out[3][s : s + block]
+        flags[...] = (pos.reshape(-1, 3) @ jlines_t).reshape(flags.shape) >= 0.0
+    return out
 
 
 def _family(ctok, emat, pos3, outside) -> tuple:
-    """Class, key rows and absorb inputs of one simplex family's cells, in
-    the argument order of SmearChain._absorb: (cls, rows, pos3, e0inv, em)."""
+    """(cls, rows, pos3, e0inv, em, outside) of one simplex family's cells,
+    the argument order of SmearChain._absorb."""
     rows, e0inv = _key_rows(ctok, emat, len(pos3))
-    return _classify(outside), rows, pos3, e0inv, emat
+    return _classify(outside), rows, pos3, e0inv, emat, outside
 
 
-def _process_sign(model, net, lines, mats, qverts):
-    """One shard, one simplex family on its own: vertex images, cell data,
-    key rows.  The reference that _shard_families matches family by family."""
-    verts = _vertex_images(mats, qverts)
-    cls, rows, pos3, e0inv, em = _family(*_cells(model, net, lines, verts))
-    return verts, pos3, cls, rows, e0inv, em
+def _process_sign(model, net, lines, mats, qverts) -> tuple:
+    """One shard, one simplex family on its own, in one net lookup: the
+    reference that _shard_families matches family by family."""
+    return _family(*_cells(model, net, lines, mats, qverts, len(mats)))
 
 
 def _shard_families(model, net, lines, mats, q_plus, q_minus) -> Iterator[tuple]:
@@ -218,14 +224,17 @@ def _shard_families(model, net, lines, mats, q_plus, q_minus) -> Iterator[tuple]
 
     _mirror_pair makes vertices 0 and 1 of the two families the same bits,
     so the minus family takes their cells from the plus family and assigns
-    only its vertex 2: four net lookups per frame instead of six.
+    only its vertex 2: four net lookups per frame instead of six.  A lookup
+    of PAIRING_BLOCK frames makes whole pairing blocks of GammaNet.assign,
+    which pair the rows of the one-lookup reference.
     """
-    cells = _cells(model, net, lines, _vertex_images(mats, q_plus))
+    block = net_module.PAIRING_BLOCK
+    cells = _cells(model, net, lines, mats, q_plus, block)
     yield 1, _family(*cells)
     # only the shared-vertex slices stay alive across the families
     shared = [c[:, :2].copy() for c in cells]
     del cells
-    apex = _cells(model, net, lines, _vertex_images(mats, q_minus[2:]))
+    apex = _cells(model, net, lines, mats, q_minus[2:], block)
     yield -1, _family(*(np.concatenate(p, axis=1) for p in zip(shared, apex)))
 
 
@@ -234,7 +243,7 @@ def _shard_families(model, net, lines, mats, q_plus, q_minus) -> Iterator[tuple]
 
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
 _INT32 = np.iinfo(np.int32)
-# growable per-key columns, name -> (row shape, dtype); _keys holds the 15
+# per-key columns, name -> (row shape, dtype); _keys holds the 15
 # key tokens and, in columns 15-17, the element token of face 0, all int32;
 # _drop[:, j] flags face j as dropped (both its vertices beyond one line)
 _COLUMNS = {"_keys": ((18,), np.int32), "_bp": ((), np.int64), "_bm": ((), np.int64),
@@ -267,14 +276,6 @@ def _as_int32(tokens: np.ndarray) -> np.ndarray:
     if tokens.size and not (_INT32.min <= tokens.min() and tokens.max() <= _INT32.max):
         raise RuntimeError("key token outside the int32 range of the chain store")
     return tokens.astype(np.int32)
-
-
-def _dropped_faces(pos3: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """(b, 3) flags: face j (which drops vertex j) has both of its vertices
-    beyond one boundary line, so it leaves the chain's boundary."""
-    out = _line_sides(pos3, lines) >= 0.0
-    return np.stack([(out[:, a] & out[:, b]).any(axis=1)
-                     for a, b in ((1, 2), (0, 2), (0, 1))], axis=1)
 
 
 def _check_rows(a, b) -> None:
@@ -316,8 +317,12 @@ class SmearChain:
         self.scale = model.exact_area / samples
         self.lines = _chain_lines(model, L)
         self._count = 0
-        for name, (shape, dtype) in _COLUMNS.items():
-            setattr(self, name, np.zeros((0,) + shape, dtype))
+        # a frame adds at most one key per family: one reservation holds them all
+        try:
+            for name, (shape, dtype) in _COLUMNS.items():
+                setattr(self, name, np.zeros((2 * self.samples,) + shape, dtype))
+        except MemoryError as exc:
+            raise RuntimeError(f"cannot reserve the chain store for {samples} samples") from exc
         # key hashes in ascending order, and the key index of each
         self._hsorted = np.empty(0, dtype=np.uint64)
         self._hperm = np.empty(0, dtype=np.int64)
@@ -336,17 +341,9 @@ class SmearChain:
         n = self._count
         return self._bp[:n], self._bm[:n], self._cls[:n], self._area[:n]
 
-    def _reserve(self, extra: int) -> None:
-        if self._count + extra > len(self._bp):
-            cap = max(self._count + extra, len(self._bp) * 3 // 2)
-            for name in _COLUMNS:
-                old = getattr(self, name)
-                new = np.zeros((cap,) + old.shape[1:], old.dtype)
-                new[: self._count] = old[: self._count]
-                setattr(self, name, new)
-
-    def _absorb(self, sign: int, cls, rows, pos3, e0inv, em) -> np.ndarray:
-        """Merge one shard's rows; returns per-sample interior simplex areas."""
+    def _absorb(self, sign: int, cls, rows, pos3, e0inv, em, outside) -> np.ndarray:
+        """Merge one family's rows of one shard, as _family returns them;
+        returns per-sample interior simplex areas."""
         b = len(rows)
         areas = np.zeros(b)
         kept = np.flatnonzero(cls != CLASS_DISCARD)
@@ -382,12 +379,14 @@ class SmearChain:
             at = np.searchsorted(self._hsorted, uh[fresh])
             self._hsorted = np.insert(self._hsorted, at, uh[fresh])
             self._hperm = np.insert(self._hperm, at, gidx[fresh])
-            self._reserve(lex.size)
             verts = pos3[src]
             self._keys[n0:n1, :15], self._keys[n0:n1, 15:] = keys
             self._cls[n0:n1] = cls[src]
             self._area[n0:n1] = _triangle_areas(verts)
-            self._drop[n0:n1] = _dropped_faces(verts, self.lines)
+            # _drop (see _COLUMNS) from the funnel-side flags _classify read
+            out = outside[src]
+            self._drop[n0:n1] = np.stack([(out[:, a] & out[:, b]).any(axis=1)
+                                          for a, b in ((1, 2), (0, 2), (0, 1))], axis=1)
             self._count = n1
         tallies = self._bp if sign > 0 else self._bm
         tallies[gidx] += counts

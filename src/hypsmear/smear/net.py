@@ -34,7 +34,7 @@ _LINE_MARGIN = 0.05
 _MAX_CENTERS = 4000
 _COVER_SAMPLE = 10_000
 _NET_SEED = 20210809
-_PAIRING_BLOCK = 8192
+PAIRING_BLOCK = 8192
 _J = mink_diag(2)
 
 
@@ -109,10 +109,10 @@ class GammaNet:
         # pairing, taken in row blocks to bound the (rows, cloud) transient
         idx = np.empty(len(red), dtype=np.intp)
         best = np.empty(len(red))
-        for s in range(0, len(red), _PAIRING_BLOCK):
-            pairing = (red[s : s + _PAIRING_BLOCK] * _J) @ self._cloud_pts.T
-            idx[s : s + _PAIRING_BLOCK] = i = np.argmax(pairing, axis=1)
-            best[s : s + _PAIRING_BLOCK] = -pairing[np.arange(len(i)), i]
+        for s in range(0, len(red), PAIRING_BLOCK):
+            pairing = (red[s : s + PAIRING_BLOCK] * _J) @ self._cloud_pts.T
+            idx[s : s + PAIRING_BLOCK] = i = np.argmax(pairing, axis=1)
+            best[s : s + PAIRING_BLOCK] = -pairing[np.arange(len(i)), i]
         if np.any(best > math.cosh(self.covering_radius + self._lookup_slack)):
             raise RuntimeError("cell lookup failure: nearest center beyond covering radius")
 

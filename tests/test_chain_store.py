@@ -8,6 +8,7 @@ import pytest
 from hypsmear.cli import main
 from hypsmear.smear import SmearChain, accumulate_chain, boundary_residuals
 from hypsmear.smear import chain as chain_mod
+from hypsmear.smear import net as net_mod
 
 J = np.array([-1.0, 1.0, 1.0])
 SHARD = 500  # several shards, so keys merge across shards
@@ -21,7 +22,7 @@ def reference_chain(model, net, L, samples, seed):
     index, bp, bm, cls_of, area, verts, e1s, e2s = {}, [], [], [], [], [], [], []
     for mats in chain_mod.haar_sample(model, samples, seed):
         for sign, q in ((1, q_plus), (-1, q_minus)):
-            _, pos3, cls, rows, e0inv, em = chain_mod._process_sign(model, net, lines, mats, q)
+            cls, rows, pos3, e0inv, em, _ = chain_mod._process_sign(model, net, lines, mats, q)
             kept = np.flatnonzero(cls != chain_mod.CLASS_DISCARD)
             urows, first, counts = np.unique(
                 rows[kept], axis=0, return_index=True, return_counts=True
@@ -127,9 +128,9 @@ def test_constant_hash_raises_instead_of_merging(monkeypatch, genus2, genus2_net
     # one shard into an empty chain: the rows of the shard itself collide
     mats = next(chain_mod.haar_sample(genus2, 200, 3))
     q_plus, _ = chain_mod._mirror_pair(6.0)
-    _, pos3, cls, rows, e0inv, em = chain_mod._process_sign(genus2, net, chain.lines, mats, q_plus)
+    fam = chain_mod._process_sign(genus2, net, chain.lines, mats, q_plus)
     with pytest.raises(RuntimeError, match="collision"):
-        SmearChain(genus2, net, 6.0, 200, 3)._absorb(1, cls, rows, pos3, e0inv, em)
+        SmearChain(genus2, net, 6.0, 200, 3)._absorb(1, *fam)
 
 
 def test_collision_with_stored_key_raises(monkeypatch, genus2, genus2_net):
@@ -156,6 +157,57 @@ def test_store_bytes_per_key_within_budget(genus2, genus2_net):
     assert chain.key_array().dtype == np.int32
 
 
+def test_store_is_reserved_once(monkeypatch, genus2, genus2_net):
+    # each frame adds at most one key per family: the columns reserved at
+    # construction hold the whole run, never reallocated
+    net, _ = genus2_net
+    reserved, init = {}, SmearChain.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        reserved.update({name: getattr(self, name) for name in chain_mod._COLUMNS})
+
+    monkeypatch.setattr(SmearChain, "__init__", recording_init)
+    chain = accumulate_chain(genus2, net, 6.0, 500, seed=3)
+    assert set(reserved) == set(chain_mod._COLUMNS)
+    for name, column in reserved.items():
+        assert getattr(chain, name) is column
+        assert len(column) == 2 * 500
+
+
+def test_refused_reservation_exits_1(monkeypatch, capsys):
+    # numpy, except that every zeros() inside the chain module fails the way
+    # an allocation the OS refuses does; nothing large is ever requested
+    class RefusingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def zeros(*args, **kwargs):
+            raise MemoryError("refused")
+
+    monkeypatch.setattr(chain_mod, "np", RefusingNumpy())
+    code = main(["smear", "run", "--model", "genus2", "--edge", "6.0", "--samples", "200"])
+    assert code == 1
+    assert "cannot reserve the chain store" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
+def test_triangle_areas_match_einsum_gram(request, name, L):
+    # reference: the angles from the full einsum Gram matrix
+    model = request.getfixturevalue(name)
+    mats = next(chain_mod.haar_sample(model, 2000, 5))
+    verts = np.concatenate([chain_mod._vertex_images(mats, q) for q in chain_mod._mirror_pair(L)])
+    g = np.einsum("kvi,i,kwi->kvw", verts, J, verts)
+    angles = np.zeros(len(verts))
+    for v, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        den2 = (g[:, v, p] ** 2 - 1.0) * (g[:, v, q] ** 2 - 1.0)
+        cosang = (g[:, p, q] + g[:, v, p] * g[:, v, q]) / np.sqrt(np.maximum(den2, 1e-24))
+        angles += np.arccos(np.clip(cosang, -1.0, 1.0))
+    expected = np.abs(math.pi - angles) * np.sign(np.linalg.det(verts))
+    assert chain_mod._triangle_areas(verts).tobytes() == expected.tobytes()
+
+
 def test_token_beyond_int32_raises_instead_of_wrapping(monkeypatch, capsys, genus2, genus2_net):
     # a finer element grid blows every element token past 2**31
     net, _ = genus2_net
@@ -180,12 +232,15 @@ def test_mirror_pair_shares_two_vertices_bitwise(L):
 
 @pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
 def test_shard_families_match_single_family_reference(request, monkeypatch, name, L):
-    """Sharing the cells of vertices 0 and 1 gives each family the arrays of
-    _process_sign on that family alone, bit for bit, and four net lookups
-    per frame instead of six."""
+    """Sharing the cells of vertices 0 and 1 and looking cells up a pairing
+    block of frames at a time gives each family the arrays of the one-lookup
+    _process_sign on that family alone, bit for bit, funnel-side flags
+    included, and four net lookups per frame instead of six."""
     model = request.getfixturevalue(name)
     net = request.getfixturevalue(f"{name}_net")[0]
     monkeypatch.setattr(chain_mod, "_SHARD", SHARD)
+    # several lookup blocks per shard, the last one short
+    monkeypatch.setattr(net_mod, "PAIRING_BLOCK", 128)
     lines = SmearChain(model, net, L, 1, 0).lines
     q_plus, q_minus = chain_mod._mirror_pair(L)
     assigned, assign = [], net.assign
@@ -199,13 +254,14 @@ def test_shard_families_match_single_family_reference(request, monkeypatch, name
     for mats in chain_mod.haar_sample(model, 3 * SHARD, 31):
         del assigned[:]
         fams = list(chain_mod._shard_families(model, net, lines, mats, q_plus, q_minus))
-        assert sum(assigned) == 4 * len(mats)
+        assert sum(assigned) == 4 * len(mats) and max(assigned) <= 3 * 128
         for (sign, fam), q in zip(fams, (q_plus, q_minus)):
-            _, pos3, cls, rows, e0inv, em = chain_mod._process_sign(model, net, lines, mats, q)
-            for got, ref in zip(fam, (cls, rows, pos3, e0inv, em)):
-                assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
-                assert got.tobytes() == ref.tobytes()
-            classes.append(cls)
+            ref = chain_mod._process_sign(model, net, lines, mats, q)
+            assert len(fam) == len(ref) == 6
+            for got, want in zip(fam, ref):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            classes.append(ref[0])
         # the families share vertices 0 and 1, hence their key tokens
         assert np.array_equal(fams[0][1][1][:, :9], fams[1][1][1][:, :9])
     if name == "torus":

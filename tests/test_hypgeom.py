@@ -145,6 +145,19 @@ def test_frame_shape_and_isometry_rejection():
     Frame(far, transport_from_origin(far)[:, 1:].T)
 
 
+def test_isometry_far_from_origin_relative_tolerance():
+    # [q | transported tangents] at distance 12 (x0 ~ 8e4) is a Lorentz
+    # matrix up to rounding ~ x0^2 eps, far above an absolute 1e-10
+    far = HPoint([math.cosh(12.0), math.sinh(12.0) * 0.6, math.sinh(12.0) * 0.8])
+    fr = Frame(far, transport_from_origin(far)[:, 1:].T)
+    m = np.column_stack([fr.base.coords, fr.tangents.T])
+    assert Isometry(m).matrix.tobytes() == m.tobytes()
+    bent = m.copy()
+    bent[0, 0] *= 1.0 + 1e-8  # base column off the hyperboloid
+    with pytest.raises(ValueError, match="Lorentz"):
+        Isometry(bent)
+
+
 def test_simplex_shape_guard():
     pts = [origin(2), random_point(), random_point()]
     s = GeodesicSimplex(pts)

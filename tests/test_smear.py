@@ -161,7 +161,7 @@ def test_key_vertex_geometry(torus, torus_net):
     verts, rows = [], []
     for mats in haar_sample(torus, 1500, seed=13):
         for q in chain_mod._mirror_pair(L):
-            _, pos3, cls, krows, _, _ = chain_mod._process_sign(torus, net, chain.lines, mats, q)
+            cls, krows, pos3, *_ = chain_mod._process_sign(torus, net, chain.lines, mats, q)
             kept = cls != chain_mod.CLASS_DISCARD
             verts.append(pos3[kept])
             rows.append(krows[kept])
