@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1789
+# edge lengths over which the gap bound is maximized unless a grid is given
+DEFAULT_L_GRID = tuple(4.0 + j for j in range(13))
 
 
 @dataclass(frozen=True)
@@ -219,6 +221,11 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
 _L0_MARGIN = 1e-3
 
 
+def _vl_value(n: int, restarts: int, seed: int):
+    """L -> vl_estimate(n, L, restarts, seed).value, the threshold searches' objective."""
+    return lambda L: vl_estimate(n, L, restarts, seed).value
+
+
 def _l0_bracket(n: int, restarts: int, seed: int):
     """Bracket [lo, hi] on the 0.25 grid with vl(lo) <= margin < vl(hi).
 
@@ -229,8 +236,7 @@ def _l0_bracket(n: int, restarts: int, seed: int):
     if key in _L0_CACHE:
         return _L0_CACHE[key]
 
-    def val(L: float) -> float:
-        return vl_estimate(n, L, restarts, seed).value
+    val = _vl_value(n, restarts, seed)
 
     lo = 2.0
     hi = None
@@ -261,8 +267,7 @@ def l0_estimate(n: int, restarts: int = 6, seed: int = DEFAULT_SEED) -> float:
     """
     lo, hi = _l0_bracket(n, restarts, seed)
 
-    def val(L: float) -> float:
-        return vl_estimate(n, L, restarts, seed).value
+    val = _vl_value(n, restarts, seed)
 
     while hi - lo > 0.01:
         mid = 0.5 * (lo + hi)
@@ -305,8 +310,7 @@ def solve_k(
         raise ValueError(f"eta must lie in (0, v_n) = (0, {vn})")
     target = vn - eta / 2.0
 
-    def val(L: float) -> float:
-        return vl_estimate(n, L, restarts, seed).value
+    val = _vl_value(n, restarts, seed)
 
     # the 0.25-grid threshold anchors the half-integer grid; refining it to
     # 0.01 cannot move the smallest admissible half-integer point, because
@@ -363,7 +367,7 @@ def gluing_ratio_sequence(
     volB0: float,
     imax: int,
     n: int = 2,
-    l_grid=None,
+    l_grid=DEFAULT_L_GRID,
     restarts: int = 6,
     seed: int = DEFAULT_SEED,
 ):
@@ -378,8 +382,6 @@ def gluing_ratio_sequence(
         raise ValueError("volumes must be positive")
     if imax < 1:
         raise ValueError("imax must be >= 1")
-    if l_grid is None:
-        l_grid = [4.0 + j for j in range(13)]
     vls = [(L, vl_estimate(n, L, restarts, seed)) for L in l_grid]
     rows = []
     for i in range(1, imax + 1):

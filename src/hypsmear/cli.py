@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from hypsmear.bounds import (
+    DEFAULT_L_GRID,
     DEFAULT_SEED,
     gap_bound,
     gluing_ratio_sequence,
@@ -104,7 +105,7 @@ def _load_model(path: str):
 
     if path in _BUNDLED:
         return load_model(bundled_model_path(path))
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ValueError(f"model file not found: {path}")
     return load_model(path)
 
@@ -177,9 +178,7 @@ def _cmd_solvek(args) -> dict:
 
 
 def _curve_edges(args):
-    if args.edge_grid:
-        return _parse_grid(args.edge_grid)
-    return [4.0 + j for j in range(13)]
+    return _parse_grid(args.edge_grid) if args.edge_grid else DEFAULT_L_GRID
 
 
 def _cmd_curve(args) -> str:

@@ -167,18 +167,15 @@ def _classify(outside: np.ndarray) -> np.ndarray:
     return out
 
 
-def _key_rows(ctok: np.ndarray, emat: np.ndarray, count: int) -> tuple:
-    """Canonical integer key rows (count, 15) plus the per-vertex normalized
-    element matrices of each row (needed lazily for new keys only)."""
-    ct = ctok.reshape(count, 3, 3)
-    em = emat.reshape(count, 3, 3, 3)
-    e0inv = lorentz_inverse(em[:, 0])
-    t1 = np.einsum("bij,bj->bi", e0inv, em[:, 1, :, 0])
-    t2 = np.einsum("bij,bj->bi", e0inv, em[:, 2, :, 0])
+def _key_rows(ctok: np.ndarray, emat: np.ndarray) -> np.ndarray:
+    """Canonical integer key rows (b, 15) of the (b, 3, 3) center tokens and
+    (b, 3, 3, 3) elements of _cells."""
+    e0inv = lorentz_inverse(emat[:, 0])
+    t1 = np.einsum("bij,bj->bi", e0inv, emat[:, 1, :, 0])
+    t2 = np.einsum("bij,bj->bi", e0inv, emat[:, 2, :, 0])
     et1 = np.round(t1 / ELEMENT_TOKEN_GRID).astype(np.int64)
     et2 = np.round(t2 / ELEMENT_TOKEN_GRID).astype(np.int64)
-    rows = np.concatenate([ct[:, 0], ct[:, 1], et1, ct[:, 2], et2], axis=1)
-    return rows, e0inv
+    return np.concatenate([ctok[:, 0], ctok[:, 1], et1, ctok[:, 2], et2], axis=1)
 
 
 def _vertex_images(mats: np.ndarray, qverts: np.ndarray) -> np.ndarray:
@@ -205,22 +202,9 @@ def _cells(model, net, lines, mats, qverts, block: int) -> list:
     return out
 
 
-def _family(ctok, emat, pos3, outside) -> tuple:
-    """(cls, rows, pos3, e0inv, em, outside) of one simplex family's cells,
-    the argument order of SmearChain._absorb."""
-    rows, e0inv = _key_rows(ctok, emat, len(pos3))
-    return _classify(outside), rows, pos3, e0inv, emat, outside
-
-
-def _process_sign(model, net, lines, mats, qverts) -> tuple:
-    """One shard, one simplex family on its own, in one net lookup: the
-    reference that _shard_families matches family by family."""
-    return _family(*_cells(model, net, lines, mats, qverts, len(mats)))
-
-
 def _shard_families(model, net, lines, mats, q_plus, q_minus) -> Iterator[tuple]:
-    """Both simplex families of one shard as (sign, _family arrays), each
-    bit-equal to _process_sign on that family alone.
+    """Both simplex families of one shard as (sign, _cells arrays), each
+    bit-equal to one _cells lookup of that family alone.
 
     _mirror_pair makes vertices 0 and 1 of the two families the same bits,
     so the minus family takes their cells from the plus family and assigns
@@ -230,12 +214,12 @@ def _shard_families(model, net, lines, mats, q_plus, q_minus) -> Iterator[tuple]
     """
     block = net_module.PAIRING_BLOCK
     cells = _cells(model, net, lines, mats, q_plus, block)
-    yield 1, _family(*cells)
+    yield 1, cells
     # only the shared-vertex slices stay alive across the families
     shared = [c[:, :2].copy() for c in cells]
     del cells
     apex = _cells(model, net, lines, mats, q_minus[2:], block)
-    yield -1, _family(*(np.concatenate(p, axis=1) for p in zip(shared, apex)))
+    yield -1, [np.concatenate(p, axis=1) for p in zip(shared, apex)]
 
 
 # --- the chain --------------------------------------------------------------
@@ -308,12 +292,10 @@ class RatioReport:
 class SmearChain:
     """Accumulated tallies of cell simplices; see the module docstring."""
 
-    def __init__(self, model: SurfaceModel, net: GammaNet, L: float, samples: int, seed: int):
+    def __init__(self, model: SurfaceModel, L: float, samples: int):
         self.model = model
-        self.net = net
         self.L = float(L)
         self.samples = int(samples)
-        self.seed = int(seed)
         self.scale = model.exact_area / samples
         self.lines = _chain_lines(model, L)
         self._count = 0
@@ -341,16 +323,17 @@ class SmearChain:
         n = self._count
         return self._bp[:n], self._bm[:n], self._cls[:n], self._area[:n]
 
-    def _absorb(self, sign: int, cls, rows, pos3, e0inv, em, outside) -> np.ndarray:
-        """Merge one family's rows of one shard, as _family returns them;
+    def _absorb(self, sign: int, ctok, em, pos3, outside) -> np.ndarray:
+        """Merge one family's net cells of one shard, as _cells returns them;
         returns per-sample interior simplex areas."""
-        b = len(rows)
+        cls = _classify(outside)
+        b = len(cls)
         areas = np.zeros(b)
         kept = np.flatnonzero(cls != CLASS_DISCARD)
         self.discarded[sign] += int(b - kept.size)
         if kept.size == 0:
             return areas
-        krows = rows[kept]
+        krows = _key_rows(ctok, em)[kept]
         uh, first, inverse, counts = np.unique(
             _row_hash(krows.T), return_index=True, return_inverse=True, return_counts=True
         )
@@ -369,8 +352,9 @@ class SmearChain:
             lex = fresh[np.lexsort(urows[fresh].T[::-1])]
             src = kept[first[lex]]
             # face-0 tokens only round t0, so BLAS products do
-            e1 = e0inv[src] @ em[src, 1]
-            e2 = e0inv[src] @ em[src, 2]
+            e0inv = lorentz_inverse(em[src, 0])
+            e1 = e0inv @ em[src, 1]
+            e2 = e0inv @ em[src, 2]
             t0 = np.einsum("bij,bj->bi", lorentz_inverse(e1), e2[:, :, 0])
             # narrowed before the store changes: an overflow leaves it intact
             keys = _as_int32(urows[lex]), _as_int32(np.round(t0 / ELEMENT_TOKEN_GRID))
@@ -379,10 +363,9 @@ class SmearChain:
             at = np.searchsorted(self._hsorted, uh[fresh])
             self._hsorted = np.insert(self._hsorted, at, uh[fresh])
             self._hperm = np.insert(self._hperm, at, gidx[fresh])
-            verts = pos3[src]
             self._keys[n0:n1, :15], self._keys[n0:n1, 15:] = keys
             self._cls[n0:n1] = cls[src]
-            self._area[n0:n1] = _triangle_areas(verts)
+            self._area[n0:n1] = _triangle_areas(pos3[src])
             # _drop (see _COLUMNS) from the funnel-side flags _classify read
             out = outside[src]
             self._drop[n0:n1] = np.stack([(out[:, a] & out[:, b]).any(axis=1)
@@ -437,12 +420,12 @@ def accumulate_chain(
     """Sample `samples` frames and tally both simplex families into a chain."""
     q_plus, q_minus = _mirror_pair(L)
     frames = haar_sample(model, samples, seed)  # rejects samples < 1 before the chain divides by it
-    chain = SmearChain(model, net, L, samples, seed)
+    chain = SmearChain(model, L, samples)
     for mats in frames:
         u = np.zeros(len(mats))
-        for sign, fam in _shard_families(model, net, chain.lines, mats, q_plus, q_minus):
-            u += sign * chain._absorb(sign, *fam)
-            del fam  # free the plus family before the minus one is built
+        for sign, cells in _shard_families(model, net, chain.lines, mats, q_plus, q_minus):
+            u += sign * chain._absorb(sign, *cells)
+            del cells  # free the plus family before the minus one is built
         u *= 0.5
         chain.u_sum += float(u.sum())
         chain.u_sqsum += float((u * u).sum())
@@ -560,7 +543,8 @@ def inclusion_check(
     for mats in haar_sample(model, samples, seed):
         # both families share the base vertex
         depth = model.distance_to_boundary(_vertex_images(mats, q_plus[:1])[:, 0], lines)
-        for _, (cls, *_) in _shard_families(model, net, lines, mats, q_plus, q_minus):
+        for _, cells in _shard_families(model, net, lines, mats, q_plus, q_minus):
+            cls = _classify(cells[3])
             viol_deep = (depth > L + 3.0) & (cls != CLASS_INT)
             viol_near = (cls != CLASS_DISCARD) & (depth < -L)
             violations += int(viol_deep.sum()) + int(viol_near.sum())

@@ -61,7 +61,6 @@ class GammaNet:
     def __init__(self, model: SurfaceModel, centers: np.ndarray, covering_radius: float):
         self.centers = renormalize_rows(np.asarray(centers, dtype=float))
         self.covering_radius = float(covering_radius)
-        self.mirrored = bool(model.boundary)
         self._ctok = np.round(self.centers / CENTER_TOKEN_GRID).astype(np.int64)
 
         # the dense-sample covering radius underestimates the true one by at

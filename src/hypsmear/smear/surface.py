@@ -138,7 +138,6 @@ class SurfaceModel:
             raise ValueError(
                 f"triangulated polygon area {total} does not match 2 pi |chi| = {self.exact_area}"
             )
-        self._poly_area = total
 
     # --- derived geometry ------------------------------------------------
 
@@ -182,40 +181,39 @@ class SurfaceModel:
         keep[keep] = self.point_in_polygon(u[keep])
         return keep
 
+    def _orbit(self, seeds, token, explore) -> list:
+        """Breadth-first search over generator words: the seeds, then every
+        image g x of a found x that passes ``explore`` and has an unseen
+        ``token``, in discovery order."""
+        seen = {token(x) for x in seeds}
+        found, frontier = list(seeds), seeds
+        while frontier:
+            new = []
+            for x in frontier:
+                for g in self.gen_mats:
+                    y = g @ x
+                    if explore(y) and (tok := token(y)) not in seen:
+                        seen.add(tok)
+                        new.append(y)
+            found += new
+            frontier = new
+        return found
+
     def element_ball(self, radius: float) -> np.ndarray:
         """All group elements moving the base point at most ``radius``,
-        as a stack of matrices found by breadth-first search over words.
+        as a stack of matrices in breadth-first word order.
 
         Elements are deduplicated through their orbit points, which is exact
         because the group acts freely with systole well above the rounding
         noise.
         """
         key = round(radius, 6)
-        if key in self._ball_cache:
-            return self._ball_cache[key]
-        limit = math.cosh(radius)
-        explore = math.cosh(radius + 3.2)
-        seen = {(2, 0, 0)}  # quantized orbit point of the identity
-        mats = [np.eye(3)]
-        frontier = [np.eye(3)]
-        while frontier:
-            new = []
-            for m in frontier:
-                for g in self.gen_mats:
-                    cand = g @ m
-                    col = cand[:, 0]
-                    if col[0] > explore:
-                        continue
-                    tok = tuple(int(round(2.0 * x)) for x in col)
-                    if tok in seen:
-                        continue
-                    seen.add(tok)
-                    new.append(cand)
-                    mats.append(cand)
-            frontier = new
-        out = np.stack([m for m in mats if m[0, 0] <= limit + 1e-12])
-        self._ball_cache[key] = out
-        return out
+        if key not in self._ball_cache:
+            limit, explore = math.cosh(radius) + 1e-12, math.cosh(radius + 3.2)
+            mats = self._orbit([np.eye(3)], lambda m: tuple(int(round(2.0 * x)) for x in m[:, 0]),
+                               lambda m: m[0, 0] <= explore)
+            self._ball_cache[key] = np.stack([m for m in mats if m[0, 0] <= limit])
+        return self._ball_cache[key]
 
     def boundary_lines(self, radius: float) -> np.ndarray:
         """Unit polar vectors of every boundary-geodesic lift whose line
@@ -227,34 +225,13 @@ class SurfaceModel:
         if not self.boundary:
             return np.zeros((0, 3))
         key = round(radius, 6)
-        if key in self._line_cache:
-            return self._line_cache[key]
-        keep_limit = math.sinh(radius)
-        explore_limit = math.sinh(radius + 6.5)
-        seen = {}
-        frontier = []
-        for u in self.boundary:
-            tok = tuple(int(round(x / 1e-5)) for x in u)
-            seen[tok] = u
-            frontier.append(u)
-        while frontier:
-            new = []
-            for u in frontier:
-                for g in self.gen_mats:
-                    v = g @ u
-                    if abs(v[0]) > explore_limit:
-                        continue
-                    tok = tuple(int(round(x / 1e-5)) for x in v)
-                    if tok in seen:
-                        continue
-                    seen[tok] = v
-                    new.append(v)
-            frontier = new
-        lines = [u for u in seen.values() if abs(u[0]) <= keep_limit]
-        order = np.lexsort(np.array(lines).T[::-1])
-        out = np.array(lines)[order]
-        self._line_cache[key] = out
-        return out
+        if key not in self._line_cache:
+            limit, explore = math.sinh(radius), math.sinh(radius + 6.5)
+            found = self._orbit(self.boundary, lambda u: tuple(int(round(x / 1e-5)) for x in u),
+                                lambda u: abs(u[0]) <= explore)
+            lines = np.array([u for u in found if abs(u[0]) <= limit])
+            self._line_cache[key] = lines[np.lexsort(lines.T[::-1])]
+        return self._line_cache[key]
 
     # --- reduction --------------------------------------------------------
 
@@ -375,8 +352,11 @@ def save_model(model: SurfaceModel, path):
 def load_model(path) -> SurfaceModel:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("dim") != 2:
+    if not isinstance(doc, dict) or doc.get("dim") != 2:
         raise ValueError("only dim=2 surface models are supported")
+    missing = [k for k in ("generators", "polygon", "base", "chi") if k not in doc]
+    if missing:
+        raise ValueError(f"model file lacks the field(s) {', '.join(missing)}")
     gens = [np.array(g, dtype=float).reshape(3, 3) for g in doc["generators"]]
     return SurfaceModel(
         generators=gens,

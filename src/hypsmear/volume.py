@@ -77,6 +77,12 @@ class QuadratureSpec:
             raise ValueError("rule_order must be an odd integer >= 3")
 
 
+# grid and quadrature of extrapolated_regular_volume
+_EXTRAP_L_MAX = 20.0
+_EXTRAP_SPACING = 4.0
+_EXTRAP_QUAD = QuadratureSpec(abs_tol=1e-7, max_subdivisions=6000)
+
+
 @dataclass(frozen=True)
 class VolumeResult:
     value: float
@@ -125,13 +131,6 @@ def _gm_rule(k: int, s: int):
             pts.append([(2 * b + 1) / denom for b in beta])
             wts.append(c)
     return np.array(pts), np.array(wts)
-
-
-def _klein_defect(x) -> float:
-    """1 - |u|^2 for the Klein image of a hyperboloid point, computed without
-    cancellation: equals 1/x0^2 on the unit hyperboloid."""
-    c = np.asarray(getattr(x, "coords", x), dtype=float)
-    return 1.0 / (c[..., 0] ** 2)
 
 
 class _Rules(NamedTuple):
@@ -285,7 +284,7 @@ def klein_volume(s, q: QuadratureSpec | None = None) -> VolumeResult:
     order = np.lexsort(verts.T[::-1])
     v = verts[order]
     kv = to_klein(v)
-    hs = _klein_defect(v)
+    hs = 1.0 / v[:, 0] ** 2  # 1 - |u|^2 of the Klein images, without cancellation
     value, err, conv = _integrate_adaptive(kv, hs, spec)
     return VolumeResult(value, err, conv)
 
@@ -406,35 +405,27 @@ def regular_simplex_volume(n: int, L: float, q: QuadratureSpec | None = None) ->
     return klein_volume(regular_simplex(n, L), q)
 
 
-def extrapolated_regular_volume(
-    n: int,
-    l_max: float = 20.0,
-    spacing: float = 4.0,
-    quad: QuadratureSpec | None = None,
-) -> tuple:
+def extrapolated_regular_volume(n: int) -> tuple:
     """Aitken extrapolation of W(L) = klein_volume(regular_simplex(n, L))
     toward L = infinity.  Returns (value, err_estimate).
 
-    The deficit v_n - W(L) decays geometrically, so the grid
-    {spacing, 2 spacing, ...} is extended only while consecutive increments
-    stay resolvable above quadrature noise (up to l_max), and the last three
-    resolvable values are extrapolated.  Fewer than three resolvable,
-    strictly increasing values is an error: the quadrature is too coarse.
+    The deficit v_n - W(L) decays geometrically, so the grid L = 4, 8, ...
+    is extended only while consecutive increments stay resolvable above
+    quadrature noise (up to L = 20), and the last three resolvable values
+    are extrapolated.  Fewer than three resolvable, strictly increasing
+    values is an error: the quadrature is too coarse.
     """
-    if l_max < 3 * spacing:
-        raise ValueError("l_max must allow at least three grid points")
-    spec = quad if quad is not None else QuadratureSpec(abs_tol=1e-7, max_subdivisions=6000)
     ws, errs = [], []
-    L = spacing
-    while L <= l_max + 1e-9:
-        r = regular_simplex_volume(n, L, spec)
+    L = _EXTRAP_SPACING
+    while L <= _EXTRAP_L_MAX + 1e-9:
+        r = regular_simplex_volume(n, L, _EXTRAP_QUAD)
         if ws:
             inc = r.value - ws[-1]
             if inc <= 10.0 * (r.err_estimate + errs[-1]):
                 break  # increment no longer resolvable against noise
         ws.append(r.value)
         errs.append(r.err_estimate)
-        L += spacing
+        L += _EXTRAP_SPACING
     if len(ws) < 3 or not all(a < b for a, b in zip(ws, ws[1:])):
         raise ValueError(
             "regular-simplex volumes are not resolvably increasing along the "
@@ -450,17 +441,11 @@ def extrapolated_regular_volume(
     return w3 + d2, noise + 2.0 * d2
 
 
-def ideal_regular_volume(
-    n: int,
-    l_max: float = 20.0,
-    spacing: float = 4.0,
-    quad: QuadratureSpec | None = None,
-) -> VolumeConstants:
+def ideal_regular_volume(n: int) -> VolumeConstants:
     """The volume v_n of the regular ideal n-simplex.
 
     n=2 is exactly pi; n=3 is 3 Lambda(pi/3); n >= 4 extrapolates finite
-    regular volumes (see extrapolated_regular_volume), which is where the
-    grid arguments apply.
+    regular volumes (see extrapolated_regular_volume).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -468,7 +453,7 @@ def ideal_regular_volume(
         return VolumeConstants(2, math.pi, "exact")
     if n == 3:
         return VolumeConstants(3, 3.0 * lobachevsky(math.pi / 3.0), "lobachevsky", 1e-14)
-    value, err = extrapolated_regular_volume(n, l_max, spacing, quad)
+    value, err = extrapolated_regular_volume(n)
     return VolumeConstants(n, value, "extrapolated", err)
 
 

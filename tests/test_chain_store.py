@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypsmear.cli import main
+from hypsmear.hypgeom import lorentz_inverse
 from hypsmear.smear import SmearChain, accumulate_chain, boundary_residuals
 from hypsmear.smear import chain as chain_mod
 from hypsmear.smear import net as net_mod
@@ -18,11 +19,14 @@ def reference_chain(model, net, L, samples, seed):
     """Replays the accumulation with np.unique(axis=0) per shard and a dict
     of key tuples; new keys enter in the sorted order of each shard."""
     q_plus, q_minus = chain_mod._mirror_pair(L)
-    lines = SmearChain(model, net, L, samples, seed).lines
+    lines = SmearChain(model, L, samples).lines
     index, bp, bm, cls_of, area, verts, e1s, e2s = {}, [], [], [], [], [], [], []
     for mats in chain_mod.haar_sample(model, samples, seed):
         for sign, q in ((1, q_plus), (-1, q_minus)):
-            cls, rows, pos3, e0inv, em, _ = chain_mod._process_sign(model, net, lines, mats, q)
+            # one net lookup of one family alone
+            ctok, em, pos3, outside = chain_mod._cells(model, net, lines, mats, q, len(mats))
+            cls, rows = chain_mod._classify(outside), chain_mod._key_rows(ctok, em)
+            e0inv = lorentz_inverse(em[:, 0])
             kept = np.flatnonzero(cls != chain_mod.CLASS_DISCARD)
             urows, first, counts = np.unique(
                 rows[kept], axis=0, return_index=True, return_counts=True
@@ -128,9 +132,9 @@ def test_constant_hash_raises_instead_of_merging(monkeypatch, genus2, genus2_net
     # one shard into an empty chain: the rows of the shard itself collide
     mats = next(chain_mod.haar_sample(genus2, 200, 3))
     q_plus, _ = chain_mod._mirror_pair(6.0)
-    fam = chain_mod._process_sign(genus2, net, chain.lines, mats, q_plus)
+    cells = chain_mod._cells(genus2, net, chain.lines, mats, q_plus, len(mats))
     with pytest.raises(RuntimeError, match="collision"):
-        SmearChain(genus2, net, 6.0, 200, 3)._absorb(1, *fam)
+        SmearChain(genus2, 6.0, 200)._absorb(1, *cells)
 
 
 def test_collision_with_stored_key_raises(monkeypatch, genus2, genus2_net):
@@ -233,15 +237,15 @@ def test_mirror_pair_shares_two_vertices_bitwise(L):
 @pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
 def test_shard_families_match_single_family_reference(request, monkeypatch, name, L):
     """Sharing the cells of vertices 0 and 1 and looking cells up a pairing
-    block of frames at a time gives each family the arrays of the one-lookup
-    _process_sign on that family alone, bit for bit, funnel-side flags
-    included, and four net lookups per frame instead of six."""
+    block of frames at a time gives each family the cells of one _cells
+    lookup of that family alone, bit for bit, funnel-side flags included,
+    and four net lookups per frame instead of six."""
     model = request.getfixturevalue(name)
     net = request.getfixturevalue(f"{name}_net")[0]
     monkeypatch.setattr(chain_mod, "_SHARD", SHARD)
     # several lookup blocks per shard, the last one short
     monkeypatch.setattr(net_mod, "PAIRING_BLOCK", 128)
-    lines = SmearChain(model, net, L, 1, 0).lines
+    lines = SmearChain(model, L, 1).lines
     q_plus, q_minus = chain_mod._mirror_pair(L)
     assigned, assign = [], net.assign
 
@@ -256,14 +260,15 @@ def test_shard_families_match_single_family_reference(request, monkeypatch, name
         fams = list(chain_mod._shard_families(model, net, lines, mats, q_plus, q_minus))
         assert sum(assigned) == 4 * len(mats) and max(assigned) <= 3 * 128
         for (sign, fam), q in zip(fams, (q_plus, q_minus)):
-            ref = chain_mod._process_sign(model, net, lines, mats, q)
-            assert len(fam) == len(ref) == 6
+            ref = chain_mod._cells(model, net, lines, mats, q, len(mats))
+            assert len(fam) == len(ref) == 4
             for got, want in zip(fam, ref):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
-            classes.append(ref[0])
+            classes.append(chain_mod._classify(ref[3]))
         # the families share vertices 0 and 1, hence their key tokens
-        assert np.array_equal(fams[0][1][1][:, :9], fams[1][1][1][:, :9])
+        rows = [chain_mod._key_rows(fam[0], fam[1]) for _, fam in fams]
+        assert np.array_equal(rows[0][:, :9], rows[1][:, :9])
     if name == "torus":
         # the funnel paths are exercised: discards, crossings and interiors
         assert set(np.concatenate(classes).tolist()) == {0, 1, 2}

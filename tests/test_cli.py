@@ -205,6 +205,17 @@ def test_smear_run_rejects_unknown_model(capsys):
     assert "error" in err
 
 
+def test_smear_malformed_model_is_an_error(capsys, tmp_path):
+    # a model file without generators, and a directory given as the model
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "polygon": [], "base": [1, 0, 0], "chi": -1}))
+    for path, why in ((bad, "generators"), (tmp_path, "not found")):
+        code, out, err = run(capsys, "smear", "check", "--model", str(path),
+                             "--edge", "4.0", "--samples", "100")
+        assert code == 1
+        assert out == "" and err.startswith("error:") and why in err
+
+
 def test_smear_check_zero_violations(capsys):
     code, out, _ = run(
         capsys,

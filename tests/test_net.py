@@ -129,7 +129,7 @@ def test_same_cell_diameter(genus2, genus2_net):
 
 def test_mirror_model_folding(torus, torus_net):
     net, _ = torus_net
-    assert net.mirrored
+    assert torus.boundary  # the net is mirrored across the boundary lines
     lines = torus.boundary_lines(torus.domain_radius() + 3.0)
     pts = sample_domain_points(torus, 150, seed=36)
     depth = torus.distance_to_boundary(pts, lines)
@@ -190,7 +190,7 @@ def test_assign_matches_two_reduction_replay(torus, torus_net):
     net, _ = torus_net
     b = 1000  # 3000 vertices: a single pairing block
     mats = next(chain_mod.haar_sample(torus, b, 11))
-    lines = SmearChain(torus, net, 4.0, b, 11).lines
+    lines = SmearChain(torus, 4.0, b).lines
     for q in chain_mod._mirror_pair(4.0):
         verts = renormalize_rows(np.einsum("bij,vj->bvi", mats, q)).reshape(-1, 3)
         ctok, emat, pos = net.assign(torus, verts, lines)
@@ -200,5 +200,6 @@ def test_assign_matches_two_reduction_replay(torus, torus_net):
         assert np.array_equal(pos, rpos)
         tokens = np.round(emat[:, :, 0] / ELEMENT_TOKEN_GRID)
         assert np.array_equal(tokens, np.round(remat[:, :, 0] / ELEMENT_TOKEN_GRID))
-        rows, _ = chain_mod._key_rows(ctok, emat, b)
-        assert np.array_equal(rows, chain_mod._key_rows(rctok, remat, b)[0])
+        rows = chain_mod._key_rows(ctok.reshape(b, 3, 3), emat.reshape(b, 3, 3, 3))
+        assert np.array_equal(rows, chain_mod._key_rows(rctok.reshape(b, 3, 3),
+                                                        remat.reshape(b, 3, 3, 3)))

@@ -161,10 +161,10 @@ def test_key_vertex_geometry(torus, torus_net):
     verts, rows = [], []
     for mats in haar_sample(torus, 1500, seed=13):
         for q in chain_mod._mirror_pair(L):
-            cls, krows, pos3, *_ = chain_mod._process_sign(torus, net, chain.lines, mats, q)
-            kept = cls != chain_mod.CLASS_DISCARD
+            ctok, em, pos3, outside = chain_mod._cells(torus, net, chain.lines, mats, q, len(mats))
+            kept = chain_mod._classify(outside) != chain_mod.CLASS_DISCARD
             verts.append(pos3[kept])
-            rows.append(krows[kept])
+            rows.append(chain_mod._key_rows(ctok, em)[kept])
     assert len(np.unique(np.concatenate(rows), axis=0)) == len(chain)
     v = np.concatenate(verts)
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -255,7 +255,7 @@ def test_sandwich_closed_bitwise_at_awkward_count(genus2, genus2_net):
 
 def test_empty_chain_reports(genus2, genus2_net):
     net, _ = genus2_net
-    chain = SmearChain(genus2, net, 6.0, 10, 1)
+    chain = SmearChain(genus2, 6.0, 10)
     assert len(boundary_residuals(chain)) == 0
     with pytest.raises(ValueError):
         ratio_report(chain)

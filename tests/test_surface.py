@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -258,3 +259,43 @@ def test_fold_batch_matches_always_compose_reference(torus):
     assert (steps == 1).sum() > 100 and (steps >= 2).sum() > 100
     assert np.array_equal(folded.view(np.uint64), ref_x.view(np.uint64))
     assert np.array_equal(unf.view(np.uint64), ref_unf.view(np.uint64))
+
+
+# sha256 of the bytes of each orbit search result; element_ball's order is
+# GammaNet's tie rule, so a reordered ball would move the chain's keys
+ORBIT_DIGESTS = {
+    "genus2": {
+        "ball_build_net": "88a4fb0ef76b236d1e199799b6e76dedd5fee3fb40cd1895b3675c70209f11b6",
+        "ball_gamma_net": "e86e0062d56d5fdf48f95269abb90e1b97d58dbda367bc0253b7c5db82cbf70c",
+        "lines_build_net": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "lines_chain_4": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "lines_chain_6": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "torus": {
+        "ball_build_net": "8a3f8cf905c5e81665177bc6d54aad18f78b2f15fe26247a25d574ff3c023ab7",
+        "ball_gamma_net": "8a3f8cf905c5e81665177bc6d54aad18f78b2f15fe26247a25d574ff3c023ab7",
+        "lines_build_net": "aec312fe59f283adb754ebaf02e53a1d411ed02bd5ec83151998036975cd36b3",
+        "lines_chain_4": "485cc90eda55f7ff1eed51d2c17fc2af8ada84ddd35712b9b1935a6de1f0d010",
+        "lines_chain_6": "a4b1ea0176ec5bc4e30aa535caf8363c7e257ae2e332f5d4d64bd51ce1c2c05c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_DIGESTS))
+def test_orbit_searches_pinned(request, name):
+    """element_ball and boundary_lines at the radii build_net, GammaNet and
+    the chain use give the recorded arrays, order and bits included."""
+    net = request.getfixturevalue(f"{name}_net")[0]
+    # a fresh model, so the searches run instead of answering from the memos
+    fresh = load_model(bundled_model_path({"torus": "holed_torus"}.get(name, name)))
+    dr = fresh.domain_radius()
+    r_cloud = dr + net.covering_radius + net._lookup_slack + 0.05
+    got = {
+        "ball_build_net": fresh.element_ball(2.0 * dr + 1.0),
+        "ball_gamma_net": fresh.element_ball(r_cloud + dr),
+        "lines_build_net": fresh.boundary_lines(dr + 1.0),
+        "lines_chain_4": chain_mod._chain_lines(fresh, 4.0),
+        "lines_chain_6": chain_mod._chain_lines(fresh, 6.0),
+    }
+    digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in got.items()}
+    assert digests == ORBIT_DIGESTS[name]
