@@ -4,14 +4,10 @@ surfaces."""
 
 from hypsmear.hypgeom import (
     HPoint,
-    IdealPoint,
     Isometry,
-    Frame,
-    GeodesicSimplex,
     distance,
     minkowski,
     to_klein,
-    from_klein,
     origin,
 )
 from hypsmear.volume import (
@@ -42,14 +38,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HPoint",
-    "IdealPoint",
     "Isometry",
-    "Frame",
-    "GeodesicSimplex",
     "distance",
     "minkowski",
     "to_klein",
-    "from_klein",
     "origin",
     "QuadratureSpec",
     "VolumeResult",

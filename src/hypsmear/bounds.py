@@ -141,10 +141,9 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
         return _VL_CACHE[key]
     from scipy.optimize import minimize  # imported on first use: smear commands never need it
 
-    base = regular_simplex(n, L)
-    qs = np.array(base.vertices)
+    qs = regular_simplex(n, L)
     bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
-    o = origin(n).coords
+    o = origin(n)
 
     exact = n == 2
     spec_search = QuadratureSpec(abs_tol=3e-4, max_subdivisions=200)
@@ -278,15 +277,15 @@ def l0_estimate(n: int, restarts: int = 6, seed: int = DEFAULT_SEED) -> float:
     return hi
 
 
-def gap_bound(n: int, L: float, r, vl) -> float:
-    """(1 - r g(L+3)) / (1 + r g(L)) times the V_L estimate.
+def gap_bound(n: int, L: float, r: float, vl: float) -> float:
+    """(1 - r g(L+3)) / (1 + r g(L)) times the V_L value ``vl``.
 
     Negative values (vacuous bound) are returned unclamped.
     """
     rv = float(r)
     if rv < 0:
         raise ValueError("boundary ratio must be >= 0")
-    value = float(getattr(vl, "value", vl))
+    value = float(vl)
     g_outer = tube_factor(n, float(L) + 3.0)
     g_inner = tube_factor(n, float(L))
     return (1.0 - rv * g_outer) / (1.0 + rv * g_inner) * value
@@ -354,7 +353,7 @@ def solve_k(
         raise RuntimeError("threshold search lost monotonicity; increase restarts")
     c = (vn - eta) / target
     k = (1.0 - c) / (tube_factor(n, L1 + 3.0) + c * tube_factor(n, L1))
-    bound = gap_bound(n, L1, k, vl1)
+    bound = gap_bound(n, L1, k, vl1.value)
     if not bound >= vn - eta:
         raise RuntimeError(
             f"certificate failed self-validation: bound {bound} < v_n - eta {vn - eta}"
@@ -382,7 +381,7 @@ def gluing_ratio_sequence(
         raise ValueError("volumes must be positive")
     if imax < 1:
         raise ValueError("imax must be >= 1")
-    vls = [(L, vl_estimate(n, L, restarts, seed)) for L in l_grid]
+    vls = [(L, vl_estimate(n, L, restarts, seed).value) for L in l_grid]
     rows = []
     for i in range(1, imax + 1):
         ri = volB0 / (i * volM)

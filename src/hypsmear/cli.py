@@ -26,6 +26,8 @@ from hypsmear.volume import QuadratureSpec, ideal_regular_volume, regular_simple
 
 _BUNDLED = ("genus2", "holed_torus")
 _CLASS_NAMES = {1: "int", 2: "ext"}
+# CSV rows per block: at 8192 their Python lists (~6 MB) set the torus run's peak RSS
+_CSV_BLOCK = 1024
 # curve flags that only one --kind reads
 _CURVE_FLAG_KIND = {"r": "bound_vs_L", "edge_grid": "bound_vs_r",
                     "volm": "glue_sequence", "volb": "glue_sequence"}
@@ -76,13 +78,35 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError now, before any computation, if ``path`` cannot be
+    opened for writing; a file this check creates is removed again."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
+def _finite(text: str) -> float:
+    """The argparse type of every float flag: a finite number, or a usage
+    error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise _Usage(f"bad grid '{spec}', expected A:B:STEP")
     try:
-        a, b, step = (float(p) for p in parts)
-    except ValueError:
+        a, b, step = (_finite(p) for p in parts)
+    except argparse.ArgumentTypeError:
         raise _Usage(f"bad grid '{spec}', expected numeric A:B:STEP")
     if step <= 0:
         raise _Usage("grid step must be positive")
@@ -153,7 +177,7 @@ def _cmd_vl(args) -> dict:
 
 def _cmd_bound(args) -> dict:
     est = vl_estimate(args.dim, args.edge, args.restarts, args.seed)
-    val = gap_bound(args.dim, args.edge, args.r, est)
+    val = gap_bound(args.dim, args.edge, args.r, est.value)
     return {
         "seed": args.seed,
         "n": args.dim,
@@ -195,11 +219,11 @@ def _cmd_curve(args) -> str:
         rows = []
         for L in grid:
             est = vl_estimate(args.dim, L, args.restarts, args.seed)
-            rows.append((L, gap_bound(args.dim, L, args.r or 0.0, est)))
+            rows.append((L, gap_bound(args.dim, L, args.r or 0.0, est.value)))
         return _tabular(("L", "bound"), rows, args.format, args.seed)
     if args.kind == "bound_vs_r":
         edges = _curve_edges(args)
-        ests = [(L, vl_estimate(args.dim, L, args.restarts, args.seed)) for L in edges]
+        ests = [(L, vl_estimate(args.dim, L, args.restarts, args.seed).value) for L in edges]
         rows = []
         for r in grid:
             best = max(ests, key=lambda le: gap_bound(args.dim, le[0], r, le[1]))
@@ -303,8 +327,8 @@ def _cmd_smear_run(args) -> dict:
             fh.write(f"# seed={args.seed}\n" + ",".join(cols) + "\n")
             # one row per stored cell simplex, streamed from the columns in blocks
             row = "%d," * 17 + "%s,%.12g\n"
-            for i in range(0, len(chain), 8192):
-                part = [col[i : i + 8192].tolist() for col in (keys, bp, bm, cls, area)]
+            for i in range(0, len(chain), _CSV_BLOCK):
+                part = [col[i : i + _CSV_BLOCK].tolist() for col in (keys, bp, bm, cls, area)]
                 fh.writelines(
                     row % (*k, p, m, _CLASS_NAMES[c], a) for k, p, m, c, a in zip(*part)
                 )
@@ -350,35 +374,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("regvol", help="regular simplex volume by quadrature")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--edge", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=None, help="quadrature abs tolerance")
+    sp.add_argument("--edge", type=_finite, required=True)
+    sp.add_argument("--tol", type=_finite, default=None, help="quadrature abs tolerance")
     common(sp)
     sp.set_defaults(fn=_cmd_regvol)
 
     sp = sub.add_parser("tube", help="hypersurface tube volume factor")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_finite, required=True)
     common(sp)
     sp.set_defaults(fn=_cmd_tube)
 
     sp = sub.add_parser("vl", help="perturbed regular simplex volume infimum")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--edge", type=float, required=True)
+    sp.add_argument("--edge", type=_finite, required=True)
     sp.add_argument("--restarts", type=int, default=8)
     common(sp, seed=True)
     sp.set_defaults(fn=_cmd_vl)
 
     sp = sub.add_parser("bound", help="gap bound at a boundary ratio")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--edge", type=float, required=True)
-    sp.add_argument("--r", type=float, required=True)
+    sp.add_argument("--edge", type=_finite, required=True)
+    sp.add_argument("--r", type=_finite, required=True)
     sp.add_argument("--restarts", type=int, default=6)
     common(sp, seed=True)
     sp.set_defaults(fn=_cmd_bound)
 
     sp = sub.add_parser("solvek", help="certificate for the ratio threshold k(eta)")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--eta", type=float, required=True)
+    sp.add_argument("--eta", type=_finite, required=True)
     common(sp, seed=True)
     sp.set_defaults(fn=_cmd_solvek)
 
@@ -387,17 +411,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=("bound_vs_r", "bound_vs_L", "vl_vs_L", "glue_sequence"))
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--grid", required=True, help="A:B:STEP")
-    sp.add_argument("--r", type=float, default=None, help="bound_vs_L only (default 0)")
+    sp.add_argument("--r", type=_finite, default=None, help="bound_vs_L only (default 0)")
     sp.add_argument("--edge-grid", default=None, help="L grid for bound_vs_r")
-    sp.add_argument("--volm", type=float, default=None, help="glue_sequence only")
-    sp.add_argument("--volb", type=float, default=None, help="glue_sequence only")
+    sp.add_argument("--volm", type=_finite, default=None, help="glue_sequence only")
+    sp.add_argument("--volb", type=_finite, default=None, help="glue_sequence only")
     sp.add_argument("--restarts", type=int, default=6)
     common(sp, seed=True, tabular=True)
     sp.set_defaults(fn=_cmd_curve)
 
     sp = sub.add_parser("glue", help="gap bounds along a gluing tower")
-    sp.add_argument("--volm", type=float, required=True)
-    sp.add_argument("--volb", type=float, required=True)
+    sp.add_argument("--volm", type=_finite, required=True)
+    sp.add_argument("--volb", type=_finite, required=True)
     sp.add_argument("--imax", type=int, required=True)
     sp.add_argument("--dim", type=int, default=2)
     common(sp, seed=True, tabular=True)
@@ -408,18 +432,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp2 = ssub.add_parser("run", help="accumulate a chain and report statistics")
     sp2.add_argument("--model", required=True, help="bundled name or JSON path")
-    sp2.add_argument("--edge", type=float, required=True)
+    sp2.add_argument("--edge", type=_finite, required=True)
     sp2.add_argument("--samples", type=int, required=True)
-    sp2.add_argument("--net-radius", type=float, default=0.4)
+    sp2.add_argument("--net-radius", type=_finite, default=0.4)
     sp2.add_argument("--csv", default=None, help="also dump per-simplex CSV here")
     common(sp2, seed=True)
     sp2.set_defaults(fn=_cmd_smear_run)
 
     sp2 = ssub.add_parser("check", help="retention-logic violation count")
     sp2.add_argument("--model", required=True)
-    sp2.add_argument("--edge", type=float, required=True)
+    sp2.add_argument("--edge", type=_finite, required=True)
     sp2.add_argument("--samples", type=int, required=True)
-    sp2.add_argument("--net-radius", type=float, default=0.4)
+    sp2.add_argument("--net-radius", type=_finite, default=0.4)
     common(sp2, seed=True)
     sp2.set_defaults(fn=_cmd_smear_check)
 
@@ -433,15 +457,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for path in (args.out, getattr(args, "csv", None)):
+            if path:
+                _check_writable(path)
         out = args.fn(args)
+        # JSON commands return their document, tabular ones their text
+        _emit(out if isinstance(out, str) else _json(out) + "\n", args.out)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # JSON commands return their document, tabular ones their text
-    _emit(out if isinstance(out, str) else _json(out) + "\n", args.out)
     return 0
 
 

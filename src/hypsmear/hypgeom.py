@@ -32,12 +32,8 @@ __all__ = [
     "lorentz_inverse",
     "distance",
     "HPoint",
-    "IdealPoint",
     "Isometry",
-    "Frame",
-    "GeodesicSimplex",
     "to_klein",
-    "from_klein",
     "from_klein_rows",
     "transport_from_origin",
     "log_direction",
@@ -75,21 +71,12 @@ def lorentz_inverse(m: np.ndarray) -> np.ndarray:
 
 
 def minkowski(x, y) -> float:
-    """Minkowski pairing <x, y> = -x0*y0 + sum_i xi*yi.
-
-    Accepts bare coordinate arrays or point objects with a ``coords``
-    attribute.  Batched inputs broadcast over leading axes.
-    """
-    xa = np.asarray(getattr(x, "coords", x), dtype=float)
-    ya = np.asarray(getattr(y, "coords", y), dtype=float)
-    prod = xa * ya
+    """Minkowski pairing <x, y> = -x0*y0 + sum_i xi*yi of coordinate
+    arrays; batched inputs broadcast over leading axes."""
+    prod = np.asarray(x, dtype=float) * np.asarray(y, dtype=float)
     return float(np.sum(prod[..., 1:], axis=-1) - prod[..., 0]) if prod.ndim == 1 else (
         np.sum(prod[..., 1:], axis=-1) - prod[..., 0]
     )
-
-
-def _coords(x) -> np.ndarray:
-    return np.asarray(getattr(x, "coords", x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -121,6 +108,7 @@ class HPoint:
         return self.coords.shape[0] - 1
 
 
+# perfbench/tracer.py wraps this constructor by name; no package code builds it
 @dataclass(frozen=True)
 class IdealPoint:
     """A boundary-at-infinity point, a light-cone ray normalized to x0 = 1."""
@@ -147,11 +135,11 @@ class IdealPoint:
         self.coords.setflags(write=False)
 
 
-def origin(n: int) -> HPoint:
+def origin(n: int) -> np.ndarray:
     """The reference point (1, 0, ..., 0) of H^n."""
     c = np.zeros(n + 1)
     c[0] = 1.0
-    return HPoint(c)
+    return c
 
 
 def distance(x, y) -> float:
@@ -168,30 +156,15 @@ def distance(x, y) -> float:
     return float(np.arccosh(c))
 
 
-def to_klein(x) -> np.ndarray:
-    """Klein-ball coordinates (x1/x0, ..., xn/x0). Works for HPoint, IdealPoint
-    or a batch array of hyperboloid coordinates (last axis)."""
-    c = _coords(x)
-    return c[..., 1:] / c[..., :1]
-
-
-def from_klein(u, ideal: bool = False):
-    """Inverse Klein chart.  |u| < 1 gives an HPoint, |u| = 1 with ideal=True
-    gives an IdealPoint."""
-    ua = np.asarray(u, dtype=float).reshape(-1)
-    r2 = float(ua @ ua)
-    if ideal:
-        if abs(r2 - 1.0) > 1e-9:
-            raise ValueError(f"ideal Klein point must satisfy |u| = 1, got |u|^2 = {r2}")
-        return IdealPoint(np.concatenate(([1.0], ua)))
-    if r2 >= 1.0:
-        raise ValueError(f"Klein point outside the open ball: |u|^2 = {r2}")
-    return HPoint(np.concatenate(([1.0], ua)) / np.sqrt(1.0 - r2))
+def to_klein(x: np.ndarray) -> np.ndarray:
+    """Klein-ball coordinates (x1/x0, ..., xn/x0) of hyperboloid or
+    light-cone coordinates along the last axis."""
+    return x[..., 1:] / x[..., :1]
 
 
 def from_klein_rows(u: np.ndarray) -> np.ndarray:
     """Hyperboloid rows (w, w u), w = 1/sqrt(1 - |u|^2), of Klein points
-    given along the last axis; the batched, unvalidated from_klein."""
+    |u| < 1 given along the last axis; the inverse of to_klein."""
     w = 1.0 / np.sqrt(1.0 - np.sum(u * u, axis=-1))[..., None]
     return np.concatenate([w, u * w], axis=-1)
 
@@ -224,14 +197,12 @@ def transport_from_origin(p) -> np.ndarray:
     midpoint; always orientation-preserving, and it parallel-transports the
     reference tangent basis along the geodesic.
     """
-    pa = _coords(p)
-    n = pa.shape[0] - 1
-    o = np.zeros(n + 1)
-    o[0] = 1.0
-    c = minkowski(pa, o)
+    n = p.shape[0] - 1
+    o = origin(n)
+    c = minkowski(p, o)
     if abs(c + 1.0) < 1e-16:
         return np.eye(n + 1)
-    mid = pa + o
+    mid = p + o
     mid = mid / np.sqrt(2.0 * (1.0 - c))
     j = np.diag(mink_diag(n))
 
@@ -241,6 +212,7 @@ def transport_from_origin(p) -> np.ndarray:
     return point_reflection(mid) @ point_reflection(o)
 
 
+# perfbench/tracer.py wraps this constructor by name; no package code builds it
 @dataclass(frozen=True)
 class Frame:
     """An orthonormal tangent frame: base point plus n tangent vectors with
@@ -269,14 +241,14 @@ class Frame:
 
 def log_direction(base, target) -> np.ndarray:
     """Unit tangent vector at ``base`` pointing toward ``target``."""
-    b, t = _coords(base), _coords(target)
-    w = t + minkowski(t, b) * b
+    w = target + minkowski(target, base) * base
     ww = minkowski(w, w)
     if ww <= 0:
         raise ValueError("cannot take direction toward the same point")
     return w / np.sqrt(ww)
 
 
+# perfbench/tracer.py wraps this constructor by name; no package code builds it
 @dataclass(frozen=True)
 class GeodesicSimplex:
     """An ordered tuple of k+1 vertices (HPoint or IdealPoint) spanning a

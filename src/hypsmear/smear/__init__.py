@@ -12,7 +12,6 @@ from hypsmear.smear.chain import (
     ratio_report,
     inclusion_check,
     measure_sandwich,
-    element_word,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "ratio_report",
     "inclusion_check",
     "measure_sandwich",
-    "element_word",
 ]

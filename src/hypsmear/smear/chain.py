@@ -52,7 +52,6 @@ __all__ = [
     "ratio_report",
     "inclusion_check",
     "measure_sandwich",
-    "element_word",
 ]
 
 _SHARD = 32768
@@ -68,24 +67,14 @@ CLASS_EXT = 2
 
 def _rejection_positions(model: SurfaceModel, count: int, rng) -> tuple:
     """Area-uniform base points of the fundamental polygon plus uniform
-    rotation angles.  Draws a fixed block of uniforms per candidate so the
-    accepted stream depends only on the rng state, never on block sizes."""
-    kv = model.klein_polygon()
-    r_box = float(np.max(np.abs(kv)))
-    r_max2 = float(np.max(np.sum(kv * kv, axis=1)))
+    rotation angles, one angle drawn after each candidate block for every
+    candidate, so the accepted stream depends only on the rng state, never
+    on block sizes."""
     pts, angs = [], []
-    have = drawn = 0
-    while have < count:
-        u = rng.uniform(-r_box, r_box, size=(8192, 2))
-        acc = rng.random(8192)
-        theta = rng.random(8192) * (2.0 * math.pi)
-        keep = model.accept_area_uniform(u, acc, r_max2)
+    for u, keep in model.area_uniform_candidates(count, rng):
+        theta = rng.random(len(u)) * (2.0 * math.pi)
         pts.append(u[keep])
         angs.append(theta[keep])
-        have += int(keep.sum())
-        drawn += 8192
-        if drawn >= 65536 and have < max(1, drawn // 1000):
-            raise RuntimeError("rejection efficiency below 1e-3: bad bounding box")
     return from_klein_rows(np.concatenate(pts)[:count]), np.concatenate(angs)[:count]
 
 
@@ -403,7 +392,7 @@ def _mirror_pair(L: float) -> tuple:
     # the edge-length guard of both chain loops
     if L < 1.0:
         raise ValueError("L must be >= 1")
-    q_plus = regular_simplex(2, L).vertices
+    q_plus = regular_simplex(2, L)
     polar = np.cross(_J * q_plus[0], _J * q_plus[1])
     polar = polar / math.sqrt(np.dot(polar * _J, polar))
     mirror = np.eye(3) - 2.0 * np.outer(polar, _J * polar)
@@ -549,31 +538,3 @@ def inclusion_check(
             viol_near = (cls != CLASS_DISCARD) & (depth < -L)
             violations += int(viol_deep.sum()) + int(viol_near.sum())
     return violations
-
-
-def element_word(model: SurfaceModel, matrix: np.ndarray) -> tuple:
-    """Reduced generator word of a group element, via descent on its orbit
-    point; the product of the listed generators at these indices recovers
-    the element."""
-    x = np.array(matrix[:, 0], dtype=float)
-    letters = []
-    for _ in range(200):
-        imgs = model.gen_mats[:, 0, :] @ x
-        best = int(np.argmin(imgs))
-        if imgs[best] >= x[0] * (1.0 - 1e-15):
-            break
-        x = model.gen_mats[best] @ x
-        letters.append(int(model._inv_index[best]))
-    else:
-        raise ValueError("matrix is not a group element (descent did not end)")
-    if x[0] > 1.0 + 1e-6:
-        raise ValueError("matrix is not a group element (orbit point off base)")
-    # descent only tracks the orbit point; elliptic pretenders fixing the
-    # base would slip through, so confirm the full matrix is recovered
-    prod = np.eye(3)
-    for i in letters:
-        prod = prod @ model.gen_mats[i]
-    m = np.asarray(matrix, dtype=float)
-    if np.max(np.abs(prod - m)) > 1e-6 * max(1.0, float(np.max(np.abs(m)))):
-        raise ValueError("matrix is not a group element (word product mismatch)")
-    return tuple(letters)

@@ -39,20 +39,9 @@ _J = mink_diag(2)
 
 
 def _uniform_polygon_points(model: SurfaceModel, count: int, rng) -> np.ndarray:
-    """Deterministic area-uniform points of the fundamental polygon via
-    rejection in the Klein chart (density (1-|u|^2)^{-3/2})."""
-    kv = model.klein_polygon()
-    r_box = float(np.max(np.abs(kv)))
-    r_max = float(np.max(np.linalg.norm(kv, axis=1)))
-    out = []
-    have = 0
-    while have < count:
-        u = rng.uniform(-r_box, r_box, size=(8192, 2))
-        acc = rng.random(8192)
-        got = u[model.accept_area_uniform(u, acc, r_max * r_max)]
-        out.append(got)
-        have += len(got)
-    return from_klein_rows(np.concatenate(out)[:count])
+    """Deterministic area-uniform points of the fundamental polygon."""
+    u = np.concatenate([u[keep] for u, keep in model.area_uniform_candidates(count, rng)])
+    return from_klein_rows(u[:count])
 
 
 class GammaNet:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from importlib import resources
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
 ]
 
 REDUCE_MAX_STEPS = 200
+_CANDIDATE_BLOCK = 8192
 _PAIRING_TOL = 1e-8
 _AREA_TOL = 1e-6
 _J = mink_diag(2)
@@ -59,6 +62,8 @@ class SurfaceModel:
         self.poly_coords = np.array([HPoint(p).coords for p in polygon])
         self.boundary = tuple(np.asarray(u, dtype=float) for u in boundary)
         self.base = HPoint(base).coords
+        if not (isinstance(chi, numbers.Real) and float(chi).is_integer()):
+            raise ValueError(f"chi must be an integer, got {chi!r}")
         self.chi = int(chi)
         if self.chi >= 0:
             raise ValueError("hyperbolic surfaces have negative Euler characteristic")
@@ -167,19 +172,37 @@ class SurfaceModel:
         cross = edges[None, :, 0] * rel[..., 1] - edges[None, :, 1] * rel[..., 0]
         return np.all(cross >= -tol, axis=1)
 
-    def accept_area_uniform(self, u: np.ndarray, acc: np.ndarray, r_max2: float) -> np.ndarray:
-        """Acceptance mask of area-uniform rejection sampling in the Klein
-        chart: candidate u is kept when acc < ((1 - r_max2) / (1 - |u|^2))^{3/2}
-        and u lies in the polygon.  The cheap density test runs first, so the
-        polygon test only sees its survivors; the mask is the same either way."""
-        # the same sum as np.sum(u * u, axis=1), which is ~8x slower on 2 columns
-        rho2 = u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1]
-        density = np.zeros(len(u))
-        disk = rho2 < 1.0
-        density[disk] = ((1.0 - r_max2) / (1.0 - rho2[disk])) ** 1.5
-        keep = acc < density
-        keep[keep] = self.point_in_polygon(u[keep])
-        return keep
+    def area_uniform_candidates(self, count: int, rng) -> Iterator[tuple]:
+        """Blocks of area-uniform rejection sampling in the Klein chart,
+        until ``count`` candidates are kept in all.
+
+        Each block draws _CANDIDATE_BLOCK points u uniform in the polygon's
+        bounding box, then as many uniforms acc, and yields (u, keep): u is
+        kept when acc < ((1 - r_max2) / (1 - |u|^2))^{3/2}, r_max2 the
+        largest squared Klein radius of a polygon vertex, and u lies in the
+        polygon.  A caller may draw from ``rng`` between blocks.  Fewer than
+        one kept candidate in 1000 after 65536 is a RuntimeError.
+        """
+        kv = self.klein_polygon()
+        r_box = float(np.max(np.abs(kv)))
+        r_max2 = float(np.max(np.sum(kv * kv, axis=1)))
+        drawn = kept = 0
+        while kept < count:
+            u = rng.uniform(-r_box, r_box, size=(_CANDIDATE_BLOCK, 2))
+            acc = rng.random(_CANDIDATE_BLOCK)
+            # the same sum as np.sum(u * u, axis=1), which is ~8x slower on 2 columns
+            rho2 = u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1]
+            density = np.zeros(_CANDIDATE_BLOCK)
+            disk = rho2 < 1.0
+            density[disk] = ((1.0 - r_max2) / (1.0 - rho2[disk])) ** 1.5
+            # the cheap density test first: the polygon test sees its survivors
+            keep = acc < density
+            keep[keep] = self.point_in_polygon(u[keep])
+            drawn += _CANDIDATE_BLOCK
+            kept += int(keep.sum())
+            if drawn >= 65536 and kept < max(1, drawn // 1000):
+                raise RuntimeError("rejection efficiency below 1e-3: bad bounding box")
+            yield u, keep
 
     def _orbit(self, seeds, token, explore) -> list:
         """Breadth-first search over generator words: the seeds, then every

@@ -22,13 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hypsmear.hypgeom import (
-    POINT_NORM_TOL,
-    GeodesicSimplex,
-    HPoint,
-    minkowski,
-    to_klein,
-)
+from hypsmear.hypgeom import POINT_NORM_TOL, HPoint, minkowski, to_klein
 
 __all__ = [
     "MAX_EDGE",
@@ -259,17 +253,15 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
     return float(np.sum(cells[:, r.VAL])), float(np.sum(cells[:, r.ERR])), converged
 
 
-def klein_volume(s, q: QuadratureSpec | None = None) -> VolumeResult:
+def klein_volume(verts: np.ndarray, q: QuadratureSpec | None = None) -> VolumeResult:
     """Unsigned hyperbolic volume of a top-dimensional straight simplex,
     integrated adaptively in Klein coordinates.
 
-    ``s`` is a GeodesicSimplex or an (n+1, n+1) array of hyperboloid vertex
-    rows.  Vertices must be finite: an ideal vertex is an error.
+    ``verts`` is the (n+1, n+1) array of hyperboloid vertex rows.  Vertices
+    must be finite: a light-cone (ideal) row is an error.
     """
     spec = q if q is not None else QuadratureSpec()
-    if bool(np.any(getattr(s, "ideal", False))):
-        raise ValueError("ideal vertices are not supported")
-    verts = np.asarray(getattr(s, "vertices", s), dtype=float)
+    verts = np.asarray(verts, dtype=float)
     k, n = verts.shape[0] - 1, verts.shape[1] - 1
     if k != n:
         raise ValueError(f"need a top-dimensional simplex: k={k}, n={n}")
@@ -289,14 +281,14 @@ def klein_volume(s, q: QuadratureSpec | None = None) -> VolumeResult:
     return VolumeResult(value, err, conv)
 
 
-def signed_volume(s, q: QuadratureSpec | None = None) -> float:
+def signed_volume(verts: np.ndarray, q: QuadratureSpec | None = None) -> float:
     """Orientation-signed volume (sign of det of the vertex rows, 0 when
-    degenerate) of a GeodesicSimplex or vertex array, as in klein_volume;
-    odd vertex permutations flip the sign."""
-    d = np.linalg.det(np.asarray(getattr(s, "vertices", s), dtype=float))
+    degenerate) of a vertex array, as in klein_volume; odd vertex
+    permutations flip the sign."""
+    d = np.linalg.det(np.asarray(verts, dtype=float))
     if not abs(d) > 0:
         return 0.0
-    return (1.0 if d > 0 else -1.0) * klein_volume(s, q).value
+    return (1.0 if d > 0 else -1.0) * klein_volume(verts, q).value
 
 
 def _angles_from_sides(sides) -> list:
@@ -383,9 +375,10 @@ def _unit_regular_directions(n: int) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def regular_simplex(n: int, L: float) -> GeodesicSimplex:
-    """The regular geodesic n-simplex with all edge lengths L in
-    (0, MAX_EDGE], centered at the reference point and positively oriented."""
+def regular_simplex(n: int, L: float) -> np.ndarray:
+    """Vertex rows (n+1, n+1) of the regular geodesic n-simplex with all
+    edge lengths L in (0, MAX_EDGE], centered at the reference point and
+    positively oriented; each row is validated and normalized by HPoint."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0 < L <= MAX_EDGE:
@@ -398,7 +391,7 @@ def regular_simplex(n: int, L: float) -> GeodesicSimplex:
         u = u.copy()
         u[:, -1] *= -1.0
         verts = np.column_stack([np.full(n + 1, cosh_s), sinh_s * u])
-    return GeodesicSimplex([HPoint(row) for row in verts])
+    return np.array([HPoint(row).coords for row in verts])
 
 
 def regular_simplex_volume(n: int, L: float, q: QuadratureSpec | None = None) -> VolumeResult:
@@ -458,14 +451,13 @@ def ideal_regular_volume(n: int) -> VolumeConstants:
 
 
 def triangle_signed_area(a, b, c) -> float:
-    """Signed area of the geodesic triangle (a, b, c) in H^2 by angle defect.
+    """Signed area of the geodesic triangle with vertex rows a, b, c in H^2
+    by angle defect.
 
     Exact up to rounding; the sign follows the orientation convention (sign
     of det of the vertex matrix).  Degenerate triangles give 0.
     """
-    rows = np.array([
-        np.asarray(getattr(p, "coords", p), dtype=float) for p in (a, b, c)
-    ])
+    rows = np.array([a, b, c], dtype=float)
     det = np.linalg.det(rows)
     if det == 0.0:
         return 0.0

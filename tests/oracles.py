@@ -86,7 +86,7 @@ def grid_perturbed_minimum(n: int, L: float, steps: int = 5) -> float:
     from hypsmear.volume import regular_simplex, triangle_signed_area
 
     assert n == 2
-    base = regular_simplex(2, L).vertices
+    base = regular_simplex(2, L)
     # radial unit directions at each vertex, inward/outward
     best = math.inf
     radii = np.linspace(-1.0, 1.0, steps)
@@ -102,7 +102,7 @@ def grid_perturbed_minimum(n: int, L: float, steps: int = 5) -> float:
                             np.array(
                                 [math.cosh(rad), math.sinh(rad) * d[0], math.sinh(rad) * d[1]]
                             )
-                        )
+                        ).coords
                     )
                 best = min(best, triangle_signed_area(*verts))
     return best

@@ -14,7 +14,7 @@ import pytest
 
 from hypsmear.bounds import gap_bound, solve_k, tube_factor, vl_estimate
 from hypsmear.cli import main as cli_main
-from hypsmear.hypgeom import GeodesicSimplex, from_klein
+from hypsmear.hypgeom import from_klein_rows
 from hypsmear.smear import (
     accumulate_chain,
     boundary_residuals,
@@ -44,13 +44,10 @@ def test_criterion_01_quadrature_matches_angle_defect():
         r = np.arccosh(ch)
         th = rng.uniform(0.0, 2.0 * math.pi, size=3)
         kr = np.tanh(r)
-        pts = [
-            from_klein(np.array([kr[i] * math.cos(th[i]), kr[i] * math.sin(th[i])]))
-            for i in range(3)
-        ]
-        quad = klein_volume(GeodesicSimplex(pts)).value
+        pts = from_klein_rows(np.column_stack([kr * np.cos(th), kr * np.sin(th)]))
+        quad = klein_volume(pts).value
         sides = [
-            math.acosh(max(1.0, -minkowski(pts[i].coords, pts[j].coords)))
+            math.acosh(max(1.0, -minkowski(pts[i], pts[j])))
             for i, j in ((0, 1), (1, 2), (2, 0))
         ]
         assert abs(quad - gauss_bonnet_area(sides=sides)) <= 1e-6

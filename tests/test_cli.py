@@ -46,6 +46,25 @@ def test_tube_matches_library(capsys):
     assert doc["tube_factor"] == pytest.approx(tube_factor(3, 1.25), rel=1e-11)
 
 
+def test_overflow_is_an_error_line(capsys):
+    code, out, err = run(capsys, "tube", "--dim", "3", "--t", "1000")
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
+def test_non_finite_numbers_are_usage_errors(capsys):
+    # a NaN or infinite float flag would print invalid JSON or run the whole
+    # computation on it, and an infinite grid end would never stop
+    for value in ("nan", "inf"):
+        for argv in (("tube", "--dim", "2", "--t", value),
+                     ("bound", "--dim", "2", "--edge", "6", "--r", value),
+                     ("glue", "--volm", value, "--volb", "1", "--imax", "2"),
+                     ("curve", "--kind", "vl_vs_L", "--grid", f"4:{value}:2")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "finite" in err or "bad grid" in err
+
+
 def test_regvol_quadrature(capsys):
     code, out, _ = run(capsys, "regvol", "--dim", "2", "--edge", "2.0", "--tol", "1e-9")
     assert code == 0
@@ -195,6 +214,26 @@ def test_smear_run_summary_and_csv(capsys, tmp_path):
     rows = [l for l in csv_path.read_text().split("\n") if l and not l.startswith("#")]
     assert len(rows) - 1 == doc["entry_count"]  # header row
     assert rows[0].startswith("k0,")
+
+
+def test_unwritable_output_paths_fail_before_the_work(capsys, tmp_path, monkeypatch):
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "vn", "--dim", "2", "--out", str(missing))
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "No such file" in err
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain ran before the output paths were checked")
+
+    monkeypatch.setattr("hypsmear.smear.accumulate_chain", no_chain)
+    code, out, err = run(capsys, "smear", "run", "--model", "genus2", "--edge", "6.0",
+                         "--samples", "1000", "--csv", str(missing))
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+    # the check leaves no file behind when the command then fails
+    unused = tmp_path / "unused.json"
+    assert run(capsys, "vn", "--dim", "1", "--out", str(unused))[0] == 1
+    assert not unused.exists()
 
 
 def test_smear_run_rejects_unknown_model(capsys):

@@ -9,7 +9,6 @@ from hypsmear.smear import (
     SmearChain,
     accumulate_chain,
     boundary_residuals,
-    element_word,
     haar_sample,
     inclusion_check,
     measure_sandwich,
@@ -76,10 +75,9 @@ def test_sampler_streams_match_full_polygon_test(request, name, count):
     ref, ref_theta = reference_positions(model, count, np.random.default_rng(3), r_max2)
     assert np.array_equal(p, hyperboloid(ref))
     assert np.array_equal(theta, ref_theta)
-    # the net's sampler draws no angles and squares the norm itself
+    # the net's sampler draws the same candidates, but no angles
     got = net_mod._uniform_polygon_points(model, count, np.random.default_rng(3))
-    r_max = float(np.max(np.linalg.norm(kv, axis=1)))
-    ref, _ = reference_positions(model, count, np.random.default_rng(3), r_max * r_max, False)
+    ref, _ = reference_positions(model, count, np.random.default_rng(3), r_max2, False)
     assert np.array_equal(got, hyperboloid(ref))
 
 
@@ -301,31 +299,3 @@ def test_sandwich_brackets_boundary_model(torus, torus_net):
         mass, sigma = ms[name]
         assert mass <= torus.exact_area + 1e-12  # retention only removes mass
         assert lo - 3.0 * sigma <= mass <= hi + 3.0 * sigma
-
-
-# --- word recovery ------------------------------------------------------------
-
-
-def test_element_word_roundtrip(genus2):
-    g = genus2.gen_mats[0] @ genus2.gen_mats[3] @ genus2.gen_mats[5]
-    w = element_word(genus2, g)
-    prod = np.eye(3)
-    for i in w:
-        prod = prod @ genus2.gen_mats[i]
-    assert np.max(np.abs(prod - g)) < 1e-9
-    assert element_word(genus2, np.eye(3)) == ()
-
-
-def test_element_word_rejects_non_elements(genus2):
-    th = 0.3
-    rot = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, math.cos(th), -math.sin(th)],
-            [0.0, math.sin(th), math.cos(th)],
-        ]
-    )
-    with pytest.raises(ValueError):
-        element_word(genus2, rot)
-    with pytest.raises(ValueError):
-        element_word(genus2, rot @ genus2.gen_mats[1])

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -55,6 +56,16 @@ def test_load_rejects_wrong_dim(tmp_path):
         load_model(p)
 
 
+def test_load_rejects_non_integral_chi(tmp_path):
+    # int() would truncate -1.5 to a valid-looking chi of -1
+    doc = json.loads(bundled_model_path("holed_torus").read_text())
+    p = tmp_path / "torus.json"
+    for chi in (-1.5, None, "-1"):
+        p.write_text(json.dumps({**doc, "chi": chi}))
+        with pytest.raises(ValueError, match="chi must be an integer"):
+            load_model(p)
+
+
 def test_constructor_rejects_nonnegative_chi(genus2):
     with pytest.raises(ValueError):
         SurfaceModel(genus2.gen_mats, genus2.poly_coords, (), genus2.base, 0)
@@ -92,12 +103,12 @@ def test_reduce_batch_roundtrip(genus2):
         g = np.eye(3)
         for w in word:
             g = g @ genus2.gen_mats[w]
-        moved = HPoint(g @ inside.coords)
-        red, gamma = genus2.reduce_batch(moved.coords[None, :])
+        moved = HPoint(g @ inside).coords
+        red, gamma = genus2.reduce_batch(moved[None, :])
         assert distance(red[0], inside) < 1e-4
         # conditioning grows with cosh(distance); compare relative to scale
-        back_err = np.max(np.abs(gamma[0] @ red[0] - moved.coords))
-        assert back_err <= 1e-4 * max(1.0, moved.coords[0])
+        back_err = np.max(np.abs(gamma[0] @ red[0] - moved))
+        assert back_err <= 1e-4 * max(1.0, moved[0])
 
 
 def test_reduce_batch_lands_in_polygon(genus2):

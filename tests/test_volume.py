@@ -6,10 +6,9 @@ import pytest
 
 from hypsmear.bounds import _perturbed_vertices
 from hypsmear.hypgeom import (
-    GeodesicSimplex,
     HPoint,
     IdealPoint,
-    from_klein,
+    from_klein_rows,
     origin,
     renormalize_rows,
     to_klein,
@@ -47,7 +46,7 @@ def test_klein_volume_equilateral_closed_form():
 
 def test_klein_volume_against_mc_oracle():
     s = regular_simplex(2, 2.0)
-    est, sig = oracles.mc_klein_mass(to_klein(s.vertices), samples=400_000, seed=11)
+    est, sig = oracles.mc_klein_mass(to_klein(s), samples=400_000, seed=11)
     assert abs(est - klein_volume(s).value) <= 4.0 * sig
 
 
@@ -62,19 +61,17 @@ def test_gauss_bonnet_routes_agree():
     # angle route and side route must match on a generic triangle
     rng = np.random.default_rng(7)
     for _ in range(10):
-        pts = [from_klein(u) for u in rng.uniform(-0.55, 0.55, size=(3, 2))]
+        pts = from_klein_rows(rng.uniform(-0.55, 0.55, size=(3, 2)))
         d = [
             math.acosh(max(1.0, -oracles_mink(pts[i], pts[j])))
             for i, j in ((0, 1), (1, 2), (2, 0))
         ]
         a_sides = gauss_bonnet_area(sides=d)
-        s = GeodesicSimplex(pts)
-        q = klein_volume(s).value
+        q = klein_volume(pts).value
         assert a_sides == pytest.approx(q, abs=1e-7)
 
 
-def oracles_mink(x, y):
-    c1, c2 = x.coords, y.coords
+def oracles_mink(c1, c2):
     return -c1[0] * c2[0] + c1[1] * c2[1] + c1[2] * c2[2]
 
 
@@ -106,7 +103,7 @@ def test_lobachevsky_maximum():
 
 def test_regular_simplex_edge_lengths():
     for n, L in ((2, 1.0), (2, 5.0), (3, 2.5)):
-        v = regular_simplex(n, L).vertices
+        v = regular_simplex(n, L)
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 c = -(-v[i, 0] * v[j, 0] + np.dot(v[i, 1:], v[j, 1:]))
@@ -116,25 +113,22 @@ def test_regular_simplex_edge_lengths():
 def test_signed_volume_orientation():
     s = regular_simplex(2, 2.0)
     a = signed_volume(s)
-    swapped = GeodesicSimplex([HPoint(s.vertices[i]) for i in (1, 0, 2)])
-    assert signed_volume(swapped) == pytest.approx(-a, abs=1e-9)
+    assert signed_volume(s[[1, 0, 2]]) == pytest.approx(-a, abs=1e-9)
     assert a == pytest.approx(EQUILATERAL_AREA_2, abs=1e-7)
 
 
 def test_triangle_signed_area_matches_quadrature():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        pts = [from_klein(u) for u in rng.uniform(-0.5, 0.5, size=(3, 2))]
+        pts = from_klein_rows(rng.uniform(-0.5, 0.5, size=(3, 2)))
         a = triangle_signed_area(*pts)
-        q = klein_volume(GeodesicSimplex(pts)).value
+        q = klein_volume(pts).value
         assert abs(a) == pytest.approx(q, abs=1e-7)
 
 
 def test_triangle_signed_area_degenerate():
-    a = origin(2)
-    b = from_klein(np.array([0.3, 0.0]))
-    c = from_klein(np.array([0.6, 0.0]))
-    assert triangle_signed_area(a, b, c) == pytest.approx(0.0, abs=1e-6)
+    b, c = from_klein_rows(np.array([[0.3, 0.0], [0.6, 0.0]]))
+    assert triangle_signed_area(origin(2), b, c) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_ideal_constants():
@@ -159,17 +153,23 @@ def test_regular_volume_monotone_in_L():
     assert vals[-1] < math.pi
 
 
+def _klein_rows(*points) -> np.ndarray:
+    # the vertex rows the frozen values below were computed on: each Klein
+    # point lifted by (1, u) / sqrt(1 - u.u), then normalized by HPoint
+    return np.array([HPoint(np.concatenate(([1.0], u)) / np.sqrt(1.0 - np.dot(u, u))).coords
+                     for u in map(np.array, points)])
+
+
 def test_klein_volume_frozen_values():
     # exact values and error estimates of the adaptive quadrature, frozen
     # so that a rework of the integrator must keep every bit
     cases = [
         (regular_simplex(3, 2.0), QuadratureSpec(),
          (0.39933855732678025, 5.134096834934914e-09)),
-        (GeodesicSimplex([from_klein(u) for u in ([0.1, -0.2, 0.05], [0.7, 0.1, -0.3],
-                                                  [-0.4, 0.6, 0.2], [0.0, -0.5, 0.8])]),
+        (_klein_rows([0.1, -0.2, 0.05], [0.7, 0.1, -0.3], [-0.4, 0.6, 0.2], [0.0, -0.5, 0.8]),
          QuadratureSpec(abs_tol=3e-4),
          (0.10144033777460651, 0.000205257729774096)),
-        (GeodesicSimplex([from_klein(u) for u in ([0.9, 0.05], [-0.3, 0.8], [-0.2, -0.7])]),
+        (_klein_rows([0.9, 0.05], [-0.3, 0.8], [-0.2, -0.7]),
          QuadratureSpec(abs_tol=1e-10, max_subdivisions=2000, rule_order=7),
          (1.2960937345326573, 9.930063188552923e-11)),
     ]
@@ -185,43 +185,39 @@ def _bits(*values) -> bytes:
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_vertex_arrays_match_simplex_objects_bitwise(n):
-    # vl_estimate's objective hands signed_volume renormalize_rows(rows)
-    # instead of GeodesicSimplex([HPoint(r) ...]): the vertex rows and every
-    # result bit must agree on perturbed regular simplices like its own
+    # vl_estimate's objective hands signed_volume renormalize_rows(rows):
+    # on perturbed regular simplices like its own, those are the bits HPoint
+    # gives each row, which the frozen V_L values were computed on
     rng = np.random.default_rng(17 + n)
-    spec = QuadratureSpec(abs_tol=3e-4, max_subdivisions=200)
     for L in (4.0, 6.0, 9.0):
-        qs = regular_simplex(n, L).vertices
+        qs = regular_simplex(n, L)
         bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
         for _ in range(170):
             g = rng.normal(size=(n + 1, n))
             # radii past 1 exercise the projection onto the radius-1 ball
             w = g / np.linalg.norm(g, axis=1, keepdims=True) * rng.uniform(0.0, 1.3, (n + 1, 1))
             rows = _perturbed_vertices(qs, bases, w)
-            arr = renormalize_rows(rows)
-            simplex = GeodesicSimplex([HPoint(r) for r in rows])
-            assert arr.tobytes() == simplex.vertices.tobytes()
-            a, b = klein_volume(arr, spec), klein_volume(simplex, spec)
-            assert a.converged == b.converged
-            assert _bits(a.value, a.err_estimate) == _bits(b.value, b.err_estimate)
-            assert _bits(signed_volume(arr, spec)) == _bits(signed_volume(simplex, spec))
+            points = np.array([HPoint(r).coords for r in rows])
+            assert renormalize_rows(rows).tobytes() == points.tobytes()
 
 
 def test_ideal_vertices_are_an_error():
-    finite = [from_klein(u) for u in ([0.1, 0.2], [-0.3, 0.1])]
+    # a simplex with one ideal vertex, or with all of them ideal, is rejected
+    finite = list(from_klein_rows(np.array([[0.1, 0.2], [-0.3, 0.1]])))
     ideal = IdealPoint(np.array([1.0, 0.6, -0.8]))
-    for s in (GeodesicSimplex(finite + [ideal]),
-              GeodesicSimplex([ideal, IdealPoint([1.0, -1.0, 0.0]), IdealPoint([1.0, 0.0, 1.0])])):
+    for verts in (np.array(finite + [ideal.coords]),
+                  np.array([p.coords for p in (ideal, IdealPoint([1.0, -1.0, 0.0]),
+                                               IdealPoint([1.0, 0.0, 1.0]))])):
         with pytest.raises(ValueError, match="ideal"):
-            klein_volume(s)
+            klein_volume(verts)
         with pytest.raises(ValueError, match="ideal"):
-            signed_volume(s)
+            signed_volume(verts)
 
 
 def test_light_cone_rows_are_an_error():
     # an array carries no ideal flags: the rows' own norm must reject a
     # light-cone row, by HPoint's relative rule
-    finite = [from_klein(u).coords for u in ([0.1, 0.2], [-0.3, 0.1])]
+    finite = list(from_klein_rows(np.array([[0.1, 0.2], [-0.3, 0.1]])))
     ideal = IdealPoint([1.0, 0.6, -0.8]).coords
     for rows in (np.array(finite + [ideal]), np.array([ideal, finite[0], finite[1]]),
                  np.array([finite[0], -finite[1], ideal])):
@@ -229,7 +225,7 @@ def test_light_cone_rows_are_an_error():
             klein_volume(rows)
         with pytest.raises(ValueError, match="ideal"):
             signed_volume(rows)
-    lower = np.array(finite + [-from_klein([0.2, -0.5]).coords])
+    lower = np.array(finite + [-from_klein_rows(np.array([0.2, -0.5]))])
     with pytest.raises(ValueError, match="upper sheet"):
         klein_volume(lower)
 
@@ -238,7 +234,7 @@ def test_far_perturbed_rows_pass_the_norm_rule():
     # x0 ~ 1e6 at L = 30: <x,x> = -1 holds only up to ~x0^2 eps
     rng = np.random.default_rng(30)
     spec = QuadratureSpec(abs_tol=3e-4, max_subdivisions=200)
-    qs = regular_simplex(3, 30.0).vertices
+    qs = regular_simplex(3, 30.0)
     bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
     for _ in range(20):
         g = rng.normal(size=(4, 3))
@@ -255,7 +251,9 @@ def test_regular_simplex_edge_range(n, digest):
     # names the range instead of HPoint's "not a timelike vector"
     h = hashlib.sha256()
     for L in np.arange(0.5, MAX_EDGE + 0.25, 0.5):
-        h.update(regular_simplex(n, float(L)).vertices.tobytes())
+        simplex = regular_simplex(n, float(L))
+        assert isinstance(simplex, np.ndarray) and simplex.shape == (n + 1, n + 1)
+        h.update(simplex.tobytes())
     assert h.hexdigest()[:16] == digest
     for L in (MAX_EDGE + 0.5, 40.0, 64.0, math.inf, 0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match=r"\(0, 32\]"):
@@ -277,7 +275,7 @@ def test_klein_volume_matches_reference_integrator_bitwise(n):
     # convergence flag must equal the reference's in every bit
     rng = np.random.default_rng(100 + n)
     for L in (2.0, 4.0, 6.0, 9.0):
-        qs = regular_simplex(n, L).vertices
+        qs = regular_simplex(n, L)
         bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
         for spec in _ORACLE_SPECS:
             for _ in range(42):
