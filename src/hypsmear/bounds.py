@@ -118,7 +118,6 @@ def _frame_coefficients(direction: np.ndarray, basis: np.ndarray, n: int) -> np.
 
 
 _VL_CACHE: dict = {}
-_L0_CACHE: dict = {}
 
 
 def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -> VLEstimate:
@@ -229,12 +228,9 @@ def _l0_bracket(n: int, restarts: int, seed: int):
     """Bracket [lo, hi] on the 0.25 grid with vl(lo) <= margin < vl(hi).
 
     Relies on monotonicity of vl_estimate in L (a spec'd invariant of the
-    estimator).
+    estimator).  Every probe is a vl_estimate call, which _VL_CACHE memoizes,
+    so a repeated bracket costs only cache hits.
     """
-    key = (n, restarts, seed)
-    if key in _L0_CACHE:
-        return _L0_CACHE[key]
-
     val = _vl_value(n, restarts, seed)
 
     lo = 2.0
@@ -254,7 +250,6 @@ def _l0_bracket(n: int, restarts: int, seed: int):
             hi = mid
         else:
             lo = mid
-    _L0_CACHE[key] = (lo, hi)
     return lo, hi
 
 
@@ -280,15 +275,16 @@ def l0_estimate(n: int, restarts: int = 6, seed: int = DEFAULT_SEED) -> float:
 def gap_bound(n: int, L: float, r: float, vl: float) -> float:
     """(1 - r g(L+3)) / (1 + r g(L)) times the V_L value ``vl``.
 
-    Negative values (vacuous bound) are returned unclamped.
+    Negative values (vacuous bound) are returned unclamped; an r g(L+3)
+    that overflows is an error, since the quotient would be NaN.
     """
     rv = float(r)
     if rv < 0:
         raise ValueError("boundary ratio must be >= 0")
-    value = float(vl)
-    g_outer = tube_factor(n, float(L) + 3.0)
-    g_inner = tube_factor(n, float(L))
-    return (1.0 - rv * g_outer) / (1.0 + rv * g_inner) * value
+    outer = rv * tube_factor(n, float(L) + 3.0)
+    if not math.isfinite(outer):
+        raise ValueError(f"r * g(L+3) overflows at r = {rv:g}, L = {float(L):g}")
+    return (1.0 - outer) / (1.0 + rv * tube_factor(n, float(L))) * float(vl)
 
 
 def solve_k(

@@ -157,14 +157,16 @@ def _classify(outside: np.ndarray) -> np.ndarray:
 
 
 def _key_rows(ctok: np.ndarray, emat: np.ndarray) -> np.ndarray:
-    """Canonical integer key rows (b, 15) of the (b, 3, 3) center tokens and
-    (b, 3, 3, 3) elements of _cells."""
+    """Canonical integer key rows (b, 6k - 3) of the cell simplices with the
+    (b, k, 3) center tokens and (b, k, 3, 3) elements of _cells, k >= 2:
+    c0, then per vertex i >= 1 its center token ci and the element token
+    t_i = round(e0^-1 e_i o / grid).  A face is the key of its two vertices."""
     e0inv = lorentz_inverse(emat[:, 0])
-    t1 = np.einsum("bij,bj->bi", e0inv, emat[:, 1, :, 0])
-    t2 = np.einsum("bij,bj->bi", e0inv, emat[:, 2, :, 0])
-    et1 = np.round(t1 / ELEMENT_TOKEN_GRID).astype(np.int64)
-    et2 = np.round(t2 / ELEMENT_TOKEN_GRID).astype(np.int64)
-    return np.concatenate([ctok[:, 0], ctok[:, 1], et1, ctok[:, 2], et2], axis=1)
+    parts = [ctok[:, 0]]
+    for i in range(1, ctok.shape[1]):
+        t = np.einsum("bij,bj->bi", e0inv, emat[:, i, :, 0])
+        parts += [ctok[:, i], np.round(t / ELEMENT_TOKEN_GRID).astype(np.int64)]
+    return np.concatenate(parts, axis=1)
 
 
 def _vertex_images(mats: np.ndarray, qverts: np.ndarray) -> np.ndarray:
@@ -221,8 +223,8 @@ _INT32 = np.iinfo(np.int32)
 # _drop[:, j] flags face j as dropped (both its vertices beyond one line)
 _COLUMNS = {"_keys": ((18,), np.int32), "_bp": ((), np.int64), "_bm": ((), np.int64),
             "_cls": ((), np.int8), "_area": ((), float), "_drop": ((3,), bool)}
-# face j drops vertex j: _keys columns of its two center tokens and of the
-# element token carrying the second center's representative from the first
+# face j drops vertex j: the _keys columns holding _key_rows of its two
+# vertices, i.e. their center tokens and the second one's element token
 _FACES = np.array([[3, 4, 5, 9, 10, 11, 15, 16, 17],
                    [0, 1, 2, 9, 10, 11, 12, 13, 14],
                    [0, 1, 2, 3, 4, 5, 6, 7, 8]])
@@ -254,6 +256,28 @@ def _as_int32(tokens: np.ndarray) -> np.ndarray:
 def _check_rows(a, b) -> None:
     if not np.array_equal(a, b):
         raise RuntimeError("64-bit hash collision between distinct integer rows")
+
+
+def _number_rows(h: np.ndarray, columns) -> tuple:
+    """Number the distinct integer rows, given column by column, by their
+    hashes h: int32 `first` (lowest row of each number, numbers in ascending
+    hash order) and `inverse` (row -> number), and the distinct rows.  Every
+    column is checked against its run's first row, so a collision raises."""
+    order = np.argsort(h)
+    h = h[order]  # frees the unsorted hashes when the caller kept no reference
+    starts = np.empty(len(h), bool)
+    starts[:1] = True
+    np.not_equal(h[1:], h[:-1], out=starts[1:])
+    del h
+    first = np.minimum.reduceat(order, np.flatnonzero(starts)).astype(np.int32)
+    inverse = np.empty(len(order), np.int32)
+    inverse[order] = np.cumsum(starts, dtype=np.int32) - 1
+    del order, starts
+    rep, urows = first[inverse], []
+    for col in columns:
+        _check_rows(col, col[rep])
+        urows.append(col[first])
+    return first, inverse, np.stack(urows, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,11 +347,9 @@ class SmearChain:
         if kept.size == 0:
             return areas
         krows = _key_rows(ctok, em)[kept]
-        uh, first, inverse, counts = np.unique(
-            _row_hash(krows.T), return_index=True, return_inverse=True, return_counts=True
-        )
-        urows = krows[first]
-        _check_rows(krows, urows[inverse])
+        h = _row_hash(krows.T)
+        first, inverse, urows = _number_rows(h, krows.T)
+        uh = h[first]
         pos = np.searchsorted(self._hsorted, uh)
         hit = pos < len(self._hsorted)
         hit[hit] = self._hsorted[pos[hit]] == uh[hit]
@@ -340,13 +362,8 @@ class SmearChain:
             # new keys append in signed-lexicographic row order
             lex = fresh[np.lexsort(urows[fresh].T[::-1])]
             src = kept[first[lex]]
-            # face-0 tokens only round t0, so BLAS products do
-            e0inv = lorentz_inverse(em[src, 0])
-            e1 = e0inv @ em[src, 1]
-            e2 = e0inv @ em[src, 2]
-            t0 = np.einsum("bij,bj->bi", lorentz_inverse(e1), e2[:, :, 0])
             # narrowed before the store changes: an overflow leaves it intact
-            keys = _as_int32(urows[lex]), _as_int32(np.round(t0 / ELEMENT_TOKEN_GRID))
+            keys = _as_int32(urows[lex]), _as_int32(_key_rows(ctok[src, 1:], em[src, 1:])[:, 6:])
             n0, n1 = self._count, self._count + lex.size
             gidx[lex] = np.arange(n0, n1)
             at = np.searchsorted(self._hsorted, uh[fresh])
@@ -361,7 +378,7 @@ class SmearChain:
                                           for a, b in ((1, 2), (0, 2), (0, 1))], axis=1)
             self._count = n1
         tallies = self._bp if sign > 0 else self._bm
-        tallies[gidx] += counts
+        tallies[gidx] += np.bincount(inverse)
         sample_keys = gidx[inverse]
         areas[kept] = self._area[sample_keys] * (self._cls[sample_keys] == CLASS_INT)
         return areas
@@ -459,38 +476,20 @@ def boundary_residuals(chain: SmearChain) -> FaceResiduals:
     # int32 key indices (keys and faces number far below 2**31); the face
     # arrays set a run's memory peak, so they are built a family at a time
     srcs = [np.flatnonzero(~chain._drop[:n, j]).astype(np.int32) for j in range(3)]
-    ends = np.cumsum([len(s) for s in srcs])
-    fams = [(j, s, slice(e - len(s), e)) for j, (s, e) in enumerate(zip(srcs, ends))]
-
-    h = np.empty(ends[-1], np.uint64)
-    for j, s, part in fams:
-        h[part] = _row_hash(x[s, c] for c in _FACES[j])
-    # equal hashes sit together in hash order: number their runs
-    order = np.argsort(h)
-    h = h[order]
-    starts = np.empty(len(h), bool)
-    starts[:1] = True
-    np.not_equal(h[1:], h[:-1], out=starts[1:])
-    del h
-    first = order[starts].astype(np.int32)
-    inverse = np.empty(len(order), np.int32)
-    inverse[order] = np.cumsum(starts, dtype=np.int32) - 1
-    del order, starts
-    rep = first[inverse]
-    for c in range(9):
-        col = np.concatenate([x[s, _FACES[j, c]] for j, s, _ in fams])
-        _check_rows(col, col[rep])
-    del rep, col
-    fam = np.searchsorted(ends, first, side="right")
-    urows = x[np.concatenate(srcs)[first, None], _FACES[fam]]
+    ends = np.cumsum([0] + [len(s) for s in srcs])
+    # the hashes are passed as their only reference, so _number_rows can
+    # free them once sorted; its columns are built one at a time
+    first, inverse, urows = _number_rows(
+        np.concatenate([_row_hash(x[s, c] for c in _FACES[j]) for j, s in enumerate(srcs)]),
+        (np.concatenate([x[s, _FACES[j, c]] for j, s in enumerate(srcs)]) for c in range(9)))
     # the sums are of integers below 2**53, so adding them family by family
     # gives the same floats as one pass over all faces
     signed, total = bp - bm, bp + bm
     agg_s, agg_t = np.zeros(len(first)), np.zeros(len(first))
-    for j, s, part in fams:
-        sign = -1 if j == 1 else 1
-        agg_s += np.bincount(inverse[part], weights=sign * signed[s], minlength=len(first))
-        agg_t += np.bincount(inverse[part], weights=total[s], minlength=len(first))
+    for j, s in enumerate(srcs):
+        part, sign = inverse[ends[j] : ends[j + 1]], -1 if j == 1 else 1
+        agg_s += np.bincount(part, weights=sign * signed[s], minlength=len(first))
+        agg_t += np.bincount(part, weights=total[s], minlength=len(first))
     agg_s, agg_t = agg_s.astype(np.int64), agg_t.astype(np.int64)
 
     z = agg_s / np.sqrt(np.maximum(agg_t, 1))

@@ -84,14 +84,14 @@ class GammaNet:
         # reduce first so folding only ever reflects across lines near the
         # fundamental domain; far-line reflections amplify rounding error
         # like cosh(2 dist) and would corrupt deep funnel queries
-        x1, gam1 = model.reduce_batch(x, want_elements=True)
+        x1, gam1 = model.reduce_batch(x)
         folded, unfold = model.fold_batch(x1, lines)
         # only folded rows can have left the domain; a second reduction
         # would hand every other row back renormalized and unmoved
         rows = np.flatnonzero(np.abs(unfold[:, 0, 0] - 1.0) > 1e-15)
         red = renormalize_rows(folded)
         if rows.size:
-            red[rows], gam2 = model.reduce_batch(folded[rows], want_elements=True)
+            red[rows], gam2 = model.reduce_batch(folded[rows])
 
         # <red, cloud> = -cosh(distance); nearest center maximizes the
         # pairing, taken in row blocks to bound the (rows, cloud) transient
@@ -122,7 +122,7 @@ class GammaNet:
             # funnel-side centers: reduce the mirrored center position to its
             # orbit representative; snap to a stored interior center when it
             # is one, otherwise quantize the exterior representative
-            rep, e2 = model.reduce_batch(pos_dom[rows], want_elements=True)
+            rep, e2 = model.reduce_batch(pos_dom[rows])
             emat[rows] = gam1[rows] @ e2
             near = (rep * _J) @ self.centers.T
             ci2 = np.argmax(near, axis=1)

@@ -258,12 +258,11 @@ class SurfaceModel:
 
     # --- reduction --------------------------------------------------------
 
-    def reduce_batch(self, coords: np.ndarray, want_elements: bool = True):
+    def reduce_batch(self, coords: np.ndarray):
         """Dirichlet-descend every row into the fundamental domain.
 
-        Returns (reduced coords, elements) with element @ reduced = original;
-        elements is None when not requested.  A row farther than distance
-        40 from the base point is an error.
+        Returns (reduced coords, elements) with element @ reduced = original.
+        A row farther than distance 40 from the base point is an error.
         """
         x = np.array(coords, dtype=float)
         # guard on the raw coordinates: past the budget the renormalizer
@@ -298,15 +297,13 @@ class SurfaceModel:
             x[rows] = renormalize_rows(
                 np.einsum("bij,bj->bi", self.gen_mats[b], x[rows])
             )
-            if want_elements:
-                pair, inv = np.unique((word[rows] - base) * ngen + b, return_inverse=True)
-                prev = table[-1]
-                table.append(np.einsum("bij,bjk->bik", prev[pair // ngen], inv_mats[pair % ngen]))
-                base += len(prev)
-                word[rows] = base + inv
+            pair, inv = np.unique((word[rows] - base) * ngen + b, return_inverse=True)
+            prev = table[-1]
+            table.append(np.einsum("bij,bjk->bik", prev[pair // ngen], inv_mats[pair % ngen]))
+            base += len(prev)
+            word[rows] = base + inv
             active = rows
-        elems = np.concatenate(table)[word] if want_elements else None
-        return x, elems
+        return x, np.concatenate(table)[word]
 
     def fold_batch(self, coords: np.ndarray, lines: np.ndarray):
         """Reflect rows across boundary-line lifts until none is in a funnel

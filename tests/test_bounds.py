@@ -93,7 +93,6 @@ def _scripted_vl(monkeypatch, value_at):
         return SimpleNamespace(value=value_at(L))
 
     monkeypatch.setattr(bounds, "vl_estimate", fake)
-    monkeypatch.setattr(bounds, "_L0_CACHE", {})
     return asked
 
 
@@ -129,6 +128,13 @@ def test_gap_bound_is_the_stated_algebra():
         manual = vl * (1.0 - r * tube_factor(2, L + 3.0)) / (1.0 + r * tube_factor(2, L))
         assert gap_bound(2, L, r, vl) == pytest.approx(manual, rel=1e-15)
     assert gap_bound(2, 6.0, 0.0, VL_2_6) == VL_2_6
+
+
+def test_gap_bound_overflow_is_an_error():
+    # r g(L+3) = inf would make the quotient (1 - inf) / (1 + inf) a NaN
+    with pytest.raises(ValueError, match="overflows"):
+        gap_bound(2, 6.0, 1e308, VL_2_6)
+    assert math.isfinite(gap_bound(2, 6.0, 1e300, VL_2_6))
 
 
 def test_gluing_sequence_invariants():

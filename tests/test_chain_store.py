@@ -272,3 +272,31 @@ def test_shard_families_match_single_family_reference(request, monkeypatch, name
     if name == "torus":
         # the funnel paths are exercised: discards, crossings and interiors
         assert set(np.concatenate(classes).tolist()) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
+def test_faces_are_two_vertex_keys(request, name, L):
+    """A face is keyed as a cell simplex of its two vertices: _key_rows of
+    vertices (0, 1) and (0, 2) gives the key columns of faces 2 and 1, and of
+    (1, 2), for the sample a key was stored from, its stored face 0."""
+    model = request.getfixturevalue(name)
+    net = request.getfixturevalue(f"{name}_net")[0]
+    mats = next(chain_mod.haar_sample(model, 2000, 41))
+    chain = SmearChain(model, L, len(mats))
+    for sign, q in zip((1, -1), chain_mod._mirror_pair(L)):
+        ctok, em, pos3, outside = chain_mod._cells(model, net, chain.lines, mats, q, len(mats))
+        rows = chain_mod._key_rows(ctok, em)
+        for j, pair in ((2, [0, 1]), (1, [0, 2])):
+            face = chain_mod._key_rows(ctok[:, pair], em[:, pair])
+            cols = rows[:, chain_mod._FACES[j]]
+            assert face.dtype == cols.dtype and face.tobytes() == cols.tobytes()
+        n0 = len(chain)
+        chain._absorb(sign, ctok, em, pos3, outside)
+        # a new key is stored from the lowest kept sample carrying it
+        src = {}
+        for i in np.flatnonzero(chain_mod._classify(outside) != chain_mod.CLASS_DISCARD):
+            src.setdefault(tuple(rows[i].tolist()), i)
+        new = chain._keys[n0 : len(chain)]
+        s = np.array([src[tuple(k)] for k in new[:, :15].tolist()], dtype=int)
+        assert s.size and np.array_equal(
+            chain_mod._key_rows(ctok[s, 1:], em[s, 1:]), new[:, chain_mod._FACES[0]])

@@ -47,9 +47,12 @@ def test_tube_matches_library(capsys):
 
 
 def test_overflow_is_an_error_line(capsys):
-    code, out, err = run(capsys, "tube", "--dim", "3", "--t", "1000")
-    assert code == 1
-    assert out == "" and err.startswith("error:")
+    # an overflowing r g(L+3) made the gap bound a NaN, printed as bare `nan`
+    for argv in (("tube", "--dim", "3", "--t", "1000"),
+                 ("bound", "--dim", "2", "--edge", "6", "--r", "1e308", "--restarts", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == "" and err.startswith("error:")
 
 
 def test_non_finite_numbers_are_usage_errors(capsys):
