@@ -219,9 +219,25 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
 _L0_MARGIN = 1e-3
 
 
-def _vl_value(n: int, restarts: int, seed: int):
-    """L -> vl_estimate(n, L, restarts, seed).value, the threshold searches' objective."""
-    return lambda L: vl_estimate(n, L, restarts, seed).value
+def _scan(above, probes, lo):
+    """Ask ``above`` at each probe in order; return the last probe that fails
+    (``lo`` if none does) and the first that passes (None if none does)."""
+    for x in probes:
+        if above(x):
+            return lo, x
+        lo = x
+    return lo, None
+
+
+def _bisect(above, lo, hi, midpoint):
+    """Narrow the bracket (lo, hi) of ``above`` while ``midpoint(lo, hi)``
+    falls strictly between its ends."""
+    while lo < (mid := midpoint(lo, hi)) < hi:
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def _l0_bracket(n: int, restarts: int, seed: int):
@@ -231,26 +247,12 @@ def _l0_bracket(n: int, restarts: int, seed: int):
     estimator).  Every probe is a vl_estimate call, which _VL_CACHE memoizes,
     so a repeated bracket costs only cache hits.
     """
-    val = _vl_value(n, restarts, seed)
-
-    lo = 2.0
-    hi = None
-    for cand in (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, MAX_EDGE):
-        if val(cand) > _L0_MARGIN:
-            hi = cand
-            break
-        lo = cand
+    above = lambda L: vl_estimate(n, L, restarts, seed).value > _L0_MARGIN
+    lo, hi = _scan(above, (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, MAX_EDGE), 2.0)
     if hi is None:
         raise RuntimeError(f"no positive-volume threshold found up to L = {MAX_EDGE:g}")
-    while hi - lo > 0.25 + 1e-12:
-        mid = lo + 0.25 * round((hi - lo) / 2.0 / 0.25)
-        if mid <= lo or mid >= hi:
-            break
-        if val(mid) > _L0_MARGIN:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    # the nearest 0.25-grid point to the middle, rounding half to even
+    return _bisect(above, lo, hi, lambda lo, hi: lo + 0.25 * round((hi - lo) / 0.5))
 
 
 def l0_estimate(n: int, restarts: int = 6, seed: int = DEFAULT_SEED) -> float:
@@ -260,16 +262,8 @@ def l0_estimate(n: int, restarts: int = 6, seed: int = DEFAULT_SEED) -> float:
     The returned L satisfies vl_estimate(n, L) > 1e-3.
     """
     lo, hi = _l0_bracket(n, restarts, seed)
-
-    val = _vl_value(n, restarts, seed)
-
-    while hi - lo > 0.01:
-        mid = 0.5 * (lo + hi)
-        if val(mid) > _L0_MARGIN:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    above = lambda L: vl_estimate(n, L, restarts, seed).value > _L0_MARGIN
+    return _bisect(above, lo, hi, lambda lo, hi: 0.5 * (lo + hi) if hi - lo > 0.01 else lo)[1]
 
 
 def gap_bound(n: int, L: float, r: float, vl: float) -> float:
@@ -305,45 +299,26 @@ def solve_k(
         raise ValueError(f"eta must lie in (0, v_n) = (0, {vn})")
     target = vn - eta / 2.0
 
-    val = _vl_value(n, restarts, seed)
-
     # the 0.25-grid threshold anchors the half-integer grid; refining it to
     # 0.01 cannot move the smallest admissible half-integer point, because
     # every grid point below the coarse threshold has vl <= 1e-3 << target
     _, l0 = _l0_bracket(n, restarts, seed)
     start = math.ceil(l0 / 0.5 - 1e-12) * 0.5
+    above = lambda i: vl_estimate(n, start + 0.5 * i, restarts, seed).value > target
 
-    def grid(i: int) -> float:
-        return start + 0.5 * i
-
-    # doubling scan for an upper bracket, its last step clamped to the last
-    # grid point within MAX_EDGE, then bisection on the grid index
-    # (vl_estimate is monotone in L per its contract)
+    # doubling scan over grid indices 0, 1, 3, 7, ... for an upper bracket,
+    # its last step clamped to the last grid point within MAX_EDGE, then
+    # bisection on the index (vl_estimate is monotone in L per its contract)
     last = int((MAX_EDGE - start) / 0.5)
-    below = -1
-    above = None
-    i, stride = 0, 1
-    while below < last:
-        i = min(i, last)
-        if val(grid(i)) > target:
-            above = i
-            break
-        below = i
-        i += stride
-        stride *= 2
-    if above is None:
+    below, i1 = _scan(above, (min(2**j - 1, last) for j in range(last.bit_length() + 1)), -1)
+    if i1 is None:
         raise RuntimeError(
             f"no half-integer L up to {MAX_EDGE:g} reaches V_L > v_n - eta/2 = {target}; "
             "optimizer or quadrature accuracy insufficient for this eta"
         )
-    while above - below > 1:
-        mid = (above + below) // 2
-        if val(grid(mid)) > target:
-            above = mid
-        else:
-            below = mid
+    _, i1 = _bisect(above, below, i1, lambda lo, hi: (lo + hi) // 2)
 
-    L1 = grid(above)
+    L1 = start + 0.5 * i1
     vl1 = vl_estimate(n, L1, restarts, seed)
     if not vl1.value > target:
         raise RuntimeError("threshold search lost monotonicity; increase restarts")

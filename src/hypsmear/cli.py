@@ -59,15 +59,12 @@ def _json(obj, level: int = 0) -> str:
     return _fmt(obj)
 
 
-def _tabular(columns, rows, fmt: str, seed=None) -> str:
+def _tabular(columns, rows, fmt: str, seed) -> str:
     if fmt == "csv":
-        lines = [f"# seed={seed}"] if seed is not None else []
-        lines += [",".join(columns)] + [",".join(_fmt(v) for v in r) for r in rows]
+        lines = [f"# seed={seed}", ",".join(columns)]
+        lines += [",".join(_fmt(v) for v in r) for r in rows]
         return "\n".join(lines) + "\n"
-    doc = {"columns": list(columns), "rows": [list(r) for r in rows]}
-    if seed is not None:
-        doc = {"seed": seed, **doc}
-    return _json(doc) + "\n"
+    return _json({"seed": seed, "columns": list(columns), "rows": [list(r) for r in rows]}) + "\n"
 
 
 def _emit(text: str, out):
@@ -232,6 +229,9 @@ def _cmd_curve(args) -> str:
     if args.kind == "glue_sequence":
         if args.volm is None or args.volb is None:
             raise _Usage("glue_sequence needs --volm and --volb")
+        for i in grid:
+            if i < 1 or i != int(i):
+                raise _Usage(f"glue_sequence stage {i:g} is not a whole number >= 1")
         imax = int(max(grid))
         wanted = {int(i) for i in grid}
         seq = gluing_ratio_sequence(args.volm, args.volb, imax, args.dim,
@@ -457,9 +457,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for path in (args.out, getattr(args, "csv", None)):
-            if path:
-                _check_writable(path)
+        paths = [p for p in (args.out, getattr(args, "csv", None)) if p]
+        if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+            raise _Usage("--csv and --out name the same file")
+        for path in paths:
+            _check_writable(path)
         out = args.fn(args)
         # JSON commands return their document, tabular ones their text
         _emit(out if isinstance(out, str) else _json(out) + "\n", args.out)

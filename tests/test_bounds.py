@@ -119,6 +119,23 @@ def test_solve_k_scan_reaches_the_last_grid_point(monkeypatch):
     assert max(asked) == MAX_EDGE
 
 
+def test_threshold_searches_probe_in_a_fixed_order(monkeypatch):
+    # memo keys and certificates depend on which edges are asked for, in order
+    asked = _scripted_vl(monkeypatch, lambda L: 0.5 if L >= 2.6 else 0.0)
+    assert l0_estimate(3) == 2.6015625
+    assert asked == [3.0, 2.5, 2.75, 2.625, 2.5625, 2.59375, 2.609375, 2.6015625]
+
+    vn = ideal_regular_volume(3).v_n
+    asked = _scripted_vl(monkeypatch, lambda L: vn if L >= 25.0 else (0.5 if L >= 3.0 else 0.0))
+    assert solve_k(3, 0.1).L1 == 25.0
+    assert asked == [3.0, 2.5, 2.75, 3.0, 3.5, 4.5, 6.5, 10.5, 18.5, 32.0,
+                     25.0, 21.5, 23.0, 24.0, 24.5, 25.0]
+
+    asked = _scripted_vl(monkeypatch, lambda L: vn if L >= 9.7 else (0.5 if L >= 2.3 else 0.0))
+    assert solve_k(3, 0.1).L1 == 10.0
+    assert asked == [3.0, 2.5, 2.25, 2.5, 3.0, 4.0, 6.0, 10.0, 8.0, 9.0, 9.5, 10.0]
+
+
 def test_l0_estimate_frozen():
     assert l0_estimate(2) == pytest.approx(2.1875, abs=1e-6)
 

@@ -143,9 +143,20 @@ def test_curve_empty_grid_is_usage_error(capsys):
     assert "usage error" in err
 
 
-def test_curve_glue_requires_volumes(capsys):
+def test_curve_glue_requires_volumes(capsys, monkeypatch):
     code, _, _ = run(capsys, "curve", "--kind", "glue_sequence", "--grid", "1:3:1")
     assert code == 2
+
+    def no_vl(*args, **kwargs):
+        raise AssertionError("vl_estimate ran before the stages were checked")
+
+    # stage indices are whole numbers i >= 1; others were dropped from the output
+    monkeypatch.setattr("hypsmear.bounds.vl_estimate", no_vl)
+    for grid, bad in (("1:3:0.5", "1.5"), ("0:2:1", "0")):
+        code, out, err = run(capsys, "curve", "--kind", "glue_sequence", "--grid", grid,
+                             "--volm", "10", "--volb", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and f"stage {bad} " in err
 
 
 def test_curve_rejects_flags_of_other_kinds(capsys, monkeypatch):
@@ -237,6 +248,21 @@ def test_unwritable_output_paths_fail_before_the_work(capsys, tmp_path, monkeypa
     unused = tmp_path / "unused.json"
     assert run(capsys, "vn", "--dim", "1", "--out", str(unused))[0] == 1
     assert not unused.exists()
+
+
+def test_csv_and_out_on_one_file_fail_before_the_work(capsys, tmp_path, monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain ran before the output paths were checked")
+
+    monkeypatch.setattr("hypsmear.smear.accumulate_chain", no_chain)
+    monkeypatch.chdir(tmp_path)
+    # the JSON summary would overwrite the CSV; both spellings name one file
+    for out in ("cells.txt", str(tmp_path / "cells.txt")):
+        code, stdout, err = run(capsys, "smear", "run", "--model", "genus2", "--edge", "6.0",
+                                "--samples", "1000", "--out", out, "--csv", "cells.txt")
+        assert code == 2
+        assert stdout == "" and err.startswith("usage error:")
+    assert not (tmp_path / "cells.txt").exists()
 
 
 def test_smear_run_rejects_unknown_model(capsys):
