@@ -117,6 +117,71 @@ def _frame_coefficients(direction: np.ndarray, basis: np.ndarray, n: int) -> np.
     return (direction * mink_diag(n)) @ basis
 
 
+class _BudgetSpent(Exception):
+    """The evaluation budget of _nelder_mead is spent."""
+
+
+def _nelder_mead(f, x0, xatol, fatol, maxiter, maxfev):
+    """scipy 1.17's non-adaptive, unbounded Nelder-Mead, one numpy operation
+    at a time, so every iterate has scipy's bits.  Returns (x, f(x), stop
+    reason); as there, a call past maxfev abandons the iteration, f gets a
+    copy of each point, and the value is NaN if the final simplex holds one."""
+    N = len(x0)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(np.copy(x))
+
+    def order(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    sim = np.tile(x0, (N + 1, 1))
+    sim[1:][np.diag_indices(N)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full((N + 1,), np.inf)
+    for k in range(min(N + 1, maxfev)):
+        fsim[k] = call(sim[k])
+    sim, fsim = order(*order(sim, fsim))  # scipy sorts twice here
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = 2 * xbar - sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = call(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = order(sim, fsim)
+
+    reason = (f"{maxfev} evaluations spent" if nfev >= maxfev
+              else f"{maxiter} iterations spent" if iterations >= maxiter else "converged")
+    return sim[0], np.min(fsim), reason
+
+
 _VL_CACHE: dict = {}
 
 
@@ -138,8 +203,6 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
     key = (n, round(float(L), 10), int(restarts), int(seed))
     if key in _VL_CACHE:
         return _VL_CACHE[key]
-    from scipy.optimize import minimize  # imported on first use: smear commands never need it
-
     qs = regular_simplex(n, L)
     bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
     o = origin(n)
@@ -183,19 +246,13 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
     else:
         options = {"xatol": 3e-4, "fatol": 3e-5, "maxiter": 300 * (n + 1), "maxfev": 500 * (n + 1)}
 
-    best_val, best_x, best_idx = math.inf, None, -1
+    best_val, best_x = math.inf, None
     for idx, st in enumerate(starts):
-        res = minimize(
-            objective,
-            st.ravel(),
-            args=(spec_search,),
-            method="Nelder-Mead",
-            options=options,
-        )
-        if not np.isfinite(res.fun):
-            raise RuntimeError(f"optimizer diverged at restart {idx}: {res.message}")
-        if res.fun < best_val:
-            best_val, best_x, best_idx = float(res.fun), res.x.copy(), idx
+        x, fun, reason = _nelder_mead(lambda x: objective(x, spec_search), st.ravel(), **options)
+        if not np.isfinite(fun):
+            raise RuntimeError(f"optimizer diverged at restart {idx}: value {fun} ({reason})")
+        if fun < best_val:
+            best_val, best_x = float(fun), x
 
     if best_val < -ideal_regular_volume(min(n, 3)).v_n - 1.0 and n <= 3:
         raise RuntimeError(

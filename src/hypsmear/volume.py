@@ -139,6 +139,8 @@ class _Rules(NamedTuple):
     pair_edge: np.ndarray  # edge index of each off-diagonal pair
     pi: np.ndarray  # edge e joins vertices pi[e] < pj[e]
     pj: np.ndarray
+    col_i: np.ndarray  # (E, n+1) cell columns of vertex pi[e]: coordinates, then defect
+    col_j: np.ndarray
     # cell columns: vertices [0, H), defects [H, DET), then det, value,
     # error estimate, and squared edge lengths [E2, width)
     H: int
@@ -164,8 +166,9 @@ def _rule_setup(n: int, rule_order: int) -> _Rules:
     pair_edge = np.array([edges.index((min(i, j), max(i, j))) for i, j in pairs])
     H = (n + 1) * n
     DET = H + n + 1
+    cols = np.column_stack([np.arange(H).reshape(n + 1, n), H + np.arange(n + 1)])
     return _Rules(pts, w_hi, w_lo, 0.5 * pts[:, ii], pts[:, jj], pair_edge, pi, pj,
-                  H, DET, DET + 1, DET + 2, DET + 3, DET + 3 + len(edges))
+                  cols[pi], cols[pj], H, DET, DET + 1, DET + 2, DET + 3, DET + 3 + len(edges))
 
 
 def _rule_values(cells, r: _Rules, expo) -> None:
@@ -217,7 +220,7 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
     converged = False
     for _ in range(spec.max_subdivisions):
         err = cells[:, r.ERR]
-        if float(np.sum(err)) <= spec.abs_tol:
+        if float(err.sum()) <= spec.abs_tol:
             converged = True
             break
         if len(cells) >= _MAX_CELLS:
@@ -227,28 +230,22 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
         if not mask.any():
             mask = err >= float(err.max())
 
-        # bisect each selected cell across its longest edge (ii, jj); the
-        # children are all first halves (vertex ii moved), then all second
+        # bisect each selected cell across its longest edge (i, j); the midpoint's
+        # defect is the endpoints' mean plus |edge|^2 / 4.  First halves (i moved), then second
         sel = cells[mask]
         s = len(sel)
-        ar = np.arange(s)
+        ar = np.arange(s)[:, None]
         am = np.argmax(sel[:, r.E2 :], axis=1)
-        ii, jj = r.pi[am], r.pj[am]
-        sv = sel[:, : r.H].reshape(s, n + 1, n)
-        sh = sel[:, r.H : r.DET]
-        vm = 0.5 * (sv[ar, ii] + sv[ar, jj])
-        hm = 0.5 * (sh[ar, ii] + sh[ar, jj]) + 0.25 * sel[ar, r.E2 + am]
+        ci, cj = r.col_i[am], r.col_j[am]
+        mid = 0.5 * (sel[ar, ci] + sel[ar, cj])
+        mid[:, -1] += 0.25 * sel[ar[:, 0], r.E2 + am]
 
         kids = np.concatenate([sel, sel])
-        kv = kids[:, : r.H].reshape(2 * s, n + 1, n)
-        kh = kids[:, r.H : r.DET]
-        kv[ar, ii] = vm
-        kh[ar, ii] = hm
-        kv[s + ar, jj] = vm
-        kh[s + ar, jj] = hm
+        kids[ar, ci] = mid
+        kids[s + ar, cj] = mid
         kids[:, r.DET] *= 0.5
         _rule_values(kids, r, expo)
-        cells = np.concatenate([cells[~mask], kids])
+        cells = kids if s == len(cells) else np.concatenate([cells[~mask], kids])
 
     return float(np.sum(cells[:, r.VAL])), float(np.sum(cells[:, r.ERR])), converged
 
@@ -328,11 +325,17 @@ def gauss_bonnet_area(angles=None, sides=None) -> float:
     return math.pi - total
 
 
-@lru_cache(maxsize=None)
-def _zeta_even(m: int) -> float:
-    from scipy.special import zeta  # imported on first use: smear commands never need it
-
-    return float(zeta(2 * m, 1))
+# zeta(2m), m = 1..59, as scipy.special.zeta(2m, 1) gives it (1.0 from m = 27 on): v_3
+# was frozen on these bits, and that zeta(2) is one ulp above the rounded pi^2/6.
+_ZETA_EVEN = (
+    1.6449340668482266, 1.0823232337111381, 1.0173430619844488, 1.0040773561979446,
+    1.0009945751278182, 1.0002460865533078, 1.0000612481350586, 1.0000152822594084,
+    1.000003817293265, 1.0000009539620338, 1.0000002384505027, 1.000000059608189,
+    1.0000000149015549, 1.000000003725334, 1.0000000009313275, 1.000000000232831,
+    1.0000000000582077, 1.000000000014552, 1.000000000003638, 1.0000000000009095,
+    1.0000000000002274, 1.0000000000000568, 1.0000000000000142, 1.0000000000000036,
+    1.0000000000000009, 1.0000000000000002,
+) + (1.0,) * 33
 
 
 def lobachevsky(theta: float) -> float:
@@ -354,8 +357,8 @@ def lobachevsky(theta: float) -> float:
     acc = t - t * math.log(2.0 * t)
     ratio = (t / math.pi) ** 2
     power = t * ratio
-    for m in range(1, 60):
-        term = _zeta_even(m) * power / (m * (2 * m + 1))
+    for m, zeta in enumerate(_ZETA_EVEN, 1):
+        term = zeta * power / (m * (2 * m + 1))
         acc += term
         if term < 1e-17 * max(1.0, abs(acc)):
             break

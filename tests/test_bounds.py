@@ -1,4 +1,6 @@
+import linecache
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,6 +84,90 @@ def test_vl_argument_guards():
         vl_estimate(1, 4.0)
     with pytest.raises(ValueError, match=r"\(0, 32\]"):
         vl_estimate(3, 40.0)
+
+
+def _recorded(f):
+    """f, appending the bytes of each point it is asked for to ``points``."""
+    def g(x):
+        g.points.append(x.tobytes())
+        return f(x)
+    g.points = []
+    return g
+
+
+def _assert_port_matches_scipy(f, x0, **options):
+    from scipy.optimize import minimize
+
+    ours, theirs = _recorded(f), _recorded(f)
+    x, fun, reason = bounds._nelder_mead(ours, x0, **options)
+    res = minimize(theirs, x0, method="Nelder-Mead", options=options)
+    assert x.tobytes() == res.x.tobytes()
+    assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+    assert len(ours.points) == res.nfev
+    assert ours.points == theirs.points  # every evaluated point, in order
+    return reason, res
+
+
+@pytest.mark.parametrize("n, L", [(2, 6.0), (3, 4.0)])
+def test_nelder_mead_port_matches_scipy_on_the_vl_objective(monkeypatch, n, L):
+    # the first two starts: zero perturbation (every coordinate takes the
+    # 0.00025 step) and the inward pull (its nonzero coordinates take the 5%
+    # step); vl_estimate only collects the objective and the options here
+    runs = []
+    monkeypatch.setattr(bounds, "_VL_CACHE", {})
+    monkeypatch.setattr(bounds, "_nelder_mead",
+                        lambda f, x0, **o: runs.append((f, x0, o)) or (x0, 0.0, "converged"))
+    vl_estimate(n, L, restarts=2)
+    monkeypatch.undo()
+    assert len(runs) == 2 and not runs[0][1].any() and runs[1][1].any()
+    for f, x0, options in runs:
+        _assert_port_matches_scipy(f, x0, **options)
+
+
+def _rosen(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+@pytest.mark.parametrize("before, stopped", [
+    ("fxr = call(xr)", "fxe = call(xe)"),  # an expansion after a better reflection
+    ("fsim[j] = call(sim[j])", "fsim[j] = call(sim[j])"),  # a shrink, halfway
+])
+def test_nelder_mead_port_matches_scipy_when_the_budget_stops_an_iteration(before, stopped):
+    x0 = np.array([-2.5, 0.5, 0.0])  # its first shrink makes evaluations 21 to 23
+    options = dict(xatol=1e-8, fatol=1e-10, maxiter=10_000)
+    lines = []
+
+    def traced(x):
+        caller = sys._getframe(2)  # traced <- call <- _nelder_mead
+        lines.append(linecache.getline(caller.f_code.co_filename, caller.f_lineno).strip())
+        return _rosen(x)
+
+    # the port's source line behind each evaluation of an unlimited run; a
+    # budget of m evaluations abandons the iteration that needs lines[m]
+    bounds._nelder_mead(traced, x0, maxfev=10_000, **options)
+    maxfev = next(m for m in range(1, len(lines)) if lines[m - 1:m + 1] == [before, stopped])
+    reason, _ = _assert_port_matches_scipy(_rosen, x0, maxfev=maxfev, **options)
+    assert reason == f"{maxfev} evaluations spent"
+
+
+@pytest.mark.parametrize("f, x0, maxiter, reason", [
+    (_rosen, [-1.2, 1.0, 0.0, 2.0], 150, "150 iterations spent"),
+    # a staircase ties values, which exercises the sorts and the strict and
+    # non-strict comparisons of the expansion and the outside contraction
+    (lambda x: float(np.floor(np.sum(x * x))), [0.9, -1.5], 4000, "converged"),
+    # a NaN left in the final simplex is the value, as scipy's np.min gives it
+    (lambda x: math.nan if x[0] > 1.02 else _rosen(x), [1.0, 1.0], 1, "1 iterations spent"),
+])
+def test_nelder_mead_port_matches_scipy_to_the_end(f, x0, maxiter, reason):
+    assert _assert_port_matches_scipy(f, np.array(x0), xatol=1e-7, fatol=1e-10,
+                                      maxiter=maxiter, maxfev=6000)[0] == reason
+
+
+def test_vl_divergence_names_the_restart_and_the_stop_reason(monkeypatch):
+    monkeypatch.setattr(bounds, "_VL_CACHE", {})
+    monkeypatch.setattr(bounds, "triangle_signed_area", lambda a, b, c: math.nan)
+    with pytest.raises(RuntimeError, match=r"restart 0: value nan \(6000 evaluations spent\)"):
+        vl_estimate(2, 5.0, restarts=1)
 
 
 def _scripted_vl(monkeypatch, value_at):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hypsmear import volume
 from hypsmear.bounds import _perturbed_vertices
 from hypsmear.hypgeom import (
     HPoint,
@@ -99,6 +100,15 @@ def test_lobachevsky_maximum():
     grid = np.linspace(0.01, math.pi - 0.01, 500)
     vals = [lobachevsky(t) for t in grid]
     assert max(vals) <= lobachevsky(math.pi / 6.0) + 1e-9
+
+
+def test_zeta_table_is_scipys():
+    # the Lobachevsky series sums at most 59 terms, and v_3 rests on these bits
+    from scipy.special import zeta
+
+    assert len(volume._ZETA_EVEN) == 59
+    for m, z in enumerate(volume._ZETA_EVEN, 1):
+        assert z == float(zeta(2 * m, 1)), m
 
 
 def test_regular_simplex_edge_lengths():
