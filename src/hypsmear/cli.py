@@ -325,13 +325,18 @@ def _cmd_smear_run(args) -> dict:
         cols = [f"k{j}" for j in range(15)] + ["b_plus", "b_minus", "class", "area"]
         with open(args.csv, "w", newline="") as fh:
             fh.write(f"# seed={args.seed}\n" + ",".join(cols) + "\n")
-            # one row per stored cell simplex, streamed from the columns in blocks
-            row = "%d," * 17 + "%s,%.12g\n"
+            # one row per stored cell simplex, streamed from the columns in
+            # blocks; each distinct integer of a block is formatted once
             for i in range(0, len(chain), _CSV_BLOCK):
-                part = [col[i : i + _CSV_BLOCK].tolist() for col in (keys, bp, bm, cls, area)]
-                fh.writelines(
-                    row % (*k, p, m, _CLASS_NAMES[c], a) for k, p, m, c, a in zip(*part)
-                )
+                b = slice(i, i + _CSV_BLOCK)
+                ints = np.concatenate([keys[b], bp[b, None], bm[b, None]], axis=1)
+                values, inverse = np.unique(ints, return_inverse=True)
+                cells = np.empty((len(ints), 18), object)
+                cells[:, :17] = np.array([f"{v}," for v in values.tolist()], object)[
+                    inverse.reshape(ints.shape)]
+                cells[:, 17] = [f"{_CLASS_NAMES[c]},{a:.12g}\n"
+                                for c, a in zip(cls[b].tolist(), area[b].tolist())]
+                fh.write("".join(cells.ravel().tolist()))
     return doc
 
 

@@ -37,9 +37,8 @@ from typing import Iterator
 import numpy as np
 
 from hypsmear.hypgeom import from_klein_rows, lorentz_inverse, mink_diag, renormalize_rows
-from hypsmear.smear import net as net_module
 from hypsmear.smear.net import ELEMENT_TOKEN_GRID, GammaNet
-from hypsmear.smear.surface import SurfaceModel
+from hypsmear.smear.surface import PAIRING_BLOCK, SurfaceModel
 from hypsmear.volume import regular_simplex
 
 __all__ = [
@@ -55,6 +54,10 @@ __all__ = [
 ]
 
 _SHARD = 32768
+# frames per net lookup, a multiple of surface.PAIRING_BLOCK.  On a torus
+# shard the absorb step then sets the traced peak (31 MB); 16384 frames lift
+# it to 43 MB, and 1024 to 4096 frames are slower and no lower in RSS
+_LOOKUP_BLOCK = 8192
 _J = mink_diag(2)
 
 CLASS_DISCARD = 0
@@ -147,13 +150,21 @@ def _triangle_areas(verts: np.ndarray) -> np.ndarray:
 def _classify(outside: np.ndarray) -> np.ndarray:
     """0 = image misses the surface interior (all vertices beyond one common
     boundary line), 1 = all vertices strictly inside, 2 = crossing; from the
-    (b, 3, lines) funnel-side flags of the vertices."""
-    discard = outside.all(axis=1).any(axis=1)
+    vertices' funnel-side flags as _cells packs them, (b, 3, bytes)."""
+    discard = np.bitwise_and.reduce(outside, axis=1).any(axis=1)
     interior = ~outside.any(axis=(1, 2))
     out = np.full(len(outside), CLASS_EXT, dtype=np.int8)
     out[discard] = CLASS_DISCARD
     out[interior] = CLASS_INT
     return out
+
+
+def _dropped_faces(outside: np.ndarray) -> np.ndarray:
+    """(b, 3) flags of the faces dropped from the boundary, face j dropping
+    vertex j: both its vertices beyond one common boundary line; from the
+    same packed flags as _classify."""
+    return np.stack([(outside[:, a] & outside[:, b]).any(axis=1)
+                     for a, b in ((1, 2), (0, 2), (0, 1))], axis=1)
 
 
 def _key_rows(ctok: np.ndarray, emat: np.ndarray) -> np.ndarray:
@@ -178,18 +189,20 @@ def _cells(model, net, lines, mats, qverts, block: int) -> list:
     """Net cells of the images of k reference vertices under (b, 3, 3)
     frames, looked up `block` frames at a time: center tokens (b, k, 3),
     elements (b, k, 3, 3), center positions (b, k, 3) and the centers'
-    funnel-side flags (b, k, lines).  The flags are signs of BLAS pairings
+    funnel-side flags, bit-packed along the line axis (np.packbits) into
+    (b, k, ceil(lines / 8)) bytes.  The flags are signs of BLAS pairings
     with the J-folded line polars, which is exact enough for a sign test."""
     b, k = len(mats), len(qverts)
     out = [np.empty((b, k, 3), np.int64), np.empty((b, k, 3, 3)), np.empty((b, k, 3)),
-           np.empty((b, k, len(lines)), bool)]
-    jlines_t = (lines * _J).T
+           np.empty((b, k, -(-len(lines) // 8)), np.uint8)]
     for s in range(0, b, block):
         cells = net.assign(model, _vertex_images(mats[s : s + block], qverts).reshape(-1, 3), lines)
         for col, cell in zip(out, cells):
             col[s : s + block] = cell.reshape(-1, *col.shape[1:])
-        pos, flags = out[2][s : s + block], out[3][s : s + block]
-        flags[...] = (pos.reshape(-1, 3) @ jlines_t).reshape(flags.shape) >= 0.0
+        del cells
+    pos, flags, jlines_t = out[2].reshape(-1, 3), out[3].reshape(b * k, -1), (lines * _J).T
+    for s in range(0, b * k, PAIRING_BLOCK):
+        flags[s : s + PAIRING_BLOCK] = np.packbits(pos[s : s + PAIRING_BLOCK] @ jlines_t >= 0.0, axis=-1)
     return out
 
 
@@ -200,17 +213,19 @@ def _shard_families(model, net, lines, mats, q_plus, q_minus) -> Iterator[tuple]
     _mirror_pair makes vertices 0 and 1 of the two families the same bits,
     so the minus family takes their cells from the plus family and assigns
     only its vertex 2: four net lookups per frame instead of six.  A lookup
-    of PAIRING_BLOCK frames makes whole pairing blocks of GammaNet.assign,
+    of _LOOKUP_BLOCK frames makes whole pairing chunks of pairing_argmax,
     which pair the rows of the one-lookup reference.
     """
-    block = net_module.PAIRING_BLOCK
-    cells = _cells(model, net, lines, mats, q_plus, block)
+    cells = _cells(model, net, lines, mats, q_plus, _LOOKUP_BLOCK)
     yield 1, cells
     # only the shared-vertex slices stay alive across the families
     shared = [c[:, :2].copy() for c in cells]
     del cells
-    apex = _cells(model, net, lines, mats, q_minus[2:], block)
-    yield -1, [np.concatenate(p, axis=1) for p in zip(shared, apex)]
+    apex = _cells(model, net, lines, mats, q_minus[2:], _LOOKUP_BLOCK)
+    minus = [np.concatenate(p, axis=1) for p in zip(shared, apex)]
+    # the suspended generator would keep these alive through the minus absorb
+    del shared, apex
+    yield -1, minus
 
 
 # --- the chain --------------------------------------------------------------
@@ -223,6 +238,8 @@ _INT32 = np.iinfo(np.int32)
 # _drop[:, j] flags face j as dropped (both its vertices beyond one line)
 _COLUMNS = {"_keys": ((18,), np.int32), "_bp": ((), np.int64), "_bm": ((), np.int64),
             "_cls": ((), np.int8), "_area": ((), float), "_drop": ((3,), bool)}
+# hash-prefix buckets of boundary_residuals, a power of two up to 128
+_FACE_BUCKETS = 64
 # face j drops vertex j: the _keys columns holding _key_rows of its two
 # vertices, i.e. their center tokens and the second one's element token
 _FACES = np.array([[3, 4, 5, 9, 10, 11, 15, 16, 17],
@@ -349,6 +366,7 @@ class SmearChain:
         krows = _key_rows(ctok, em)[kept]
         h = _row_hash(krows.T)
         first, inverse, urows = _number_rows(h, krows.T)
+        del krows  # urows holds the distinct rows
         uh = h[first]
         pos = np.searchsorted(self._hsorted, uh)
         hit = pos < len(self._hsorted)
@@ -372,10 +390,7 @@ class SmearChain:
             self._keys[n0:n1, :15], self._keys[n0:n1, 15:] = keys
             self._cls[n0:n1] = cls[src]
             self._area[n0:n1] = _triangle_areas(pos3[src])
-            # _drop (see _COLUMNS) from the funnel-side flags _classify read
-            out = outside[src]
-            self._drop[n0:n1] = np.stack([(out[:, a] & out[:, b]).any(axis=1)
-                                          for a, b in ((1, 2), (0, 2), (0, 1))], axis=1)
+            self._drop[n0:n1] = _dropped_faces(outside[src])
             self._count = n1
         tallies = self._bp if sign > 0 else self._bm
         tallies[gidx] += np.bincount(inverse)
@@ -472,29 +487,50 @@ def boundary_residuals(chain: SmearChain) -> FaceResiduals:
     n = len(chain)
     bp, bm, _, _ = chain.counts()
     x = chain._keys[:n]
-    # faces family by family: face j of every key that does not drop it, as
-    # int32 key indices (keys and faces number far below 2**31); the face
-    # arrays set a run's memory peak, so they are built a family at a time
-    srcs = [np.flatnonzero(~chain._drop[:n, j]).astype(np.int32) for j in range(3)]
-    ends = np.cumsum([0] + [len(s) for s in srcs])
-    # the hashes are passed as their only reference, so _number_rows can
-    # free them once sorted; its columns are built one at a time
-    first, inverse, urows = _number_rows(
-        np.concatenate([_row_hash(x[s, c] for c in _FACES[j]) for j, s in enumerate(srcs)]),
-        (np.concatenate([x[s, _FACES[j, c]] for j, s in enumerate(srcs)]) for c in range(9)))
+    # face j of every key goes to the bucket of the top bits of its hash, and
+    # a dropped one to bucket _FACE_BUCKETS, which is never read.  Equal
+    # faces share a bucket, so each bucket is numbered on its own and the
+    # transients of the numbering scale with one bucket.  runs[j] lists the
+    # keys by bucket (a stable counting sort) and where each bucket starts
+    runs = []
+    for j in range(3):
+        bucket = np.empty(n, np.uint8)
+        for s in range(0, n, _SHARD):  # hashed a block of keys at a time
+            h = _row_hash(x[s : s + _SHARD, c] for c in _FACES[j])
+            bucket[s : s + _SHARD] = (h >> np.uint64(56)) // (256 // _FACE_BUCKETS)
+        bucket[chain._drop[:n, j]] = _FACE_BUCKETS
+        at = np.zeros(_FACE_BUCKETS + 2, np.intp)
+        np.cumsum(np.bincount(bucket, minlength=_FACE_BUCKETS + 1), out=at[1:])
+        runs.append((np.argsort(bucket, kind="stable").astype(np.int32), at))
+    del bucket
     # the sums are of integers below 2**53, so adding them family by family
     # gives the same floats as one pass over all faces
-    signed, total = bp - bm, bp + bm
-    agg_s, agg_t = np.zeros(len(first)), np.zeros(len(first))
-    for j, s in enumerate(srcs):
-        part, sign = inverse[ends[j] : ends[j + 1]], -1 if j == 1 else 1
-        agg_s += np.bincount(part, weights=sign * signed[s], minlength=len(first))
-        agg_t += np.bincount(part, weights=total[s], minlength=len(first))
-    agg_s, agg_t = agg_s.astype(np.int64), agg_t.astype(np.int64)
+    parts = [], [], []
+    for b in range(_FACE_BUCKETS):
+        srcs = [members[at[b] : at[b + 1]] for members, at in runs]
+        ends = np.cumsum([0] + [len(s) for s in srcs])
+        faces = np.concatenate([x[s][:, _FACES[j]] for j, s in enumerate(srcs)]).T
+        first, inverse, urows = _number_rows(_row_hash(faces), faces)
+        agg_s, agg_t = np.zeros(len(first)), np.zeros(len(first))
+        for j, s in enumerate(srcs):
+            part, sign = inverse[ends[j] : ends[j + 1]], -1 if j == 1 else 1
+            agg_s += np.bincount(part, weights=sign * (bp[s] - bm[s]), minlength=len(first))
+            agg_t += np.bincount(part, weights=bp[s] + bm[s], minlength=len(first))
+        for p, a in zip(parts, (urows, agg_s.astype(np.int64), agg_t.astype(np.int64))):
+            p.append(a)
+    del runs, srcs  # srcs are views of the runs
+    joined = []
+    for p in parts:
+        joined.append(np.concatenate(p))
+        p.clear()  # freed before the next column is joined
+    urows, agg_s, agg_t = joined
 
     z = agg_s / np.sqrt(np.maximum(agg_t, 1))
-    order = np.lexsort(np.concatenate([urows.T[::-1], -np.abs(z)[None, :]]))
-    return FaceResiduals(keys=urows[order], residual=chain.scale * agg_s[order] / 2.0,
+    # descending |z|, ties by face key; a tuple of keys, not one float array
+    order = np.lexsort((*urows.T[::-1], -np.abs(z)))
+    for c in range(urows.shape[1]):  # sorted in place, a column at a time
+        urows[:, c] = urows[order, c]
+    return FaceResiduals(keys=urows, residual=chain.scale * agg_s[order] / 2.0,
                          z_score=z[order], total=agg_t[order])
 
 

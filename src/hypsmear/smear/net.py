@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from hypsmear.hypgeom import from_klein_rows, mink_diag, renormalize_rows
-from hypsmear.smear.surface import SurfaceModel
+from hypsmear.smear.surface import SurfaceModel, pairing_argmax
 
 __all__ = ["GammaNet", "build_net"]
 
@@ -34,7 +34,6 @@ _LINE_MARGIN = 0.05
 _MAX_CENTERS = 4000
 _COVER_SAMPLE = 10_000
 _NET_SEED = 20210809
-PAIRING_BLOCK = 8192
 _J = mink_diag(2)
 
 
@@ -93,15 +92,9 @@ class GammaNet:
         if rows.size:
             red[rows], gam2 = model.reduce_batch(folded[rows])
 
-        # <red, cloud> = -cosh(distance); nearest center maximizes the
-        # pairing, taken in row blocks to bound the (rows, cloud) transient
-        idx = np.empty(len(red), dtype=np.intp)
-        best = np.empty(len(red))
-        for s in range(0, len(red), PAIRING_BLOCK):
-            pairing = (red[s : s + PAIRING_BLOCK] * _J) @ self._cloud_pts.T
-            idx[s : s + PAIRING_BLOCK] = i = np.argmax(pairing, axis=1)
-            best[s : s + PAIRING_BLOCK] = -pairing[np.arange(len(i)), i]
-        if np.any(best > math.cosh(self.covering_radius + self._lookup_slack)):
+        # <red, cloud> = -cosh(distance); nearest center maximizes the pairing
+        idx, best = pairing_argmax(red * _J, self._cloud_pts.T)
+        if np.any(-best > math.cosh(self.covering_radius + self._lookup_slack)):
             raise RuntimeError("cell lookup failure: nearest center beyond covering radius")
 
         # center position in the sample frame, one well-conditioned stage at
@@ -124,9 +117,8 @@ class GammaNet:
             # is one, otherwise quantize the exterior representative
             rep, e2 = model.reduce_batch(pos_dom[rows])
             emat[rows] = gam1[rows] @ e2
-            near = (rep * _J) @ self.centers.T
-            ci2 = np.argmax(near, axis=1)
-            is_interior = -near[np.arange(len(rep)), ci2] < 1.0 + 1e-9
+            ci2, near = pairing_argmax(rep * _J, self.centers.T)
+            is_interior = -near < 1.0 + 1e-9
             tok = np.round(rep / CENTER_TOKEN_GRID).astype(np.int64)
             tok[is_interior] = self._ctok[ci2[is_interior]]
             ctok[rows] = tok

@@ -47,6 +47,8 @@ __all__ = [
 
 REDUCE_MAX_STEPS = 200
 _CANDIDATE_BLOCK = 8192
+# rows per chunk of pairing_argmax, which bounds its (rows, columns) transient
+PAIRING_BLOCK = 1024
 _PAIRING_TOL = 1e-8
 _AREA_TOL = 1e-6
 _J = mink_diag(2)
@@ -321,9 +323,7 @@ class SurfaceModel:
         for step in range(64):
             if not active.size:
                 break
-            s = x[active] @ jlines_t
-            worst = np.argmax(s, axis=1)
-            val = s[np.arange(active.size), worst]
+            worst, val = pairing_argmax(x[active], jlines_t)
             out = val > 1e-14
             if not out.any():
                 break
@@ -350,6 +350,20 @@ class SurfaceModel:
         s = np.einsum("bj,lj,j->bl", x, lines, _J)
         worst = np.max(s, axis=1)
         return -np.arcsinh(worst)
+
+
+def pairing_argmax(left: np.ndarray, right: np.ndarray) -> tuple:
+    """Column index and value of the largest entry in each row of
+    ``left @ right``, formed PAIRING_BLOCK rows at a time.  The product is a
+    BLAS one, fit only for argmax and sign tests."""
+    idx = np.empty(len(left), dtype=np.intp)
+    val = np.empty(len(left))
+    for s in range(0, len(left), PAIRING_BLOCK):
+        pairing = left[s : s + PAIRING_BLOCK] @ right
+        idx[s : s + PAIRING_BLOCK] = i = np.argmax(pairing, axis=1)
+        val[s : s + PAIRING_BLOCK] = pairing[np.arange(len(i)), i]
+        del pairing  # freed before the next chunk is formed
+    return idx, val
 
 
 # --- model files -----------------------------------------------------------

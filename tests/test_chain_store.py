@@ -1,6 +1,7 @@
 """The columnar chain store against a direct dict-and-sort reference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypsmear.cli import main
 from hypsmear.hypgeom import lorentz_inverse
 from hypsmear.smear import SmearChain, accumulate_chain, boundary_residuals
 from hypsmear.smear import chain as chain_mod
-from hypsmear.smear import net as net_mod
+from hypsmear.smear import surface as surface_mod
 
 J = np.array([-1.0, 1.0, 1.0])
 SHARD = 500  # several shards, so keys merge across shards
@@ -236,15 +237,17 @@ def test_mirror_pair_shares_two_vertices_bitwise(L):
 
 @pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
 def test_shard_families_match_single_family_reference(request, monkeypatch, name, L):
-    """Sharing the cells of vertices 0 and 1 and looking cells up a pairing
+    """Sharing the cells of vertices 0 and 1 and looking cells up a lookup
     block of frames at a time gives each family the cells of one _cells
     lookup of that family alone, bit for bit, funnel-side flags included,
     and four net lookups per frame instead of six."""
     model = request.getfixturevalue(name)
     net = request.getfixturevalue(f"{name}_net")[0]
     monkeypatch.setattr(chain_mod, "_SHARD", SHARD)
-    # several lookup blocks per shard, the last one short
-    monkeypatch.setattr(net_mod, "PAIRING_BLOCK", 128)
+    # several lookup blocks per shard, the last one short, and several
+    # pairing chunks per lookup
+    monkeypatch.setattr(chain_mod, "_LOOKUP_BLOCK", 128)
+    monkeypatch.setattr(surface_mod, "PAIRING_BLOCK", 32)
     lines = SmearChain(model, L, 1).lines
     q_plus, q_minus = chain_mod._mirror_pair(L)
     assigned, assign = [], net.assign
@@ -300,3 +303,84 @@ def test_faces_are_two_vertex_keys(request, name, L):
         s = np.array([src[tuple(k)] for k in new[:, :15].tolist()], dtype=int)
         assert s.size and np.array_equal(
             chain_mod._key_rows(ctok[s, 1:], em[s, 1:]), new[:, chain_mod._FACES[0]])
+
+
+def traced_peak(work) -> int:
+    """Peak bytes numpy and Python allocate while `work()` runs, above the
+    allocations alive when it starts."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("lines", [0, 5, 8, 60])
+def test_packed_flags_match_the_boolean_rule(lines):
+    """_classify and _dropped_faces on flags packed along the line axis give
+    what the rule gives on the boolean (b, 3, lines) flags."""
+    rng = np.random.default_rng(lines)
+    # sparse, even and dense rows, so every class and drop pattern occurs
+    beyond = rng.random((3000, 3, lines)) < rng.choice([0.03, 0.5, 0.97], size=(3000, 1, 1))
+    packed = np.packbits(beyond, axis=-1)
+    assert packed.shape == (3000, 3, -(-lines // 8))
+    want = np.full(3000, chain_mod.CLASS_EXT, dtype=np.int8)
+    want[beyond.all(axis=1).any(axis=1)] = chain_mod.CLASS_DISCARD
+    want[~beyond.any(axis=(1, 2))] = chain_mod.CLASS_INT
+    got = chain_mod._classify(packed)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    drop = np.stack([(beyond[:, a] & beyond[:, b]).any(axis=1)
+                     for a, b in ((1, 2), (0, 2), (0, 1))], axis=1)
+    assert np.array_equal(chain_mod._dropped_faces(packed), drop)
+    if lines >= 8:
+        assert set(got.tolist()) == {0, 1, 2} and drop.any() and not drop.all()
+
+
+@pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
+def test_bucketed_residuals_match_one_pass(request, monkeypatch, name, L):
+    """Numbering the faces one hash-prefix bucket at a time gives the bytes
+    of one pass over all faces (a single bucket)."""
+    model = request.getfixturevalue(name)
+    net = request.getfixturevalue(f"{name}_net")[0]
+    chain = accumulate_chain(model, net, L, 20_000, seed=7)
+    results = []
+    for buckets in (1, 64):
+        monkeypatch.setattr(chain_mod, "_FACE_BUCKETS", buckets)
+        results.append(boundary_residuals(chain))
+    one, bucketed = results
+    assert len(one) > 1000
+    for field in ("keys", "residual", "z_score", "total"):
+        a, b = getattr(one, field), getattr(bucketed, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+    if name == "torus":
+        assert chain._drop[: len(chain)].any()  # dropped faces go to no bucket
+
+
+def test_shard_memory_within_budget(torus, torus_net):
+    """One full torus shard, both families looked up and absorbed, allocates
+    temporaries bounded by the lookup block: 31.1 MB traced with numpy 2.4,
+    against 57.3 MB when they scaled with the shard; budget 38 MB."""
+    net = torus_net[0]
+    q_plus, q_minus = chain_mod._mirror_pair(4.0)
+    chain = SmearChain(torus, 4.0, chain_mod._SHARD)  # reserved before tracing
+    mats = next(chain_mod.haar_sample(torus, chain_mod._SHARD, 1789))
+    assert len(mats) == chain_mod._SHARD
+
+    def shard():
+        for sign, cells in chain_mod._shard_families(torus, net, chain.lines, mats, q_plus, q_minus):
+            chain._absorb(sign, *cells)
+            del cells
+
+    assert traced_peak(shard) <= 38e6
+    assert len(chain) > 0
+
+
+def test_residuals_memory_within_budget(bolza_run):
+    """boundary_residuals of the 1M-sample genus-2 chain allocates one
+    bucket's temporaries plus its output: 40.9 MB traced with numpy 2.4,
+    against 139.2 MB for one pass over all faces; budget 50 MB."""
+    chain, _ = bolza_run
+    assert traced_peak(lambda: boundary_residuals(chain)) <= 50e6
