@@ -58,6 +58,10 @@ DEFAULT_L_GRID = tuple(4.0 + j for j in range(13))
 
 @dataclass(frozen=True)
 class VLEstimate:
+    """At n = 2, optimizer_tol covers the optimizer's fatol (1e-10) plus the
+    area's rounding, below 1e-15 e^(L/2) (so <= 1e-10 for L <= 24); at
+    n >= 3, fatol plus the final quadrature's abs_tol."""
+
     n: int
     L: float
     value: float
@@ -264,7 +268,7 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
     w = w * np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)[:, None]
     if exact:
         value = objective(w.ravel(), spec_search)
-        tol = 1e-9
+        tol = max(1e-9, 2e-15 * math.exp(0.5 * L))
     else:
         value = objective(w.ravel(), spec_final)
         tol = float(options["fatol"]) + spec_final.abs_tol

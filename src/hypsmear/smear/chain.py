@@ -39,7 +39,7 @@ import numpy as np
 from hypsmear.hypgeom import from_klein_rows, lorentz_inverse, mink_diag, renormalize_rows
 from hypsmear.smear.net import ELEMENT_TOKEN_GRID, GammaNet
 from hypsmear.smear.surface import PAIRING_BLOCK, SurfaceModel
-from hypsmear.volume import regular_simplex
+from hypsmear.volume import regular_simplex, triangle_areas
 
 __all__ = [
     "SmearChain",
@@ -118,33 +118,6 @@ def haar_sample(model: SurfaceModel, samples: int, seed: int) -> Iterator[np.nda
 
 
 # --- geometry helpers -------------------------------------------------------
-
-
-def _triangle_areas(verts: np.ndarray) -> np.ndarray:
-    """Signed hyperbolic areas (angle defect) of vertex triples, vectorized.
-
-    Matches triangle_signed_area: cos of the angle at vertex v against the
-    pair (p, q) is (G_pq + G_vp G_vq) / sqrt((G_vp^2-1)(G_vq^2-1)) with G the
-    Minkowski Gram matrix; degenerate triples get area zero.
-    """
-    # the three Gram entries read below, summed in einsum's order
-    g = {}
-    for p, q in ((0, 1), (0, 2), (1, 2)):
-        x, y = verts[:, p], verts[:, q]
-        g[p, q] = g[q, p] = -(x[:, 0] * y[:, 0]) + x[:, 1] * y[:, 1] + x[:, 2] * y[:, 2]
-    angles = np.zeros(len(verts))
-    degenerate = np.zeros(len(verts), dtype=bool)
-    for v, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        num = g[p, q] + g[v, p] * g[v, q]
-        den2 = (g[v, p] ** 2 - 1.0) * (g[v, q] ** 2 - 1.0)
-        degenerate |= den2 <= 1e-24
-        cosang = num / np.sqrt(np.maximum(den2, 1e-24))
-        angles += np.arccos(np.clip(cosang, -1.0, 1.0))
-    area = math.pi - angles
-    sign = np.sign(np.linalg.det(verts))
-    out = np.abs(area) * np.where(sign == 0, 0.0, sign)
-    out[degenerate] = 0.0
-    return out
 
 
 def _classify(outside: np.ndarray) -> np.ndarray:
@@ -389,7 +362,7 @@ class SmearChain:
             self._hperm = np.insert(self._hperm, at, gidx[fresh])
             self._keys[n0:n1, :15], self._keys[n0:n1, 15:] = keys
             self._cls[n0:n1] = cls[src]
-            self._area[n0:n1] = _triangle_areas(pos3[src])
+            self._area[n0:n1] = triangle_areas(pos3[src])
             self._drop[n0:n1] = _dropped_faces(outside[src])
             self._count = n1
         tallies = self._bp if sign > 0 else self._bm

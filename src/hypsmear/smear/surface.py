@@ -36,7 +36,7 @@ from hypsmear.hypgeom import (
     renormalize_rows,
     to_klein,
 )
-from hypsmear.volume import triangle_signed_area
+from hypsmear.volume import triangle_areas
 
 __all__ = [
     "SurfaceModel",
@@ -136,9 +136,8 @@ class SurfaceModel:
 
     def _validate_area(self):
         v = self.poly_coords
-        total = 0.0
-        for i in range(1, len(v) - 1):
-            total += triangle_signed_area(v[0], v[i], v[i + 1])
+        fan = np.stack([np.broadcast_to(v[0], v[2:].shape), v[1:-1], v[2:]], axis=1)
+        total = float(triangle_areas(fan).sum())
         if total < 0:
             raise ValueError("polygon must be positively oriented")
         if abs(total - self.exact_area) > _AREA_TOL:

@@ -1,9 +1,9 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here deliberately avoids the package's own algorithms: plain
-Monte-Carlo rejection for volumes, the slowly-converging log-sine Fourier
-series, dense grids instead of optimizers, and brute-force searches over
-group balls.  Slow but simple.
+Monte-Carlo rejection for volumes, the half-angle formula for triangle
+areas, the slowly-converging log-sine Fourier series, dense grids instead of
+optimizers, and brute-force searches over group balls.  Slow but simple.
 
 Two exceptions are frozen copies of the package's own earlier code, kept so
 that reworks which must not move a bit can be checked against them: the
@@ -70,6 +70,20 @@ def equilateral_area(L: float) -> float:
     return math.pi - 3.0 * math.acos(c)
 
 
+def half_angle_area(a, b, c) -> float:
+    """Signed area of the hyperbolic triangle with hyperboloid vertex rows
+    a, b, c by the half-angle formula tan(A/2) = det / (1 - <a,b> - <b,c> - <c,a>),
+    on plain floats: every term of the denominator is positive."""
+
+    def mink(x, y):
+        return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+    a, b, c = ([float(t) for t in row] for row in (a, b, c))
+    det = (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+           + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    return 2.0 * math.atan2(det, 1.0 - mink(a, b) - mink(b, c) - mink(c, a))
+
+
 def disk_mass(r: float) -> float:
     return 2.0 * math.pi * (math.cosh(r) - 1.0)
 
@@ -83,7 +97,7 @@ def grid_perturbed_minimum(n: int, L: float, steps: int = 5) -> float:
     optimizer tolerance).  n = 2 only.
     """
     from hypsmear.hypgeom import HPoint
-    from hypsmear.volume import regular_simplex, triangle_signed_area
+    from hypsmear.volume import regular_simplex
 
     assert n == 2
     base = regular_simplex(2, L)
@@ -104,7 +118,7 @@ def grid_perturbed_minimum(n: int, L: float, steps: int = 5) -> float:
                             )
                         ).coords
                     )
-                best = min(best, triangle_signed_area(*verts))
+                best = min(best, half_angle_area(*verts))
     return best
 
 

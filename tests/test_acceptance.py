@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from hypsmear.bounds import gap_bound, solve_k, tube_factor, vl_estimate
+from hypsmear.bounds import _perturbed_vertices, gap_bound, solve_k, tube_factor, vl_estimate
 from hypsmear.cli import main as cli_main
-from hypsmear.hypgeom import from_klein_rows
+from hypsmear.hypgeom import from_klein_rows, minkowski, transport_from_origin
 from hypsmear.smear import (
     accumulate_chain,
     boundary_residuals,
@@ -29,7 +29,7 @@ from hypsmear.volume import (
     ideal_regular_volume,
     klein_volume,
     lobachevsky,
-    minkowski,
+    regular_simplex,
     triangle_signed_area,
 )
 
@@ -97,6 +97,12 @@ def test_criterion_05_certificates(tmp_path):
         )
         rhs = (v_n - eta) / (v_n - eta / 2.0)
         assert abs(lhs - rhs) <= 1e-10
+        if n == 2:
+            # the stated tolerance covers the area's rounding at the optimum
+            qs = regular_simplex(2, cert.L1)
+            bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
+            rows = _perturbed_vertices(qs, bases, cert.vL1.best_perturbation)
+            assert abs(cert.vL1.value - oracles.half_angle_area(*rows)) <= cert.vL1.optimizer_tol
         # serialized certificates revalidate to the same bound
         doc = {
             "n": cert.n,

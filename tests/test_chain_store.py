@@ -11,6 +11,7 @@ from hypsmear.hypgeom import lorentz_inverse
 from hypsmear.smear import SmearChain, accumulate_chain, boundary_residuals
 from hypsmear.smear import chain as chain_mod
 from hypsmear.smear import surface as surface_mod
+from hypsmear.volume import triangle_areas
 
 J = np.array([-1.0, 1.0, 1.0])
 SHARD = 500  # several shards, so keys merge across shards
@@ -44,7 +45,7 @@ def reference_chain(model, net, L, samples, seed):
                 (bp if sign > 0 else bm)[index[key]] += int(c)
             if fresh:
                 src = np.array(fresh)
-                area.extend(chain_mod._triangle_areas(pos3[src]).tolist())
+                area.extend(triangle_areas(pos3[src]).tolist())
                 verts.extend(pos3[src])
                 e1s.extend(np.einsum("bij,bjk->bik", e0inv[src], em[src, 1]))
                 e2s.extend(np.einsum("bij,bjk->bik", e0inv[src], em[src, 2]))
@@ -210,7 +211,14 @@ def test_triangle_areas_match_einsum_gram(request, name, L):
         cosang = (g[:, p, q] + g[:, v, p] * g[:, v, q]) / np.sqrt(np.maximum(den2, 1e-24))
         angles += np.arccos(np.clip(cosang, -1.0, 1.0))
     expected = np.abs(math.pi - angles) * np.sign(np.linalg.det(verts))
-    assert chain_mod._triangle_areas(verts).tobytes() == expected.tobytes()
+    areas = triangle_areas(verts)
+    assert areas.tobytes() == expected.tobytes()
+    # a row's bits do not depend on the batch it comes in
+    for size in (1, 3, 17):
+        chunks = [triangle_areas(verts[i:i + size]) for i in range(0, len(verts), size)]
+        assert np.concatenate(chunks).tobytes() == areas.tobytes()
+    # an odd vertex permutation flips the sign
+    assert triangle_areas(verts[:, [1, 0, 2]]).tobytes() == (-areas).tobytes()
 
 
 def test_token_beyond_int32_raises_instead_of_wrapping(monkeypatch, capsys, genus2, genus2_net):

@@ -26,6 +26,7 @@ from hypsmear.volume import (
     regular_simplex,
     regular_simplex_volume,
     signed_volume,
+    triangle_areas,
     triangle_signed_area,
 )
 
@@ -134,6 +135,21 @@ def test_triangle_signed_area_matches_quadrature():
         a = triangle_signed_area(*pts)
         q = klein_volume(pts).value
         assert abs(a) == pytest.approx(q, abs=1e-7)
+
+
+@pytest.mark.parametrize("L", [2.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0])
+def test_triangle_areas_match_half_angle_oracle(L):
+    # vertex rows of size ~e^(L/2) must cost the area no digits: 60
+    # radius-0.6 perturbations of the regular triangle against the
+    # half-angle formula on the same rows
+    rng = np.random.default_rng(int(L))
+    qs = regular_simplex(2, L)
+    bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
+    g = rng.normal(size=(60, 3, 2))
+    rows = np.array([_perturbed_vertices(qs, bases, w)
+                     for w in 0.6 * g / np.linalg.norm(g, axis=2, keepdims=True)])
+    expected = np.array([oracles.half_angle_area(*r) for r in rows])
+    assert np.max(np.abs(triangle_areas(rows) - expected)) <= 1e-10
 
 
 def test_triangle_signed_area_degenerate():
