@@ -5,7 +5,6 @@ surfaces."""
 from hypsmear.hypgeom import (
     HPoint,
     Isometry,
-    distance,
     minkowski,
     to_klein,
     origin,
@@ -16,7 +15,6 @@ from hypsmear.volume import (
     VolumeConstants,
     klein_volume,
     signed_volume,
-    gauss_bonnet_area,
     lobachevsky,
     ideal_regular_volume,
     regular_simplex,
@@ -39,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HPoint",
     "Isometry",
-    "distance",
     "minkowski",
     "to_klein",
     "origin",
@@ -48,7 +45,6 @@ __all__ = [
     "VolumeConstants",
     "klein_volume",
     "signed_volume",
-    "gauss_bonnet_area",
     "lobachevsky",
     "ideal_regular_volume",
     "regular_simplex",

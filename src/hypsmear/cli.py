@@ -24,8 +24,9 @@ from hypsmear.bounds import (
 )
 from hypsmear.volume import QuadratureSpec, ideal_regular_volume, regular_simplex_volume
 
-_BUNDLED = ("genus2", "holed_torus")
 _CLASS_NAMES = {1: "int", 2: "ext"}
+# most --grid points, and the highest glue_sequence stage, a command accepts
+_MAX_POINTS = 10_000
 # CSV rows per block: at 8192 their Python lists (~6 MB) set the torus run's peak RSS
 _CSV_BLOCK = 1024
 # curve flags that only one --kind reads
@@ -110,6 +111,9 @@ def _parse_grid(spec: str):
     out = []
     v = a
     while v <= b + 1e-12:
+        # counted as it grows: a step below the rounding unit of v never advances it
+        if len(out) == _MAX_POINTS:
+            raise _Usage(f"grid '{spec}' has more than {_MAX_POINTS} points")
         out.append(round(v, 12))
         v += step
     if not out:
@@ -122,9 +126,9 @@ class _Usage(Exception):
 
 
 def _load_model(path: str):
-    from hypsmear.smear.surface import bundled_model_path, load_model
+    from hypsmear.smear.surface import BUNDLED_MODELS, bundled_model_path, load_model
 
-    if path in _BUNDLED:
+    if path in BUNDLED_MODELS:
         return load_model(bundled_model_path(path))
     if not os.path.isfile(path):
         raise ValueError(f"model file not found: {path}")
@@ -230,8 +234,9 @@ def _cmd_curve(args) -> str:
         if args.volm is None or args.volb is None:
             raise _Usage("glue_sequence needs --volm and --volb")
         for i in grid:
-            if i < 1 or i != int(i):
-                raise _Usage(f"glue_sequence stage {i:g} is not a whole number >= 1")
+            if not 1 <= i <= _MAX_POINTS or i != int(i):
+                raise _Usage(f"glue_sequence stage {i:g} is not a whole number "
+                             f"from 1 to {_MAX_POINTS}")
         imax = int(max(grid))
         wanted = {int(i) for i in grid}
         seq = gluing_ratio_sequence(args.volm, args.volb, imax, args.dim,
@@ -239,11 +244,6 @@ def _cmd_curve(args) -> str:
         rows = [row for row in seq if row[0] in wanted]
         return _tabular(("i", "r", "bound"), rows, args.format, args.seed)
     raise _Usage(f"unknown curve kind '{args.kind}'")
-
-
-def _cmd_glue(args) -> str:
-    rows = gluing_ratio_sequence(args.volm, args.volb, args.imax, args.dim, seed=args.seed)
-    return _tabular(("i", "r", "bound"), rows, args.format, args.seed)
 
 
 def _residual_summary(residuals) -> dict:
@@ -423,14 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=6)
     common(sp, seed=True, tabular=True)
     sp.set_defaults(fn=_cmd_curve)
-
-    sp = sub.add_parser("glue", help="gap bounds along a gluing tower")
-    sp.add_argument("--volm", type=_finite, required=True)
-    sp.add_argument("--volb", type=_finite, required=True)
-    sp.add_argument("--imax", type=int, required=True)
-    sp.add_argument("--dim", type=int, default=2)
-    common(sp, seed=True, tabular=True)
-    sp.set_defaults(fn=_cmd_glue)
 
     sp = sub.add_parser("smear", help="smearing experiments on surface models")
     ssub = sp.add_subparsers(dest="subcommand", required=True)

@@ -30,7 +30,6 @@ __all__ = [
     "mink_diag",
     "renormalize_rows",
     "lorentz_inverse",
-    "distance",
     "HPoint",
     "Isometry",
     "to_klein",
@@ -42,7 +41,6 @@ __all__ = [
 
 POINT_NORM_TOL = 1e-12
 LORENTZ_TOL = 1e-10
-CLAMP_TOL = 1e-9
 
 
 @cache
@@ -140,20 +138,6 @@ def origin(n: int) -> np.ndarray:
     c = np.zeros(n + 1)
     c[0] = 1.0
     return c
-
-
-def distance(x, y) -> float:
-    """Geodesic distance arccosh(-<x, y>) between two hyperboloid points.
-
-    Pairings in [1 - 1e-9, 1) clamp to distance 0; anything smaller is an
-    invalid-point error.
-    """
-    c = -minkowski(x, y)
-    if c < 1.0 - CLAMP_TOL:
-        raise ValueError(f"invalid point pair: -<x,y> = {c} < 1")
-    if c < 1.0:
-        return 0.0
-    return float(np.arccosh(c))
 
 
 def to_klein(x: np.ndarray) -> np.ndarray:

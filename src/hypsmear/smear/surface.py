@@ -43,6 +43,7 @@ __all__ = [
     "save_model",
     "load_model",
     "bundled_model_path",
+    "BUNDLED_MODELS",
 ]
 
 REDUCE_MAX_STEPS = 200
@@ -52,6 +53,7 @@ PAIRING_BLOCK = 1024
 _PAIRING_TOL = 1e-8
 _AREA_TOL = 1e-6
 _J = mink_diag(2)
+BUNDLED_MODELS = {"genus2": "genus2_octagon.json", "holed_torus": "holed_torus.json"}
 
 
 class SurfaceModel:
@@ -401,8 +403,7 @@ def load_model(path) -> SurfaceModel:
 
 
 def bundled_model_path(name: str):
-    """Filesystem path of a bundled model: 'genus2' or 'holed_torus'."""
-    files = {"genus2": "genus2_octagon.json", "holed_torus": "holed_torus.json"}
-    if name not in files:
-        raise ValueError(f"unknown bundled model {name!r}; choose from {sorted(files)}")
-    return resources.files("hypsmear.data").joinpath(files[name])
+    """Filesystem path of a bundled model: a key of BUNDLED_MODELS."""
+    if name not in BUNDLED_MODELS:
+        raise ValueError(f"unknown bundled model {name!r}; choose from {sorted(BUNDLED_MODELS)}")
+    return resources.files("hypsmear.data").joinpath(BUNDLED_MODELS[name])

@@ -31,7 +31,6 @@ __all__ = [
     "VolumeConstants",
     "klein_volume",
     "signed_volume",
-    "gauss_bonnet_area",
     "lobachevsky",
     "ideal_regular_volume",
     "extrapolated_regular_volume",
@@ -287,43 +286,6 @@ def signed_volume(verts: np.ndarray, q: QuadratureSpec | None = None) -> float:
     if not abs(d) > 0:
         return 0.0
     return (1.0 if d > 0 else -1.0) * klein_volume(verts, q).value
-
-
-def _angles_from_sides(sides) -> list:
-    a, b, c = (float(x) for x in sides)
-    if min(a, b, c) <= 0:
-        raise ValueError("side lengths must be positive")
-    if a >= b + c or b >= a + c or c >= a + b:
-        raise ValueError("side lengths violate the triangle inequality")
-    ch = [math.cosh(a), math.cosh(b), math.cosh(c)]
-    sh = [math.sinh(a), math.sinh(b), math.sinh(c)]
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        cos_i = (ch[j] * ch[k] - ch[i]) / (sh[j] * sh[k])
-        out.append(math.acos(min(1.0, max(-1.0, cos_i))))
-    return out
-
-
-def gauss_bonnet_area(angles=None, sides=None) -> float:
-    """Hyperbolic triangle area pi - alpha - beta - gamma.
-
-    Give either the three angles (zeros allowed, for ideal vertices) or the
-    three side lengths; sides are converted through the law of cosines.
-    """
-    if (angles is None) == (sides is None):
-        raise ValueError("give exactly one of angles or sides")
-    if sides is not None:
-        angles = _angles_from_sides(sides)
-    angs = [float(x) for x in angles]
-    if len(angs) != 3:
-        raise ValueError("a triangle has exactly three angles")
-    if min(angs) < 0:
-        raise ValueError("angles must be nonnegative")
-    total = sum(angs)
-    if total >= math.pi:
-        raise ValueError(f"angle sum {total} is not < pi")
-    return math.pi - total
 
 
 # zeta(2m), m = 1..59, as scipy.special.zeta(2m, 1) gives it (1.0 from m = 27 on): v_3

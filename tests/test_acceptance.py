@@ -14,7 +14,7 @@ import pytest
 
 from hypsmear.bounds import _perturbed_vertices, gap_bound, solve_k, tube_factor, vl_estimate
 from hypsmear.cli import main as cli_main
-from hypsmear.hypgeom import from_klein_rows, minkowski, transport_from_origin
+from hypsmear.hypgeom import from_klein_rows, transport_from_origin
 from hypsmear.smear import (
     accumulate_chain,
     boundary_residuals,
@@ -25,7 +25,6 @@ from hypsmear.smear import (
 )
 from hypsmear.volume import (
     extrapolated_regular_volume,
-    gauss_bonnet_area,
     ideal_regular_volume,
     klein_volume,
     lobachevsky,
@@ -39,18 +38,20 @@ import oracles
 def test_criterion_01_quadrature_matches_angle_defect():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1789)
+    cases = []
     for _ in range(100):
         ch = 1.0 + rng.uniform(0.0, 1.0, size=3) * (math.cosh(3.0) - 1.0)
         r = np.arccosh(ch)
         th = rng.uniform(0.0, 2.0 * math.pi, size=3)
         kr = np.tanh(r)
-        pts = from_klein_rows(np.column_stack([kr * np.cos(th), kr * np.sin(th)]))
+        cases.append((np.column_stack([kr * np.cos(th), kr * np.sin(th)]), 1e-6))
+    # generic triangles well inside the ball, held to 1e-7
+    rng = np.random.default_rng(7)
+    cases += [(rng.uniform(-0.55, 0.55, size=(3, 2)), 1e-7) for _ in range(10)]
+    for klein, tol in cases:
+        pts = from_klein_rows(klein)
         quad = klein_volume(pts).value
-        sides = [
-            math.acosh(max(1.0, -minkowski(pts[i], pts[j])))
-            for i, j in ((0, 1), (1, 2), (2, 0))
-        ]
-        assert abs(quad - gauss_bonnet_area(sides=sides)) <= 1e-6
+        assert abs(quad - abs(oracles.half_angle_area(*pts))) <= tol
     assert time.perf_counter() - t0 < 10.0
 
 

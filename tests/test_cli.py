@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,8 @@ def test_vn_rejects_dim_1(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+    # the gluing tower is `curve --kind glue_sequence`
+    assert run(capsys, "glue", "--volm", "10", "--volb", "2", "--imax", "3")[0] == 2
     assert run(capsys, "vn")[0] == 2  # missing required --dim
 
 
@@ -61,7 +64,8 @@ def test_non_finite_numbers_are_usage_errors(capsys):
     for value in ("nan", "inf"):
         for argv in (("tube", "--dim", "2", "--t", value),
                      ("bound", "--dim", "2", "--edge", "6", "--r", value),
-                     ("glue", "--volm", value, "--volb", "1", "--imax", "2"),
+                     ("curve", "--kind", "glue_sequence", "--grid", "1:2:1",
+                      "--volm", value, "--volb", "1"),
                      ("curve", "--kind", "vl_vs_L", "--grid", f"4:{value}:2")):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
@@ -159,6 +163,34 @@ def test_curve_glue_requires_volumes(capsys, monkeypatch):
         assert err.startswith("usage error:") and f"stage {bad} " in err
 
 
+def test_oversized_grids_are_usage_errors(capsys, monkeypatch):
+    # uncapped, each would fill memory before any check: 4:1e15:1 has 1e15
+    # points, a step of 1 never advances past 1e16, and stage 1e12 builds
+    # 1e12 rows to keep one
+    def no_work(*args, **kwargs):
+        raise AssertionError("the computation ran before the grid was checked")
+
+    monkeypatch.setattr(cli, "vl_estimate", no_work)
+    monkeypatch.setattr(cli, "gluing_ratio_sequence", no_work)
+    glue = ("--kind", "glue_sequence", "--volm", "10", "--volb", "2")
+    for argv in (("--kind", "vl_vs_L", "--grid", "4:1e15:1"),
+                 ("--kind", "vl_vs_L", "--grid", "1e16:1e16:1"),
+                 ("--kind", "vl_vs_L", "--grid", "4:14004:1"),
+                 ("--kind", "bound_vs_r", "--grid", "0:0.1:0.1", "--edge-grid", "4:1e15:1"),
+                 (*glue, "--grid", "1e12:1e12:1"),
+                 (*glue, "--grid", "10001:10001:1")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "curve", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == "" and err.startswith("usage error:")
+        assert "10000" in err
+    # the caps themselves are accepted
+    assert len(cli._parse_grid("4:10003:1")) == cli._MAX_POINTS
+    monkeypatch.setattr(cli, "gluing_ratio_sequence",
+                        lambda volm, volb, imax, n, restarts=6, seed=None: [(imax, 0.1, 0.5)])
+    assert run(capsys, "curve", *glue, "--grid", "10000:10000:1")[0] == 0
+
+
 def test_curve_rejects_flags_of_other_kinds(capsys, monkeypatch):
     # each of these flags is read by one kind only; elsewhere it would be ignored
     base = ("curve", "--grid", "4:4:1", "--restarts", "2")
@@ -183,7 +215,8 @@ def test_curve_rejects_flags_of_other_kinds(capsys, monkeypatch):
 
 
 def test_glue_halving_ratios(capsys):
-    code, out, _ = run(capsys, "glue", "--volm", "10", "--volb", "2", "--imax", "3")
+    code, out, _ = run(capsys, "curve", "--kind", "glue_sequence", "--grid", "1:3:1",
+                       "--volm", "10", "--volb", "2")
     assert code == 0
     doc = json.loads(out)
     assert doc["columns"] == ["i", "r", "bound"]
@@ -200,8 +233,8 @@ def test_format_only_on_tabular_commands(capsys):
     assert run(capsys, "vl", "--dim", "2", "--edge", "4.0", "--format", "csv")[0] == 2
     assert run(capsys, "smear", "run", "--model", "genus2", "--edge", "4.0",
                "--samples", "10", "--format", "csv")[0] == 2
-    code, out, _ = run(capsys, "glue", "--volm", "10", "--volb", "2", "--imax", "2",
-                       "--format", "csv")
+    code, out, _ = run(capsys, "curve", "--kind", "glue_sequence", "--grid", "1:2:1",
+                       "--volm", "10", "--volb", "2", "--format", "csv")
     assert code == 0
     assert out.split("\n")[1] == "i,r,bound"
 

@@ -19,7 +19,6 @@ from hypsmear.volume import (
     MAX_EDGE,
     QuadratureSpec,
     extrapolated_regular_volume,
-    gauss_bonnet_area,
     ideal_regular_volume,
     klein_volume,
     lobachevsky,
@@ -57,24 +56,6 @@ def test_klein_volume_tightened_tolerance():
     r = klein_volume(regular_simplex(2, 2.0), spec)
     assert r.converged
     assert r.value == pytest.approx(EQUILATERAL_AREA_2, abs=1e-10)
-
-
-def test_gauss_bonnet_routes_agree():
-    # angle route and side route must match on a generic triangle
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        pts = from_klein_rows(rng.uniform(-0.55, 0.55, size=(3, 2)))
-        d = [
-            math.acosh(max(1.0, -oracles_mink(pts[i], pts[j])))
-            for i, j in ((0, 1), (1, 2), (2, 0))
-        ]
-        a_sides = gauss_bonnet_area(sides=d)
-        q = klein_volume(pts).value
-        assert a_sides == pytest.approx(q, abs=1e-7)
-
-
-def oracles_mink(c1, c2):
-    return -c1[0] * c2[0] + c1[1] * c2[1] + c1[2] * c2[2]
 
 
 def test_lobachevsky_against_series_oracle():
