@@ -58,6 +58,17 @@ def test_klein_volume_tightened_tolerance():
     assert r.value == pytest.approx(EQUILATERAL_AREA_2, abs=1e-10)
 
 
+def test_gauss_bonnet_routes_agree():
+    # the angle-defect route, the quadrature and the half-angle oracle must
+    # match on a generic triangle
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        pts = from_klein_rows(rng.uniform(-0.55, 0.55, size=(3, 2)))
+        q = klein_volume(pts).value
+        assert abs(triangle_areas(pts[None])[0]) == pytest.approx(q, abs=1e-7)
+        assert abs(oracles.half_angle_area(*pts)) == pytest.approx(q, abs=1e-7)
+
+
 def test_lobachevsky_against_series_oracle():
     for theta in (0.3, math.pi / 6.0, math.pi / 3.0, 1.2):
         assert lobachevsky(theta) == pytest.approx(
