@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 REDUCE_MAX_STEPS = 200
+# explored images per orbit search: the torus chain's lines explore 37,956
+# at L = 11.5, while from L = 11.65 rounding drift breeds spurious lifts and
+# the search runs past 599,000
+ORBIT_MAX_IMAGES = 200_000
 _CANDIDATE_BLOCK = 8192
 # rows per chunk of pairing_argmax, which bounds its (rows, columns) transient
 PAIRING_BLOCK = 1024
@@ -207,23 +211,29 @@ class SurfaceModel:
                 raise RuntimeError("rejection efficiency below 1e-3: bad bounding box")
             yield u, keep
 
-    def _orbit(self, seeds, token, explore) -> list:
-        """Breadth-first search over generator words: the seeds, then every
-        image g x of a found x that passes ``explore`` and has an unseen
-        ``token``, in discovery order."""
-        seen = {token(x) for x in seeds}
-        found, frontier = list(seeds), seeds
-        while frontier:
+    def _orbit(self, seeds: np.ndarray, token, explore) -> np.ndarray:
+        """Breadth-first search over generator words, a frontier at a time:
+        the seeds (a stack of 3-row matrices), then every image g x of a
+        found x that passes ``explore`` and has an unseen ``token`` row, in
+        discovery order (frontier-major, generator-minor).  Exploring more
+        than ORBIT_MAX_IMAGES images is a RuntimeError: the orbit has then
+        outgrown what float products can follow."""
+        seen = set(map(tuple, token(seeds).tolist()))
+        found, frontier, explored = [seeds], seeds, 0
+        while len(frontier):
+            imgs = np.matmul(self.gen_mats[None], frontier[:, None]).reshape(-1, *seeds.shape[1:])
+            imgs = imgs[explore(imgs)]
+            explored += len(imgs)
+            if explored > ORBIT_MAX_IMAGES:
+                raise RuntimeError(f"orbit search explored over {ORBIT_MAX_IMAGES} images")
             new = []
-            for x in frontier:
-                for g in self.gen_mats:
-                    y = g @ x
-                    if explore(y) and (tok := token(y)) not in seen:
-                        seen.add(tok)
-                        new.append(y)
-            found += new
-            frontier = new
-        return found
+            for i, tok in enumerate(map(tuple, token(imgs).tolist())):
+                if tok not in seen:
+                    seen.add(tok)
+                    new.append(i)
+            frontier = imgs[new]
+            found.append(frontier)
+        return np.concatenate(found)
 
     def element_ball(self, radius: float) -> np.ndarray:
         """All group elements moving the base point at most ``radius``,
@@ -236,9 +246,9 @@ class SurfaceModel:
         key = round(radius, 6)
         if key not in self._ball_cache:
             limit, explore = math.cosh(radius) + 1e-12, math.cosh(radius + 3.2)
-            mats = self._orbit([np.eye(3)], lambda m: tuple(int(round(2.0 * x)) for x in m[:, 0]),
-                               lambda m: m[0, 0] <= explore)
-            self._ball_cache[key] = np.stack([m for m in mats if m[0, 0] <= limit])
+            mats = self._orbit(np.eye(3)[None], lambda m: np.round(2.0 * m[:, :, 0]).astype(np.int64),
+                               lambda m: m[:, 0, 0] <= explore)
+            self._ball_cache[key] = mats[mats[:, 0, 0] <= limit]
         return self._ball_cache[key]
 
     def boundary_lines(self, radius: float) -> np.ndarray:
@@ -253,9 +263,11 @@ class SurfaceModel:
         key = round(radius, 6)
         if key not in self._line_cache:
             limit, explore = math.sinh(radius), math.sinh(radius + 6.5)
-            found = self._orbit(self.boundary, lambda u: tuple(int(round(x / 1e-5)) for x in u),
-                                lambda u: abs(u[0]) <= explore)
-            lines = np.array([u for u in found if abs(u[0]) <= limit])
+            # polars as (3, 1) columns, so the search multiplies them like matrices
+            found = self._orbit(np.array(self.boundary)[:, :, None],
+                                lambda u: np.round(u[:, :, 0] / 1e-5).astype(np.int64),
+                                lambda u: np.abs(u[:, 0, 0]) <= explore)[:, :, 0]
+            lines = found[np.abs(found[:, 0]) <= limit]
             self._line_cache[key] = lines[np.lexsort(lines.T[::-1])]
         return self._line_cache[key]
 

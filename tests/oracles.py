@@ -2,13 +2,14 @@
 
 Everything here deliberately avoids the package's own algorithms: plain
 Monte-Carlo rejection for volumes, the half-angle formula for triangle
-areas, the slowly-converging log-sine Fourier series, dense grids instead of
-optimizers, and brute-force searches over group balls.  Slow but simple.
+areas, the slowly-converging log-sine Fourier series and dense grids instead
+of optimizers.  Slow but simple.
 
-Two exceptions are frozen copies of the package's own earlier code, kept so
+Three exceptions are frozen copies of the package's own earlier code, kept so
 that reworks which must not move a bit can be checked against them: the
-adaptive Klein quadrature before its cells became one array, and the greedy
-net covering before arccosh moved after the row minimum.
+adaptive Klein quadrature before its cells became one array, the greedy net
+covering before arccosh moved after the row minimum, and the orbit search
+before it ran a frontier at a time.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from scipy import integrate
 
 from hypsmear.hypgeom import to_klein
 from hypsmear.volume import QuadratureSpec, _gm_rule
-
-_J2 = np.array([-1.0, 1.0, 1.0])
 
 
 def mc_klein_mass(kverts: np.ndarray, samples: int = 400_000, seed: int = 11) -> tuple:
@@ -120,14 +119,6 @@ def grid_perturbed_minimum(n: int, L: float, steps: int = 5) -> float:
                     )
                 best = min(best, half_angle_area(*verts))
     return best
-
-
-def brute_nearest_orbit(model, x: np.ndarray, radius: float = 10.0) -> float:
-    """Distance from x to the orbit of the base point, by enumeration."""
-    ball = model.element_ball(radius)
-    pts = ball[:, :, 0]
-    d = np.arccosh(np.maximum(-(pts * (_J2 * x)).sum(axis=1), 1.0))
-    return float(d.min())
 
 
 # --- the adaptive Klein quadrature before its cells became one array ---------
@@ -292,3 +283,46 @@ def build_net_reference(model, target_radius: float) -> tuple:
         # keep later centers clear of this one
         cand_ok &= np.arccosh(np.maximum(1.0, -(sample * _J) @ c)) > 1e-3
     return np.array(centers), float(np.max(mins))
+
+
+# --- the orbit search before it ran a frontier at a time ----------------------
+# SurfaceModel._orbit, element_ball and boundary_lines kept verbatim, one
+# image at a time, without the memos, so tests can assert that the production
+# search returns the same arrays, order and bits included.
+
+
+def _orbit(model, seeds, token, explore) -> list:
+    """Breadth-first search over generator words: the seeds, then every
+    image g x of a found x that passes ``explore`` and has an unseen
+    ``token``, in discovery order."""
+    seen = {token(x) for x in seeds}
+    found, frontier = list(seeds), seeds
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in model.gen_mats:
+                y = g @ x
+                if explore(y) and (tok := token(y)) not in seen:
+                    seen.add(tok)
+                    new.append(y)
+        found += new
+        frontier = new
+    return found
+
+
+def element_ball_reference(model, radius: float) -> np.ndarray:
+    """SurfaceModel.element_ball by the scalar orbit search."""
+    limit, explore = math.cosh(radius) + 1e-12, math.cosh(radius + 3.2)
+    mats = _orbit(model, [np.eye(3)], lambda m: tuple(int(round(2.0 * x)) for x in m[:, 0]),
+                  lambda m: m[0, 0] <= explore)
+    return np.stack([m for m in mats if m[0, 0] <= limit])
+
+
+def boundary_lines_reference(model, radius: float) -> np.ndarray:
+    """SurfaceModel.boundary_lines by the scalar orbit search, for a model
+    with boundary and a radius that reaches at least one line."""
+    limit, explore = math.sinh(radius), math.sinh(radius + 6.5)
+    found = _orbit(model, model.boundary, lambda u: tuple(int(round(x / 1e-5)) for x in u),
+                   lambda u: abs(u[0]) <= explore)
+    lines = np.array([u for u in found if abs(u[0]) <= limit])
+    return lines[np.lexsort(lines.T[::-1])]

@@ -347,6 +347,17 @@ def test_out_files_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_smear_edge_past_the_orbit_budget_is_an_error(capsys):
+    # the torus lines at L = 12 drift off the orbit; the search stops at its
+    # image budget instead of handing the chain spurious lines
+    start = time.perf_counter()
+    code, out, err = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "12",
+                         "--samples", "10")
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "orbit search" in err
+    assert time.perf_counter() - start < 10.0
+
+
 def test_vl_edge_past_the_supported_range_is_an_error(capsys):
     code, out, err = run(capsys, "vl", "--dim", "3", "--edge", "40")
     assert code == 1

@@ -8,11 +8,14 @@ import pytest
 from hypsmear.hypgeom import HPoint, minkowski, origin, renormalize_rows
 from hypsmear.smear import chain as chain_mod
 from hypsmear.smear.surface import (
+    ORBIT_MAX_IMAGES,
     SurfaceModel,
     bundled_model_path,
     load_model,
     save_model,
 )
+
+import oracles
 
 J = np.array([-1.0, 1.0, 1.0])
 
@@ -187,6 +190,13 @@ def test_boundary_lines_closed_model_empty(genus2):
     assert genus2.boundary_lines(5.0).shape == (0, 3)
 
 
+@pytest.mark.parametrize("radius", [0.3, 0.9, 1.0])
+def test_boundary_lines_below_the_nearest_line_empty(radius):
+    # a radius short of every lift once handed np.lexsort a 1-D empty array
+    fresh = load_model(bundled_model_path("holed_torus"))
+    assert fresh.boundary_lines(radius).shape == (0, 3)
+
+
 def test_fold_batch_unfolds(torus):
     lines = torus.boundary_lines(torus.domain_radius() + 3.0)
     rng = np.random.default_rng(9)
@@ -310,3 +320,30 @@ def test_orbit_searches_pinned(request, name):
     }
     digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in got.items()}
     assert digests == ORBIT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, search, radius", [
+    ("genus2", "ball", 7.0), ("genus2", "ball", 8.2), ("holed_torus", "ball", 7.0),
+    ("holed_torus", "lines", 8.2), ("holed_torus", "lines", 9.9),
+])
+def test_orbit_search_matches_scalar_oracle(name, search, radius):
+    """The frontier-at-a-time search returns the frozen one-image-at-a-time
+    search's arrays, order and bits included, at radii past the pinned ones."""
+    fresh = load_model(bundled_model_path(name))
+    if search == "ball":
+        got, ref = fresh.element_ball(radius), oracles.element_ball_reference(fresh, radius)
+    else:
+        got, ref = fresh.boundary_lines(radius), oracles.boundary_lines_reference(fresh, radius)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_orbit_search_budget():
+    # at L = 11.5 the torus lines are still unit polars; from L = 11.65
+    # rounding drift breeds spurious lifts past the budget
+    fresh = load_model(bundled_model_path("holed_torus"))
+    lines = chain_mod._chain_lines(fresh, 11.5)
+    assert len(lines) == 476
+    q = -(lines[:, 0] ** 2) + lines[:, 1] ** 2 + lines[:, 2] ** 2
+    assert np.max(np.abs(q - 1.0)) < 1e-6
+    with pytest.raises(RuntimeError, match=f"over {ORBIT_MAX_IMAGES} images"):
+        chain_mod._chain_lines(fresh, 12.0)

@@ -19,3 +19,13 @@ def test_stage_peaks_prints_one_row_per_run():
     for r in rows:
         chain_mb, residuals_mb = (float(c.split()[0]) for c in r.split("|")[3:5])
         assert 0 < chain_mb <= residuals_mb
+
+
+def test_setup_times_prints_one_row_per_model():
+    out = subprocess.run([sys.executable, str(TOOLS / "setup_times.py"), "--reps", "1"],
+                         check=True, capture_output=True, text=True, timeout=300).stdout
+    rows = out.splitlines()[2:]
+    assert [r.split("|")[1].strip() for r in rows] == ["`genus2`, L = 6", "`holed_torus`, L = 4"]
+    for r in rows:
+        load, ball, lines, rest, setup = (float(c.split()[0]) for c in r.split("|")[3:8])
+        assert 0 < load + ball + lines + rest < setup
