@@ -398,7 +398,6 @@ def gluing_ratio_sequence(
     volB0: float,
     imax: int,
     n: int = 2,
-    l_grid=DEFAULT_L_GRID,
     restarts: int = 6,
     seed: int = DEFAULT_SEED,
 ):
@@ -406,14 +405,14 @@ def gluing_ratio_sequence(
     i-th stage glues 2i copies of M along boundary B0.
 
     Stage i has volume 2i vol(M) and boundary 2 vol(B0), so the ratio is
-    volB0/(i volM); the bound is maximized over the L grid.  Returns a list
+    volB0/(i volM); the bound is maximized over DEFAULT_L_GRID.  Returns a list
     of (i, r_i, bound_i), non-decreasing in bound_i.
     """
     if volM <= 0 or volB0 <= 0:
         raise ValueError("volumes must be positive")
     if imax < 1:
         raise ValueError("imax must be >= 1")
-    vls = [(L, vl_estimate(n, L, restarts, seed).value) for L in l_grid]
+    vls = [(L, vl_estimate(n, L, restarts, seed).value) for L in DEFAULT_L_GRID]
     rows = []
     for i in range(1, imax + 1):
         ri = volB0 / (i * volM)

@@ -25,7 +25,7 @@ from hypsmear.bounds import (
 from hypsmear.volume import QuadratureSpec, ideal_regular_volume, regular_simplex_volume
 
 _CLASS_NAMES = {1: "int", 2: "ext"}
-# most --grid points, and the highest glue_sequence stage, a command accepts
+# most --grid points, --restarts, and the highest glue_sequence stage, a command accepts
 _MAX_POINTS = 10_000
 # CSV rows per block: at 8192 their Python lists (~6 MB) set the torus run's peak RSS
 _CSV_BLOCK = 1024
@@ -457,6 +457,8 @@ def main(argv=None) -> int:
         paths = [p for p in (args.out, getattr(args, "csv", None)) if p]
         if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
             raise _Usage("--csv and --out name the same file")
+        if getattr(args, "restarts", 0) > _MAX_POINTS:
+            raise _Usage(f"--restarts above {_MAX_POINTS}")
         for path in paths:
             _check_writable(path)
         out = args.fn(args)
@@ -465,7 +467,7 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OverflowError, OSError) as exc:
+    except (ValueError, RuntimeError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -514,8 +514,8 @@ def measure_sandwich(chain: SmearChain) -> dict:
     bp, bm, _, _ = chain.counts()
     blen = chain.model.boundary_length()
     area = chain.model.exact_area
-    low = area - blen * tube_factor(2, chain.L + 3.0) if blen else area
-    high = area + blen * tube_factor(2, chain.L) if blen else area
+    low = area - blen * tube_factor(2, chain.L + 3.0)
+    high = area + blen * tube_factor(2, chain.L)
     out = {}
     for name, b in (("plus", bp), ("minus", bm)):
         p = float(b.sum()) / chain.samples

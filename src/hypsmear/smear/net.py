@@ -89,8 +89,7 @@ class GammaNet:
         # would hand every other row back renormalized and unmoved
         rows = np.flatnonzero(np.abs(unfold[:, 0, 0] - 1.0) > 1e-15)
         red = renormalize_rows(folded)
-        if rows.size:
-            red[rows], gam2 = model.reduce_batch(folded[rows])
+        red[rows], gam2 = model.reduce_batch(folded[rows])
 
         # <red, cloud> = -cosh(distance); nearest center maximizes the pairing
         idx, best = pairing_argmax(red * _J, self._cloud_pts.T)
@@ -100,10 +99,9 @@ class GammaNet:
         # center position in the sample frame, one well-conditioned stage at
         # a time: eta c -> gam2 -> unfold -> gam1
         pos = self._cloud_pts[idx]
-        if rows.size:
-            pos[rows] = np.einsum(
-                "bij,bj->bi", unfold[rows], np.einsum("bij,bj->bi", gam2, pos[rows])
-            )
+        pos[rows] = np.einsum(
+            "bij,bj->bi", unfold[rows], np.einsum("bij,bj->bi", gam2, pos[rows])
+        )
         pos_dom = renormalize_rows(pos)
         pos = renormalize_rows(np.einsum("bij,bj->bi", gam1, pos_dom))
 
@@ -111,17 +109,16 @@ class GammaNet:
         emat = gam1 @ self._cloud_mats[idx]
         ctok = self._ctok[self._cloud_cid[idx]]
 
-        if rows.size:
-            # funnel-side centers: reduce the mirrored center position to its
-            # orbit representative; snap to a stored interior center when it
-            # is one, otherwise quantize the exterior representative
-            rep, e2 = model.reduce_batch(pos_dom[rows])
-            emat[rows] = gam1[rows] @ e2
-            ci2, near = pairing_argmax(rep * _J, self.centers.T)
-            is_interior = -near < 1.0 + 1e-9
-            tok = np.round(rep / CENTER_TOKEN_GRID).astype(np.int64)
-            tok[is_interior] = self._ctok[ci2[is_interior]]
-            ctok[rows] = tok
+        # funnel-side centers: reduce the mirrored center position to its
+        # orbit representative; snap to a stored interior center when it
+        # is one, otherwise quantize the exterior representative
+        rep, e2 = model.reduce_batch(pos_dom[rows])
+        emat[rows] = gam1[rows] @ e2
+        ci2, near = pairing_argmax(rep * _J, self.centers.T)
+        is_interior = -near < 1.0 + 1e-9
+        tok = np.round(rep / CENTER_TOKEN_GRID).astype(np.int64)
+        tok[is_interior] = self._ctok[ci2[is_interior]]
+        ctok[rows] = tok
         return ctok, emat, pos
 
 
@@ -142,12 +139,8 @@ def build_net(model: SurfaceModel, target_radius: float) -> GammaNet:
     extra = from_klein_rows(np.concatenate([kv, mids]))
     sample = np.concatenate([sample, renormalize_rows(extra)])
 
-    if model.boundary:
-        lines = model.boundary_lines(model.domain_radius() + 1.0)
-        depth = model.distance_to_boundary(sample, lines)
-        cand_ok = depth >= _LINE_MARGIN
-    else:
-        cand_ok = np.ones(len(sample), dtype=bool)
+    lines = model.boundary_lines(model.domain_radius() + 1.0)
+    cand_ok = model.distance_to_boundary(sample, lines) >= _LINE_MARGIN
 
     ball = model.element_ball(2.0 * model.domain_radius() + 1.0)
     sj = sample * _J

@@ -81,8 +81,6 @@ class SurfaceModel:
         self._validate_boundary()
         self._validate_side_pairing()
         self._validate_area()
-        self._line_cache: dict = {}
-        self._ball_cache: dict = {}
         kv = self.klein_polygon()
         self._klein_edges = kv, np.roll(kv, -1, axis=0) - kv
 
@@ -169,15 +167,12 @@ class SurfaceModel:
             total += math.acosh(max(c, 1.0))
         return total
 
-    def point_in_polygon(self, coords: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Vectorized convex-polygon membership in the Klein chart."""
-        u = np.atleast_2d(np.asarray(coords, dtype=float))
-        if u.shape[-1] == 3:
-            u = to_klein(u)
+    def point_in_polygon(self, u: np.ndarray) -> np.ndarray:
+        """Convex-polygon membership of (m, 2) Klein-chart rows."""
         kv, edges = self._klein_edges
         rel = u[:, None, :] - kv[None, :, :]
         cross = edges[None, :, 0] * rel[..., 1] - edges[None, :, 1] * rel[..., 0]
-        return np.all(cross >= -tol, axis=1)
+        return np.all(cross >= -1e-12, axis=1)
 
     def area_uniform_candidates(self, count: int, rng) -> Iterator[tuple]:
         """Blocks of area-uniform rejection sampling in the Klein chart,
@@ -243,13 +238,10 @@ class SurfaceModel:
         because the group acts freely with systole well above the rounding
         noise.
         """
-        key = round(radius, 6)
-        if key not in self._ball_cache:
-            limit, explore = math.cosh(radius) + 1e-12, math.cosh(radius + 3.2)
-            mats = self._orbit(np.eye(3)[None], lambda m: np.round(2.0 * m[:, :, 0]).astype(np.int64),
-                               lambda m: m[:, 0, 0] <= explore)
-            self._ball_cache[key] = mats[mats[:, 0, 0] <= limit]
-        return self._ball_cache[key]
+        limit, explore = math.cosh(radius) + 1e-12, math.cosh(radius + 3.2)
+        mats = self._orbit(np.eye(3)[None], lambda m: np.round(2.0 * m[:, :, 0]).astype(np.int64),
+                           lambda m: m[:, 0, 0] <= explore)
+        return mats[mats[:, 0, 0] <= limit]
 
     def boundary_lines(self, radius: float) -> np.ndarray:
         """Unit polar vectors of every boundary-geodesic lift whose line
@@ -260,16 +252,13 @@ class SurfaceModel:
         """
         if not self.boundary:
             return np.zeros((0, 3))
-        key = round(radius, 6)
-        if key not in self._line_cache:
-            limit, explore = math.sinh(radius), math.sinh(radius + 6.5)
-            # polars as (3, 1) columns, so the search multiplies them like matrices
-            found = self._orbit(np.array(self.boundary)[:, :, None],
-                                lambda u: np.round(u[:, :, 0] / 1e-5).astype(np.int64),
-                                lambda u: np.abs(u[:, 0, 0]) <= explore)[:, :, 0]
-            lines = found[np.abs(found[:, 0]) <= limit]
-            self._line_cache[key] = lines[np.lexsort(lines.T[::-1])]
-        return self._line_cache[key]
+        limit, explore = math.sinh(radius), math.sinh(radius + 6.5)
+        # polars as (3, 1) columns, so the search multiplies them like matrices
+        found = self._orbit(np.array(self.boundary)[:, :, None],
+                            lambda u: np.round(u[:, :, 0] / 1e-5).astype(np.int64),
+                            lambda u: np.abs(u[:, 0, 0]) <= explore)[:, :, 0]
+        lines = found[np.abs(found[:, 0]) <= limit]
+        return lines[np.lexsort(lines.T[::-1])]
 
     # --- reduction --------------------------------------------------------
 

@@ -54,21 +54,16 @@ class QuadratureSpec:
 
     abs_tol: absolute error target for the total integral.
     max_subdivisions: refinement-sweep budget.
-    rule_order: polynomial degree of the base interior rule (odd >= 3);
-    the companion rule of degree rule_order + 2 drives the error estimate.
     """
 
     abs_tol: float = 1e-8
     max_subdivisions: int = 400
-    rule_order: int = 5
 
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.rule_order < 3 or self.rule_order % 2 == 0:
-            raise ValueError("rule_order must be an odd integer >= 3")
 
 
 # grid and quadrature of extrapolated_regular_volume
@@ -152,10 +147,10 @@ class _Rules(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _rule_setup(n: int, rule_order: int) -> _Rules:
-    s_lo = (rule_order - 1) // 2
-    pts_lo, w_lo = _gm_rule(n, s_lo)
-    pts_hi, w_hi = _gm_rule(n, s_lo + 1)
+def _rule_setup(n: int) -> _Rules:
+    # the degree-5 rule, with the degree-7 one driving the error estimate
+    pts_lo, w_lo = _gm_rule(n, 2)
+    pts_hi, w_hi = _gm_rule(n, 3)
     pts = np.concatenate([pts_hi, pts_lo])
     edges = list(combinations(range(n + 1), 2))
     pi, pj = (np.array(p) for p in zip(*edges))
@@ -204,7 +199,7 @@ def _rule_values(cells, r: _Rules, expo) -> None:
 
 def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
     n = kverts.shape[1]
-    r = _rule_setup(n, spec.rule_order)
+    r = _rule_setup(n)
     expo = -(n + 1) / 2.0
 
     det0 = abs(float(np.linalg.det(kverts[1:] - kverts[0])))

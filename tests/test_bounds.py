@@ -240,15 +240,16 @@ def test_gap_bound_overflow_is_an_error():
     assert math.isfinite(gap_bound(2, 6.0, 1e300, VL_2_6))
 
 
-def test_gluing_sequence_invariants():
-    rows = gluing_ratio_sequence(10.0, 2.0, 3, l_grid=[4.0, 6.0], restarts=2)
+def test_gluing_sequence_invariants(monkeypatch):
+    monkeypatch.setattr(bounds, "DEFAULT_L_GRID", (4.0, 6.0))
+    rows = gluing_ratio_sequence(10.0, 2.0, 3, restarts=2)
     assert [i for i, _, _ in rows] == [1, 2, 3]
     r1 = rows[0][1]
     assert r1 == pytest.approx(0.2, rel=1e-15)
     for i, r, _ in rows:
         assert r == pytest.approx(r1 / i, rel=1e-15)
-    bounds = [b for _, _, b in rows]
-    assert all(a <= b + 1e-12 for a, b in zip(bounds, bounds[1:]))
+    best = [b for _, _, b in rows]
+    assert all(a <= b + 1e-12 for a, b in zip(best, best[1:]))
 
 
 def test_gluing_sequence_guards():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -189,6 +190,41 @@ def test_oversized_grids_are_usage_errors(capsys, monkeypatch):
     monkeypatch.setattr(cli, "gluing_ratio_sequence",
                         lambda volm, volb, imax, n, restarts=6, seed=None: [(imax, 0.1, 0.5)])
     assert run(capsys, "curve", *glue, "--grid", "10000:10000:1")[0] == 0
+
+
+def test_oversized_restarts_are_usage_errors(capsys, monkeypatch):
+    # no restarts at all stays a computation error
+    code, out, err = run(capsys, "vl", "--dim", "2", "--edge", "6", "--restarts", "0")
+    assert code == 1 and out == "" and "restarts" in err
+
+    # uncapped, 1e8 restarts build 1e8 start arrays before the first optimization
+    def no_work(*args, **kwargs):
+        raise AssertionError("the computation ran before --restarts was checked")
+
+    monkeypatch.setattr(cli, "vl_estimate", no_work)
+    for argv in (("vl", "--dim", "2", "--edge", "6"),
+                 ("bound", "--dim", "2", "--edge", "6", "--r", "0.01"),
+                 ("curve", "--kind", "vl_vs_L", "--grid", "4:6:2")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--restarts", "100000000")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == "" and err.startswith("usage error:")
+        assert "10000" in err
+
+
+def test_memory_exhaustion_is_an_error_line():
+    # vn --dim 6 peaks near 2 GB; under a 512 MB address-space limit, set in
+    # the child only, its quadrature arrays cannot be allocated
+    def cap():
+        limit = 512 << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(hypsmear.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-m", "hypsmear.cli", "vn", "--dim", "6"],
+                         preexec_fn=cap, env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
 
 def test_curve_rejects_flags_of_other_kinds(capsys, monkeypatch):

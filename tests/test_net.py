@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypsmear.hypgeom import renormalize_rows
+from hypsmear.hypgeom import renormalize_rows, to_klein
 from hypsmear.smear import SmearChain, build_net
 from hypsmear.smear import chain as chain_mod
 from hypsmear.smear.net import CENTER_TOKEN_GRID, ELEMENT_TOKEN_GRID, GammaNet
@@ -49,7 +49,7 @@ def test_net_basic_properties(genus2, genus2_net):
     assert len(net) >= 3
     coords = net.centers
     assert coords.shape == (len(net), 3)
-    assert genus2.point_in_polygon(coords).all()
+    assert genus2.point_in_polygon(to_klein(coords)).all()
     # stored integer tokens snap back onto the stored centers
     snapped = np.round(coords / CENTER_TOKEN_GRID).astype(np.int64)
     assert np.array_equal(snapped, net._ctok)

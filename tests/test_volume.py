@@ -187,9 +187,6 @@ def test_klein_volume_frozen_values():
         (_klein_rows([0.1, -0.2, 0.05], [0.7, 0.1, -0.3], [-0.4, 0.6, 0.2], [0.0, -0.5, 0.8]),
          QuadratureSpec(abs_tol=3e-4),
          (0.10144033777460651, 0.000205257729774096)),
-        (_klein_rows([0.9, 0.05], [-0.3, 0.8], [-0.2, -0.7]),
-         QuadratureSpec(abs_tol=1e-10, max_subdivisions=2000, rule_order=7),
-         (1.2960937345326573, 9.930063188552923e-11)),
     ]
     for s, spec, (value, err) in cases:
         r = klein_volume(s, spec)
@@ -283,13 +280,12 @@ def test_regular_simplex_edge_range(n, digest):
 _ORACLE_SPECS = (
     QuadratureSpec(abs_tol=3e-4, max_subdivisions=200),
     QuadratureSpec(abs_tol=1e-6, max_subdivisions=1200),
-    QuadratureSpec(abs_tol=3e-4, max_subdivisions=200, rule_order=7),
 )
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_klein_volume_matches_reference_integrator_bitwise(n):
-    # 2 x 4 x 3 x 42 = 1008 perturbed simplices; value, error estimate and
+    # 2 x 4 x 2 x 42 = 672 perturbed simplices; value, error estimate and
     # convergence flag must equal the reference's in every bit
     rng = np.random.default_rng(100 + n)
     for L in (2.0, 4.0, 6.0, 9.0):

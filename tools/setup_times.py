@@ -4,7 +4,7 @@
     python tools/setup_times.py --reps 1  # one process per model
 
 Each repetition is one fresh process with BLAS on one thread, so the imports
-and the search memos start cold, as they do for a CLI user.  It times, in
+start cold, as they do for a CLI user.  It times, in
 order: `import hypsmear.cli`, `load_model`, `build_net` at the CLI's default
 radius split into its two `element_ball` calls, its `boundary_lines` call
 and the rest, and last `_chain_lines` at the benchmark workload's edge.
