@@ -81,12 +81,11 @@ class GapCertificate:
 
 
 def _cosh_power_integral(m: int, t: float) -> float:
-    # int_0^t cosh^m(s) ds by the standard reduction
-    if m == 0:
-        return t
-    if m == 1:
-        return math.sinh(t)
-    return (math.cosh(t) ** (m - 1) * math.sinh(t) + (m - 1) * _cosh_power_integral(m - 2, t)) / m
+    # int_0^t cosh^m(s) ds by the standard reduction, from cosh^0 or cosh^1 upward
+    total = math.sinh(t) if m % 2 else t
+    for k in range(2 + m % 2, m + 1, 2):
+        total = (math.cosh(t) ** (k - 1) * math.sinh(t) + (k - 1) * total) / k
+    return total
 
 
 def tube_factor(n: int, t: float) -> float:
@@ -99,16 +98,20 @@ def tube_factor(n: int, t: float) -> float:
     return 2.0 * _cosh_power_integral(n - 1, t)
 
 
+def _unit_ball_projection(w: np.ndarray) -> tuple:
+    """Rows of w radially projected onto the unit ball, and their norms."""
+    norms = np.linalg.norm(w, axis=1)
+    scl = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
+    return w * scl[:, None], norms * scl
+
+
 def _perturbed_vertices(qs: np.ndarray, bases: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply exponential-map perturbations with frame coefficients w.
 
     Rows of w with norm > 1 are radially projected onto the unit ball, which
     matches the hyperbolic radius-1 ball exactly.
     """
-    norms = np.linalg.norm(w, axis=1)
-    scl = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
-    ww = w * scl[:, None]
-    r = norms * scl
+    ww, r = _unit_ball_projection(w)
     v = np.einsum("ick,ik->ic", bases, ww)
     out = qs.copy()
     big = r > 1e-14
@@ -263,9 +266,7 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
             f"optimizer diverged: value {best_val} below any attainable signed volume"
         )
 
-    w = best_x.reshape(n + 1, n)
-    norms = np.linalg.norm(w, axis=1)
-    w = w * np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)[:, None]
+    w, _ = _unit_ball_projection(best_x.reshape(n + 1, n))
     if exact:
         value = objective(w.ravel(), spec_search)
         tol = max(1e-9, 2e-15 * math.exp(0.5 * L))

@@ -25,7 +25,7 @@ from hypsmear.bounds import (
 from hypsmear.volume import QuadratureSpec, ideal_regular_volume, regular_simplex_volume
 
 _CLASS_NAMES = {1: "int", 2: "ext"}
-# most --grid points, --restarts, and the highest glue_sequence stage, a command accepts
+# most --grid points, --dim, --restarts, and the highest glue_sequence stage, a command accepts
 _MAX_POINTS = 10_000
 # CSV rows per block: at 8192 their Python lists (~6 MB) set the torus run's peak RSS
 _CSV_BLOCK = 1024
@@ -457,8 +457,9 @@ def main(argv=None) -> int:
         paths = [p for p in (args.out, getattr(args, "csv", None)) if p]
         if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
             raise _Usage("--csv and --out name the same file")
-        if getattr(args, "restarts", 0) > _MAX_POINTS:
-            raise _Usage(f"--restarts above {_MAX_POINTS}")
+        for flag in ("dim", "restarts"):
+            if getattr(args, flag, 0) > _MAX_POINTS:
+                raise _Usage(f"--{flag} above {_MAX_POINTS}")
         for path in paths:
             _check_writable(path)
         out = args.fn(args)

@@ -24,12 +24,10 @@ from hypsmear.smear.surface import SurfaceModel, pairing_argmax
 
 __all__ = ["GammaNet", "build_net"]
 
-# quantization grids for canonical integer tokens; safe because the
-# corresponding separations (>= 0.1 between orbit representatives,
-# >= sqrt(2 cosh(systole) - 2) > 4 between orbit points) dwarf the
-# float noise of reduction, measured at ~1e-8
+# quantization grid for canonical center tokens; safe because the
+# separation between orbit representatives (>= 0.1) dwarfs the float noise
+# of reduction, measured at ~1e-8
 CENTER_TOKEN_GRID = 0.025
-ELEMENT_TOKEN_GRID = 1.0
 _LINE_MARGIN = 0.05
 _MAX_CENTERS = 4000
 _COVER_SAMPLE = 10_000

@@ -14,7 +14,7 @@ other four sides on the boundary).
 
 Reduction to the fundamental domain is Dirichlet descent: apply whichever
 generator most decreases the 0-coordinate of the image (monotone with
-distance to the base point) until none does.
+distance to the origin) until none does.
 """
 
 from __future__ import annotations
@@ -62,14 +62,15 @@ BUNDLED_MODELS = {"genus2": "genus2_octagon.json", "holed_torus": "holed_torus.j
 
 class SurfaceModel:
     """Validated side-pairing data for a compact hyperbolic surface, held as
-    arrays: generator matrices (g, 3, 3), polygon vertex rows (m, 3) and the
-    base point (3,), each checked by Isometry or HPoint on the way in."""
+    arrays: generator matrices (g, 3, 3) and polygon vertex rows (m, 3),
+    each checked by Isometry or HPoint on the way in, and boundary polars.
+    Reduction, nets and orbit searches are centred on the origin (1, 0, 0),
+    which must lie strictly inside every boundary line."""
 
-    def __init__(self, generators, polygon, boundary, base, chi: int):
+    def __init__(self, generators, polygon, boundary, chi: int):
         self.gen_mats = np.stack([Isometry(g).matrix for g in generators])
         self.poly_coords = np.array([HPoint(p).coords for p in polygon])
         self.boundary = tuple(np.asarray(u, dtype=float) for u in boundary)
-        self.base = HPoint(base).coords
         if not (isinstance(chi, numbers.Real) and float(chi).is_integer()):
             raise ValueError(f"chi must be an integer, got {chi!r}")
         self.chi = int(chi)
@@ -77,77 +78,53 @@ class SurfaceModel:
             raise ValueError("hyperbolic surfaces have negative Euler characteristic")
         self.exact_area = 2.0 * math.pi * abs(self.chi)
 
-        self._inv_index = self._closure_under_inverses()
-        self._validate_boundary()
-        self._validate_side_pairing()
-        self._validate_area()
+        self._inv_index, self._boundary_side_index = self._validate()
         kv = self.klein_polygon()
         self._klein_edges = kv, np.roll(kv, -1, axis=0) - kv
 
-    # --- validation -----------------------------------------------------
+    def _validate(self) -> tuple:
+        """Check inverses, polars, side pairing and area, in that order; return
+        each generator's inverse index and the indices of the boundary sides."""
+        # close[i, j]: generator j inverts generator i (argmax: the first listed)
+        inv = lorentz_inverse(self.gen_mats)[:, None]
+        close = np.max(np.abs(self.gen_mats - inv), axis=(2, 3)) < 1e-9
+        if not close.any(axis=1).all():
+            raise ValueError(f"generator {np.argmin(close.any(axis=1))} has no listed inverse")
 
-    def _closure_under_inverses(self) -> np.ndarray:
-        inv = np.full(len(self.gen_mats), -1, dtype=int)
-        for i, gi in enumerate(lorentz_inverse(self.gen_mats)):
-            for j, h in enumerate(self.gen_mats):
-                if np.max(np.abs(h - gi)) < 1e-9:
-                    inv[i] = j
-                    break
-            if inv[i] < 0:
-                raise ValueError(f"generator {i} has no listed inverse")
-        return inv
+        if any(u.shape != (3,) for u in self.boundary):
+            raise ValueError("boundary polar vectors must have 3 components")
+        polars = np.array(self.boundary).reshape(-1, 3)
+        q = minkowski(polars, polars)
+        off = q[~(np.abs(q - 1.0) <= 1e-9)]
+        if off.size:
+            raise ValueError(f"boundary polar not unit spacelike: <u,u> = {off[0]}")
+        if not np.all(polars[:, 0] > 0):
+            raise ValueError("the origin must lie strictly inside every boundary line")
 
-    def _validate_boundary(self):
-        for u in self.boundary:
-            if u.shape != (3,):
-                raise ValueError("boundary polar vectors must have 3 components")
-            q = minkowski(u, u)
-            if abs(q - 1.0) > 1e-9:
-                raise ValueError(f"boundary polar not unit spacelike: <u,u> = {q}")
-            if float(minkowski(self.base, u)) >= 0:
-                raise ValueError("base point must lie strictly inside every boundary line")
-
-    def _side_is_boundary(self, a: np.ndarray, b: np.ndarray) -> bool:
-        for u in self.boundary:
-            if abs(minkowski(a, u)) < _PAIRING_TOL and abs(minkowski(b, u)) < _PAIRING_TOL:
-                return True
-        return False
-
-    def _validate_side_pairing(self):
-        v = self.poly_coords
-        m = len(v)
-        sides = [(v[i], v[(i + 1) % m]) for i in range(m)]
-        self._boundary_side_index = []
-        for i, (a, b) in enumerate(sides):
-            if self._side_is_boundary(a, b):
-                self._boundary_side_index.append(i)
-                continue
-            found = False
-            for g in self.gen_mats:
-                for c, d in sides:
-                    gc, gd = renormalize_rows(g @ c), renormalize_rows(g @ d)
-                    direct = max(np.max(np.abs(gc - a)), np.max(np.abs(gd - b)))
-                    flipped = max(np.max(np.abs(gc - b)), np.max(np.abs(gd - a)))
-                    if min(direct, flipped) < _PAIRING_TOL:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                raise ValueError(f"polygon side {i} is not paired by any generator")
-        if self.boundary and not self._boundary_side_index:
+        # side i, from a[i] to b[i], lies on a boundary line, or a generator h
+        # maps a side c onto it in either orientation; gap(x, y) is (h, c, i)
+        a, b = self.poly_coords, np.roll(self.poly_coords, -1, axis=0)
+        near = lambda x: np.abs(minkowski(x[:, None], polars)) < _PAIRING_TOL
+        on_line = (near(a) & near(b)).any(axis=1)
+        ga = renormalize_rows(np.einsum("gij,mj->gmi", self.gen_mats, a))
+        gb = np.roll(ga, -1, axis=1)
+        gap = lambda x, y: np.max(np.abs(x[:, :, None] - y), axis=-1)
+        paired = np.minimum(np.maximum(gap(ga, a), gap(gb, b)),
+                            np.maximum(gap(ga, b), gap(gb, a))) < _PAIRING_TOL
+        free = ~on_line & ~paired.any(axis=(0, 1))
+        if free.any():
+            raise ValueError(f"polygon side {np.argmax(free)} is not paired by any generator")
+        if self.boundary and not on_line.any():
             raise ValueError("boundary polars listed but no polygon side lies on them")
 
-    def _validate_area(self):
-        v = self.poly_coords
-        fan = np.stack([np.broadcast_to(v[0], v[2:].shape), v[1:-1], v[2:]], axis=1)
+        fan = np.stack([np.broadcast_to(a[0], a[2:].shape), a[1:-1], a[2:]], axis=1)
         total = float(triangle_areas(fan).sum())
         if total < 0:
             raise ValueError("polygon must be positively oriented")
         if abs(total - self.exact_area) > _AREA_TOL:
-            raise ValueError(
-                f"triangulated polygon area {total} does not match 2 pi |chi| = {self.exact_area}"
-            )
+            raise ValueError(f"triangulated polygon area {total} does not match "
+                             f"2 pi |chi| = {self.exact_area}")
+        return np.argmax(close, axis=1), np.flatnonzero(on_line)
 
     # --- derived geometry ------------------------------------------------
 
@@ -160,12 +137,8 @@ class SurfaceModel:
     def boundary_length(self) -> float:
         """Total length of the polygon sides lying on boundary lines."""
         v = self.poly_coords
-        m = len(v)
-        total = 0.0
-        for i in self._boundary_side_index:
-            c = -minkowski(v[i], v[(i + 1) % m])
-            total += math.acosh(max(c, 1.0))
-        return total
+        return sum((math.acosh(max(-minkowski(v[i], v[(i + 1) % len(v)]), 1.0))
+                    for i in self._boundary_side_index), 0.0)
 
     def point_in_polygon(self, u: np.ndarray) -> np.ndarray:
         """Convex-polygon membership of (m, 2) Klein-chart rows."""
@@ -231,7 +204,7 @@ class SurfaceModel:
         return np.concatenate(found)
 
     def element_ball(self, radius: float) -> np.ndarray:
-        """All group elements moving the base point at most ``radius``,
+        """All group elements moving the origin at most ``radius``,
         as a stack of matrices in breadth-first word order.
 
         Elements are deduplicated through their orbit points, which is exact
@@ -245,7 +218,7 @@ class SurfaceModel:
 
     def boundary_lines(self, radius: float) -> np.ndarray:
         """Unit polar vectors of every boundary-geodesic lift whose line
-        passes within ``radius`` of the base point (empty for closed models).
+        passes within ``radius`` of the origin (empty for closed models).
 
         Polars transform vectorially (u -> g u), and the half-plane
         {<x, u> > 0} is the funnel side.
@@ -266,7 +239,7 @@ class SurfaceModel:
         """Dirichlet-descend every row into the fundamental domain.
 
         Returns (reduced coords, elements) with element @ reduced = original.
-        A row farther than distance 40 from the base point is an error.
+        A row farther than distance 40 from the origin is an error.
         """
         x = np.array(coords, dtype=float)
         # guard on the raw coordinates: past the budget the renormalizer
@@ -377,7 +350,7 @@ def save_model(model: SurfaceModel, path):
         "generators": [[float(v) for v in g.ravel()] for g in model.gen_mats],
         "polygon": [[float(v) for v in p] for p in model.poly_coords],
         "boundary": [[float(v) for v in u] for u in model.boundary],
-        "base": [float(v) for v in model.base],
+        "base": [1.0, 0.0, 0.0],
         "chi": model.chi,
     }
     with open(path, "w") as fh:
@@ -393,14 +366,11 @@ def load_model(path) -> SurfaceModel:
     missing = [k for k in ("generators", "polygon", "base", "chi") if k not in doc]
     if missing:
         raise ValueError(f"model file lacks the field(s) {', '.join(missing)}")
-    gens = [np.array(g, dtype=float).reshape(3, 3) for g in doc["generators"]]
-    return SurfaceModel(
-        generators=gens,
-        polygon=[np.array(p, dtype=float) for p in doc["polygon"]],
-        boundary=[np.array(u, dtype=float) for u in doc.get("boundary", [])],
-        base=np.array(doc["base"], dtype=float),
-        chi=doc["chi"],
-    )
+    if doc["base"] != [1, 0, 0]:
+        raise ValueError(f"model base {doc['base']} is not the origin (1, 0, 0), on which "
+                         "reduction, nets and orbit searches are centred")
+    return SurfaceModel(np.reshape(doc["generators"], (-1, 3, 3)), doc["polygon"],
+                        doc.get("boundary", []), doc["chi"])
 
 
 def bundled_model_path(name: str):

@@ -5,11 +5,12 @@ Monte-Carlo rejection for volumes, the half-angle formula for triangle
 areas, the slowly-converging log-sine Fourier series and dense grids instead
 of optimizers.  Slow but simple.
 
-Three exceptions are frozen copies of the package's own earlier code, kept so
-that reworks which must not move a bit can be checked against them: the
-adaptive Klein quadrature before its cells became one array, the greedy net
-covering before arccosh moved after the row minimum, and the orbit search
-before it ran a frontier at a time.
+The exceptions are frozen copies of the package's own earlier code, kept so
+that reworks which must not move a bit or an index can be checked against
+them: the adaptive Klein quadrature before its cells became one array, the
+greedy net covering before arccosh moved after the row minimum, the orbit
+search before it ran a frontier at a time, the surface model's inverse and
+boundary-side loops, and the recursive tube-factor integral.
 """
 
 from __future__ import annotations
@@ -326,3 +327,54 @@ def boundary_lines_reference(model, radius: float) -> np.ndarray:
                    lambda u: abs(u[0]) <= explore)
     lines = np.array([u for u in found if abs(u[0]) <= limit])
     return lines[np.lexsort(lines.T[::-1])]
+
+
+# --- SurfaceModel's side checks before they ran as arrays ---------------------
+# the nested loops of the inverse lookup and of the boundary-side test, kept
+# so tests can assert that the array checks pick the same indices.
+
+
+def _mink(x, y) -> float:
+    return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def inverse_index_reference(gen_mats) -> np.ndarray:
+    """For each generator g, the index of the first listed generator within
+    1e-9 of J g^T J in every entry, or -1 if there is none."""
+    j = np.array([-1.0, 1.0, 1.0])
+    inv = np.full(len(gen_mats), -1, dtype=int)
+    for i, g in enumerate(gen_mats):
+        gi = j[:, None] * g.T * j
+        for k, h in enumerate(gen_mats):
+            if np.max(np.abs(h - gi)) < 1e-9:
+                inv[i] = k
+                break
+    return inv
+
+
+def boundary_sides_reference(poly, polars) -> list:
+    """Indices of the polygon sides (poly[i], poly[i + 1]) whose two ends
+    both pair with one listed polar to less than 1e-8 in absolute value."""
+    m = len(poly)
+    sides = []
+    for i in range(m):
+        a, b = poly[i], poly[(i + 1) % m]
+        for u in polars:
+            if abs(_mink(a, u)) < 1e-8 and abs(_mink(b, u)) < 1e-8:
+                sides.append(i)
+                break
+    return sides
+
+
+# --- tube_factor's integral before it became a loop ---------------------------
+
+
+def cosh_power_integral_recursive(m: int, t: float) -> float:
+    """int_0^t cosh^m(s) ds by the reduction formula, one call per two
+    powers, as bounds._cosh_power_integral computed it."""
+    if m == 0:
+        return t
+    if m == 1:
+        return math.sinh(t)
+    return (math.cosh(t) ** (m - 1) * math.sinh(t)
+            + (m - 1) * cosh_power_integral_recursive(m - 2, t)) / m

@@ -42,6 +42,20 @@ def test_tube_factor_vs_quadrature_oracle():
             assert tube_factor(n, t) == pytest.approx(q, rel=1e-11)
 
 
+def test_tube_factor_high_dimension():
+    # one recursion level per two dimensions once exceeded the recursion limit
+    q, _ = oracles.tube_factor_quadrature(5000, 0.001)
+    assert tube_factor(5000, 0.001) == pytest.approx(q, rel=1e-11)
+
+
+def test_tube_factor_keeps_the_recursion_bits():
+    from hypsmear.bounds import _cosh_power_integral
+
+    for m in range(61):
+        for t in (0.0, 0.001, 0.3, 1.0, 2.5, 5.0):
+            assert _cosh_power_integral(m, t) == oracles.cosh_power_integral_recursive(m, t)
+
+
 def test_tube_factor_edge_behavior():
     assert tube_factor(2, 0.0) == 0.0
     ts = np.linspace(0.1, 5.0, 30)

@@ -212,6 +212,18 @@ def test_oversized_restarts_are_usage_errors(capsys, monkeypatch):
         assert "10000" in err
 
 
+def test_oversized_dim_is_a_usage_error(capsys):
+    # 5000 dimensions once overflowed the stack of the recursive tube integral
+    code, out, _ = run(capsys, "tube", "--dim", "5000", "--t", "0.001")
+    assert code == 0 and json.loads(out)["tube_factor"] == pytest.approx(tube_factor(5000, 0.001))
+    for argv in (("tube", "--t", "0.001"), ("vn",), ("regvol", "--edge", "2.0")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--dim", "10001")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == "" and err.startswith("usage error:")
+        assert "10000" in err
+
+
 def test_memory_exhaustion_is_an_error_line():
     # vn --dim 6 peaks near 2 GB; under a 512 MB address-space limit, set in
     # the child only, its quadrature arrays cannot be allocated
@@ -351,6 +363,18 @@ def test_smear_malformed_model_is_an_error(capsys, tmp_path):
                              "--edge", "4.0", "--samples", "100")
         assert code == 1
         assert out == "" and err.startswith("error:") and why in err
+
+
+def test_smear_model_off_the_origin_is_an_error(capsys, tmp_path):
+    from hypsmear.smear.surface import bundled_model_path
+
+    doc = json.loads(bundled_model_path("holed_torus").read_text())
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({**doc, "base": [math.cosh(1.0), math.sinh(1.0), 0.0]}))
+    code, out, err = run(capsys, "smear", "check", "--model", str(path),
+                         "--edge", "4.0", "--samples", "100")
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "origin" in err
 
 
 def test_smear_check_zero_violations(capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypsmear.hypgeom import renormalize_rows, to_klein
 from hypsmear.smear import SmearChain, build_net
 from hypsmear.smear import chain as chain_mod
-from hypsmear.smear.net import CENTER_TOKEN_GRID, ELEMENT_TOKEN_GRID, GammaNet
+from hypsmear.smear.chain import ELEMENT_TOKEN_GRID
+from hypsmear.smear.net import CENTER_TOKEN_GRID, GammaNet
 
 import oracles
 

@@ -71,23 +71,92 @@ def test_load_rejects_non_integral_chi(tmp_path):
 
 def test_constructor_rejects_nonnegative_chi(genus2):
     with pytest.raises(ValueError):
-        SurfaceModel(genus2.gen_mats, genus2.poly_coords, (), genus2.base, 0)
+        SurfaceModel(genus2.gen_mats, genus2.poly_coords, (), 0)
 
 
 def test_constructor_rejects_wrong_area(genus2):
     with pytest.raises(ValueError, match="area"):
-        SurfaceModel(genus2.gen_mats, genus2.poly_coords, (), genus2.base, -3)
+        SurfaceModel(genus2.gen_mats, genus2.poly_coords, (), -3)
 
 
 def test_constructor_rejects_missing_inverse(genus2):
     with pytest.raises(ValueError, match="inverse"):
-        SurfaceModel(genus2.gen_mats[:7], genus2.poly_coords, (), genus2.base, -2)
+        SurfaceModel(genus2.gen_mats[:7], genus2.poly_coords, (), -2)
 
 
 def test_constructor_rejects_bad_boundary_polar(torus):
     polars = [2.0 * u for u in torus.boundary]
     with pytest.raises(ValueError, match="polar"):
-        SurfaceModel(torus.gen_mats, torus.poly_coords, polars, torus.base, -1)
+        SurfaceModel(torus.gen_mats, torus.poly_coords, polars, -1)
+
+
+def test_constructor_rejects_unpaired_side(genus2):
+    # without generator 0 and its inverse, sides 3 and 7 are paired by none
+    keep = np.ones(len(genus2.gen_mats), dtype=bool)
+    keep[[0, genus2._inv_index[0]]] = False
+    with pytest.raises(ValueError, match="polygon side 3 is not paired by any generator"):
+        SurfaceModel(genus2.gen_mats[keep], genus2.poly_coords, (), -2)
+
+
+def test_constructor_rejects_two_component_polar(torus):
+    polars = [torus.boundary[0][:2], *torus.boundary[1:]]
+    with pytest.raises(ValueError, match="must have 3 components"):
+        SurfaceModel(torus.gen_mats, torus.poly_coords, polars, -1)
+
+
+def test_constructor_rejects_origin_outside_a_line(torus):
+    polars = [-torus.boundary[0], *torus.boundary[1:]]
+    with pytest.raises(ValueError, match="must lie strictly inside every boundary line"):
+        SurfaceModel(torus.gen_mats, torus.poly_coords, polars, -1)
+
+
+def test_constructor_rejects_polars_on_no_side(genus2):
+    # a unit polar with the origin inside its line, far from the polygon
+    u = np.array([math.sinh(5.0), math.cosh(5.0), 0.0])
+    with pytest.raises(ValueError, match="no polygon side lies on them"):
+        SurfaceModel(genus2.gen_mats, genus2.poly_coords, [u], -2)
+
+
+def test_constructor_rejects_reversed_polygon(genus2):
+    with pytest.raises(ValueError, match="positively oriented"):
+        SurfaceModel(genus2.gen_mats, genus2.poly_coords[::-1], (), -2)
+
+
+@pytest.mark.parametrize("name", ["genus2", "torus"])
+def test_side_checks_match_loop_oracles(request, name):
+    model = request.getfixturevalue(name)
+    assert np.array_equal(model._inv_index, oracles.inverse_index_reference(model.gen_mats))
+    sides = oracles.boundary_sides_reference(model.poly_coords, model.boundary)
+    assert list(model._boundary_side_index) == sides
+    assert len(sides) == (4 if model.boundary else 0)
+
+
+def test_inverse_index_takes_the_first_listed_match(genus2):
+    # every generator listed twice: each inverse resolves to its first copy
+    twice = np.concatenate([genus2.gen_mats, genus2.gen_mats])
+    model = SurfaceModel(twice, genus2.poly_coords, (), -2)
+    ref = oracles.inverse_index_reference(twice)
+    assert np.array_equal(model._inv_index, ref)
+    assert np.array_equal(ref, np.tile(genus2._inv_index, 2))
+
+
+def test_torus_boundary_length_frozen_bits(torus):
+    assert torus.boundary_length() == 6.114283677923988
+
+
+def test_load_rejects_a_base_off_the_origin(tmp_path):
+    doc = json.loads(bundled_model_path("holed_torus").read_text())
+    p = tmp_path / "torus.json"
+    p.write_text(json.dumps({**doc, "base": [math.cosh(1.0), math.sinh(1.0), 0.0]}))
+    with pytest.raises(ValueError, match="origin"):
+        load_model(p)
+
+
+def test_save_writes_the_origin_as_base(torus, tmp_path):
+    p = tmp_path / "torus.json"
+    save_model(torus, p)
+    assert json.loads(p.read_text())["base"] == [1.0, 0.0, 0.0]
+    assert load_model(p).chi == torus.chi
 
 
 def test_generators_are_lorentz_and_closed_under_inverse(genus2):
@@ -181,8 +250,8 @@ def test_boundary_lines_are_unit_polars(torus):
     assert lines.shape[0] >= len(torus.boundary)
     q = -(lines[:, 0] ** 2) + lines[:, 1] ** 2 + lines[:, 2] ** 2
     assert np.allclose(q, 1.0, atol=1e-9)
-    # base point strictly on the surface side of every line
-    s = (torus.base * J) @ lines.T
+    # origin strictly on the surface side of every line
+    s = (origin(2) * J) @ lines.T
     assert np.all(s < 0)
 
 
@@ -216,12 +285,12 @@ def test_fold_batch_unfolds(torus):
 
 def test_distance_to_boundary_signs(torus):
     lines = torus.boundary_lines(torus.domain_radius() + 3.0)
-    d0 = torus.distance_to_boundary(torus.base[None, :], lines)[0]
+    d0 = torus.distance_to_boundary(origin(2)[None, :], lines)[0]
     assert d0 > 0
-    # reflect the base across its nearest boundary line: depth flips sign
-    s = (torus.base * J) @ lines.T
+    # reflect the origin across its nearest boundary line: depth flips sign
+    s = (origin(2) * J) @ lines.T
     u = lines[int(np.argmax(s))]
-    refl = torus.base - 2.0 * minkowski(torus.base, u) * u
+    refl = origin(2) - 2.0 * minkowski(origin(2), u) * u
     d1 = torus.distance_to_boundary(refl[None, :], lines)[0]
     assert d1 == pytest.approx(-d0, abs=1e-9)
 
@@ -233,9 +302,9 @@ def test_element_ball_contains_identity_and_is_lorentz(genus2):
     jm = np.diag(J)
     for g in ball[:50]:
         assert np.allclose(g.T @ jm @ g, jm, atol=1e-9)
-    # every element moves the base point by at most the requested radius
-    imgs = ball @ genus2.base
-    cosh_d = -(imgs * J) @ genus2.base
+    # every element moves the origin by at most the requested radius
+    imgs = ball @ origin(2)
+    cosh_d = -(imgs * J) @ origin(2)
     assert np.all(np.arccosh(np.maximum(1.0, cosh_d)) <= 4.0 + 1e-6)
 
 
