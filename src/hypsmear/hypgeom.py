@@ -72,9 +72,8 @@ def minkowski(x, y) -> float:
     """Minkowski pairing <x, y> = -x0*y0 + sum_i xi*yi of coordinate
     arrays; batched inputs broadcast over leading axes."""
     prod = np.asarray(x, dtype=float) * np.asarray(y, dtype=float)
-    return float(np.sum(prod[..., 1:], axis=-1) - prod[..., 0]) if prod.ndim == 1 else (
-        np.sum(prod[..., 1:], axis=-1) - prod[..., 0]
-    )
+    q = np.sum(prod[..., 1:], axis=-1) - prod[..., 0]
+    return float(q) if prod.ndim == 1 else q
 
 
 @dataclass(frozen=True)

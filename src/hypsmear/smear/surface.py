@@ -47,14 +47,19 @@ __all__ = [
 ]
 
 REDUCE_MAX_STEPS = 200
-# explored images per orbit search: the torus chain's lines explore 37,956
-# at L = 11.5, while from L = 11.65 rounding drift breeds spurious lifts and
-# the search runs past 599,000
+# explored images per orbit search: the torus chain's lines explore 4,664 at
+# L = 14 and the two genus2 balls of a smear run 2,208 and 1,696 (see
+# tools/setup_times.py); a genus2 element_ball past r ~ 10 and the torus
+# chain at L = 22, where drift breeds spurious lifts, exceed it
 ORBIT_MAX_IMAGES = 200_000
 _CANDIDATE_BLOCK = 8192
 # rows per chunk of pairing_argmax, which bounds its (rows, columns) transient
 PAIRING_BLOCK = 1024
 _PAIRING_TOL = 1e-8
+# largest |<u, u> - 1| of returned polars: on holed_torus the chain's lines
+# equal tests/oracles.py's 50-digit ones up to L = 19.95 (drift 1.5e-3), and
+# from L = 20 a spurious lift comes with drift 3.1e-2
+_POLAR_DRIFT = 1e-2
 _AREA_TOL = 1e-6
 _J = mink_diag(2)
 BUNDLED_MODELS = {"genus2": "genus2_octagon.json", "holed_torus": "holed_torus.json"}
@@ -68,8 +73,15 @@ class SurfaceModel:
     which must lie strictly inside every boundary line."""
 
     def __init__(self, generators, polygon, boundary, chi: int):
+        poly = np.array(polygon, dtype=object)  # ragged rows make a 1-d array
+        if poly.shape[1:] != (3,) or len(poly) < 3:
+            raise ValueError("polygon must be at least 3 vertex rows of 3 coordinates")
         self.gen_mats = np.stack([Isometry(g).matrix for g in generators])
-        self.poly_coords = np.array([HPoint(p).coords for p in polygon])
+        # HPoint checks every row, but a row already on the sheet to rounding
+        # keeps its bits, so that load_model(save_model(m)) is exact
+        poly = poly.astype(float)
+        unit = np.abs(minkowski(poly, poly) + 1.0) <= 4 * np.finfo(float).eps * poly[:, 0] ** 2
+        self.poly_coords = np.where(unit[:, None], poly, [HPoint(p).coords for p in poly])
         self.boundary = tuple(np.asarray(u, dtype=float) for u in boundary)
         if not (isinstance(chi, numbers.Real) and float(chi).is_integer()):
             raise ValueError(f"chi must be an integer, got {chi!r}")
@@ -179,29 +191,51 @@ class SurfaceModel:
                 raise RuntimeError("rejection efficiency below 1e-3: bad bounding box")
             yield u, keep
 
-    def _orbit(self, seeds: np.ndarray, token, explore) -> np.ndarray:
-        """Breadth-first search over generator words, a frontier at a time:
-        the seeds (a stack of 3-row matrices), then every image g x of a
-        found x that passes ``explore`` and has an unseen ``token`` row, in
-        discovery order (frontier-major, generator-minor).  Exploring more
-        than ORBIT_MAX_IMAGES images is a RuntimeError: the orbit has then
-        outgrown what float products can follow."""
-        seen = set(map(tuple, token(seeds).tolist()))
+    def _orbit(self, seeds: np.ndarray, grid: float, radius: float, grow) -> np.ndarray:
+        """Every image within ``radius`` of the origin found by a breadth-first
+        search over generator words, a frontier at a time: the seeds (a stack
+        of 3-row matrices), then every image g x of a found x that passes the
+        explore test and has an unseen _tokens row on ``grid``, in discovery
+        order (frontier-major, generator-minor).  An image's |x[0, 0]| is
+        grow(d), d its distance from the origin: cosh d for the matrix of an
+        element moving the origin d, sinh d for the polar (a column) of a line
+        at distance d.  Exploring more than ORBIT_MAX_IMAGES images is a
+        RuntimeError: the orbit has then outgrown what float products follow.
+
+        The explore test grow(d) <= grow(radius + rho), rho = domain_radius(),
+        loses no target.  The images h D of the polygon D tile the convex
+        universal cover, and each lies within rho of h o, o the origin.  Take
+        a target g o with d(o, g o) <= radius.  The segment [o, g o] lies in
+        the cover and runs through a chain of tiles D = h_0 D, ..., h_k D =
+        g D, each meeting the segment, consecutive ones sharing a side (where
+        the segment passes through a vertex, the chain takes every tile around
+        it), so h_{i+1} = h_i s_i with s_i a generator and g = s_0 ... s_{k-1}.
+        Multiplying on the left, the search reaches g through the suffixes
+        h_i^-1 g, and d(o, h_i^-1 g o) = d(h_i o, g o) <= rho + radius, as a
+        point of the segment lies in h_i D.  A line lift g l, l a listed
+        boundary line, with nearest point p to o: p lies on a boundary side of
+        some tile h D on that lift, whose own listed line lifts to it, and the
+        chain of tiles along [o, p] bounds the distance from o of each suffix's
+        line by rho + radius the same way.  Both tests carry the 1e-12 slack
+        of float products."""
+        explore, limit = grow(radius + self.domain_radius()) + 1e-12, grow(radius) + 1e-12
+        seen = set(map(tuple, _tokens(seeds, grid).tolist()))
         found, frontier, explored = [seeds], seeds, 0
         while len(frontier):
             imgs = np.matmul(self.gen_mats[None], frontier[:, None]).reshape(-1, *seeds.shape[1:])
-            imgs = imgs[explore(imgs)]
+            imgs = imgs[np.abs(imgs[:, 0, 0]) <= explore]
             explored += len(imgs)
             if explored > ORBIT_MAX_IMAGES:
                 raise RuntimeError(f"orbit search explored over {ORBIT_MAX_IMAGES} images")
             new = []
-            for i, tok in enumerate(map(tuple, token(imgs).tolist())):
+            for i, tok in enumerate(map(tuple, _tokens(imgs, grid).tolist())):
                 if tok not in seen:
                     seen.add(tok)
                     new.append(i)
             frontier = imgs[new]
             found.append(frontier)
-        return np.concatenate(found)
+        found = np.concatenate(found)
+        return found[np.abs(found[:, 0, 0]) <= limit]
 
     def element_ball(self, radius: float) -> np.ndarray:
         """All group elements moving the origin at most ``radius``,
@@ -211,26 +245,22 @@ class SurfaceModel:
         because the group acts freely with systole well above the rounding
         noise.
         """
-        limit, explore = math.cosh(radius) + 1e-12, math.cosh(radius + 3.2)
-        mats = self._orbit(np.eye(3)[None], lambda m: np.round(2.0 * m[:, :, 0]).astype(np.int64),
-                           lambda m: m[:, 0, 0] <= explore)
-        return mats[mats[:, 0, 0] <= limit]
+        return self._orbit(np.eye(3)[None], 0.5, radius, math.cosh)
 
     def boundary_lines(self, radius: float) -> np.ndarray:
         """Unit polar vectors of every boundary-geodesic lift whose line
         passes within ``radius`` of the origin (empty for closed models).
 
         Polars transform vectorially (u -> g u), and the half-plane
-        {<x, u> > 0} is the funnel side.
+        {<x, u> > 0} is the funnel side.  Polars that have drifted more than
+        _POLAR_DRIFT off <u, u> = 1 are a RuntimeError: past that the 1e-5
+        tokens no longer tell lifts apart.
         """
-        if not self.boundary:
-            return np.zeros((0, 3))
-        limit, explore = math.sinh(radius), math.sinh(radius + 6.5)
         # polars as (3, 1) columns, so the search multiplies them like matrices
-        found = self._orbit(np.array(self.boundary)[:, :, None],
-                            lambda u: np.round(u[:, :, 0] / 1e-5).astype(np.int64),
-                            lambda u: np.abs(u[:, 0, 0]) <= explore)[:, :, 0]
-        lines = found[np.abs(found[:, 0]) <= limit]
+        lines = self._orbit(np.reshape(self.boundary, (-1, 3, 1)), 1e-5, radius, math.sinh)[..., 0]
+        drift = np.max(np.abs(minkowski(lines, lines) - 1.0), initial=0.0)
+        if drift > _POLAR_DRIFT:
+            raise RuntimeError(f"boundary line polars drifted to |<u,u> - 1| = {drift:.2g}")
         return lines[np.lexsort(lines.T[::-1])]
 
     # --- reduction --------------------------------------------------------
@@ -247,21 +277,16 @@ class SurfaceModel:
         if np.any(x[:, 0] > math.cosh(40.0)):
             raise ValueError("point beyond the distance-40 reduction budget")
         x = renormalize_rows(x)
-        n = x.shape[0]
         inv_mats = self.gen_mats[self._inv_index]
         ngen = len(inv_mats)
         # each row's element is a generator word multiplied out left to
         # right; rows sharing a word share its matrix, formed once per step
         # in table[-1], whose first word id is `base`
-        word = np.zeros(n, dtype=np.intp)
+        word = np.zeros(len(x), dtype=np.intp)
         table = [np.eye(3)[None]]
         base = 0
-        active = np.arange(n)
-        steps = 0
-        while active.size:
-            steps += 1
-            if steps > REDUCE_MAX_STEPS:
-                raise RuntimeError("reduction step budget exceeded")
+        active = np.arange(len(x))
+        for _ in range(REDUCE_MAX_STEPS):
             xa = x[active]
             imgs0 = np.einsum("gj,bj->bg", self.gen_mats[:, 0, :], xa)
             best = np.argmin(imgs0, axis=1)
@@ -280,6 +305,8 @@ class SurfaceModel:
             base += len(prev)
             word[rows] = base + inv
             active = rows
+        else:
+            raise RuntimeError("reduction step budget exceeded")
         return x, np.concatenate(table)[word]
 
     def fold_batch(self, coords: np.ndarray, lines: np.ndarray):
@@ -325,6 +352,11 @@ class SurfaceModel:
         s = np.einsum("bj,lj,j->bl", x, lines, _J)
         worst = np.max(s, axis=1)
         return -np.arcsinh(worst)
+
+
+def _tokens(x: np.ndarray, grid: float) -> np.ndarray:
+    """Integer tokens of a stack of 3-row matrices: the first column on ``grid``."""
+    return np.round(x[:, :, 0] / grid).astype(np.int64)
 
 
 def pairing_argmax(left: np.ndarray, right: np.ndarray) -> tuple:

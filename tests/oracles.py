@@ -378,3 +378,79 @@ def cosh_power_integral_recursive(m: int, t: float) -> float:
         return math.sinh(t)
     return (math.cosh(t) ** (m - 1) * math.sinh(t)
             + (m - 1) * cosh_power_integral_recursive(m - 2, t)) / m
+
+
+# --- boundary-line lifts at 50 digits ------------------------------------------
+# generator words multiplied with the stdlib decimal module, so the lifts at
+# large radius carry no float drift; a check on SurfaceModel.boundary_lines.
+
+
+def _dec_polish(g, ctx):
+    """A Lorentz matrix within rounding of a float one, to 50 digits: the
+    Newton-Schulz steps X <- X (3 I - J X^T J X) / 2, whose fixed points are
+    the X with X^T J X = J; each step squares the distance from the group."""
+    j = [-1, 1, 1]
+    x = [[ctx.create_decimal(float(v)) for v in row] for row in g]
+    for _ in range(6):
+        # m = J X^T J X, then x = X (3 I - m) / 2
+        m = [[j[a] * sum(x[k][a] * j[k] * x[k][b] for k in range(3)) for b in range(3)]
+             for a in range(3)]
+        x = [[sum(x[a][k] * ((3 if k == b else 0) - m[k][b]) for k in range(3)) / 2
+              for b in range(3)] for a in range(3)]
+    return x
+
+
+def boundary_lines_decimal(model, radius: float, margin: float) -> np.ndarray:
+    """Unit polars of the boundary-line lifts within ``radius`` of the origin,
+    found by a breadth-first search over generator words that explores every
+    lift within radius + margin, with 50-digit decimal arithmetic throughout.
+
+    The generators are polished onto the Lorentz group and the listed polars
+    onto <u, u> = 1 at 50 digits, so every image is unit to ~1e-45, and two
+    words reaching one lift give polars with <u, v> = 1 up to the float
+    inputs' own 1e-16 error, while distinct lifts, bounding disjoint funnel
+    half-planes, pair to <u, v> <= -1.  Lifts are deduplicated by that sign,
+    among the polars in the 27 grid cells of side 1e-3 around a new one (two
+    words reaching one lift agree far closer than 1e-3).
+    Returns floats rounded from the decimals, sorted like boundary_lines."""
+    from decimal import Context
+
+    ctx = Context(prec=50)
+    gens = [_dec_polish(g, ctx) for g in model.gen_mats]
+
+    def pair(u, v):
+        return -u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    def cell(u):
+        return tuple(int((x * 1000).to_integral_value(rounding="ROUND_FLOOR")) for x in u)
+
+    seeds = []
+    for u in model.boundary:
+        u = [ctx.create_decimal(float(x)) for x in u]
+        seeds.append([x / pair(u, u).sqrt(ctx) for x in u])
+    explore = ctx.create_decimal(math.sinh(radius + margin))
+    grid: dict = {}
+    found = []
+
+    def add(u) -> bool:
+        c = cell(u)
+        near = (grid.get((c[0] + a, c[1] + b, c[2] + e), ()) for a in (-1, 0, 1)
+                for b in (-1, 0, 1) for e in (-1, 0, 1))
+        if any(pair(u, v) > 0 for vs in near for v in vs):
+            return False
+        grid.setdefault(c, []).append(u)
+        found.append(u)
+        return True
+
+    frontier = [u for u in seeds if add(u)]
+    while frontier:
+        new = []
+        for u in frontier:
+            for g in gens:
+                v = [sum(g[a][k] * u[k] for k in range(3)) for a in range(3)]
+                if abs(v[0]) <= explore and add(v):
+                    new.append(v)
+        frontier = new
+    limit = ctx.create_decimal(math.sinh(radius))
+    lines = np.array([[float(x) for x in u] for u in found if abs(u[0]) <= limit])
+    return lines[np.lexsort(lines.T[::-1])]

@@ -365,6 +365,19 @@ def test_smear_malformed_model_is_an_error(capsys, tmp_path):
         assert out == "" and err.startswith("error:") and why in err
 
 
+def test_smear_model_with_a_misshapen_polygon_is_an_error(capsys, tmp_path):
+    from hypsmear.smear.surface import bundled_model_path
+
+    doc = json.loads(bundled_model_path("genus2").read_text())
+    path = tmp_path / "genus2.json"
+    for polygon in ([], doc["polygon"][:2], [row + [0.0] for row in doc["polygon"]]):
+        path.write_text(json.dumps({**doc, "polygon": polygon}))
+        code, out, err = run(capsys, "smear", "check", "--model", str(path),
+                             "--edge", "4.0", "--samples", "100")
+        assert code == 1
+        assert out == "" and err.startswith("error:") and "polygon" in err
+
+
 def test_smear_model_off_the_origin_is_an_error(capsys, tmp_path):
     from hypsmear.smear.surface import bundled_model_path
 
@@ -408,14 +421,31 @@ def test_out_files_byte_identical(capsys, tmp_path):
 
 
 def test_smear_edge_past_the_orbit_budget_is_an_error(capsys):
-    # the torus lines at L = 12 drift off the orbit; the search stops at its
+    # the torus lines at L = 22 drift off the orbit; the search stops at its
     # image budget instead of handing the chain spurious lines
     start = time.perf_counter()
-    code, out, err = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "12",
+    code, out, err = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "22",
                          "--samples", "10")
     assert code == 1
     assert out == "" and err.startswith("error:") and "orbit search" in err
     assert time.perf_counter() - start < 10.0
+
+
+def test_smear_edge_12_runs_on_the_bordered_model(capsys):
+    # past the flat margins' ceiling of L = 11.6; its lines match the decimal
+    # oracle (test_surface.py)
+    code, out, err = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "12",
+                         "--samples", "10000")
+    assert code == 0 and err == ""
+    assert json.loads(out)["L"] == 12
+
+
+def test_smear_edge_past_the_polar_drift_is_an_error(capsys):
+    # from L = 20 the float lines hold a spurious lift, and their polars drift
+    code, out, err = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "20",
+                         "--samples", "10")
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "drifted" in err
 
 
 def test_vl_edge_past_the_supported_range_is_an_error(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from hypsmear.hypgeom import HPoint, minkowski, origin, renormalize_rows, to_klein
 from hypsmear.smear import chain as chain_mod
+from hypsmear.smear import surface as surface_mod
 from hypsmear.smear.surface import (
     ORBIT_MAX_IMAGES,
     SurfaceModel,
@@ -43,13 +44,17 @@ def test_unknown_bundled_name():
         bundled_model_path("klein_bottle")
 
 
-def test_save_load_roundtrip(genus2, tmp_path):
+def test_save_load_roundtrip(genus2, torus, tmp_path):
+    # bit for bit on both bundled models: rows already on the sheet keep their bits
     p = tmp_path / "m.json"
-    save_model(genus2, p)
-    back = load_model(p)
-    assert back.chi == genus2.chi
-    assert np.array_equal(back.gen_mats, genus2.gen_mats)
-    assert np.array_equal(back.poly_coords, genus2.poly_coords)
+    for model in (genus2, torus):
+        save_model(model, p)
+        back = load_model(p)
+        assert back.chi == model.chi
+        assert back.gen_mats.tobytes() == model.gen_mats.tobytes()
+        assert back.poly_coords.tobytes() == model.poly_coords.tobytes()
+        assert np.array(back.boundary).tobytes() == np.array(model.boundary).tobytes()
+        assert back.boundary_length() == model.boundary_length()
 
 
 def test_load_rejects_wrong_dim(tmp_path):
@@ -115,6 +120,24 @@ def test_constructor_rejects_polars_on_no_side(genus2):
     u = np.array([math.sinh(5.0), math.cosh(5.0), 0.0])
     with pytest.raises(ValueError, match="no polygon side lies on them"):
         SurfaceModel(genus2.gen_mats, genus2.poly_coords, [u], -2)
+
+
+@pytest.mark.parametrize("polygon", [
+    [], [[1.0, 0.0, 0.0]] * 2, [[1.0, 0.0, 0.0, 0.0]] * 8, [[1.0, 0.0]] * 8,
+    [[1.0, 0.0, 0.0]] * 7 + [[1.0, 0.0]], [1.0, 0.0, 0.0], "octagon",
+])
+def test_constructor_rejects_a_polygon_of_the_wrong_shape(genus2, polygon):
+    with pytest.raises(ValueError, match="polygon must be at least 3 vertex rows of 3"):
+        SurfaceModel(genus2.gen_mats, polygon, (), -2)
+
+
+def test_load_rejects_a_polygon_of_the_wrong_shape(tmp_path):
+    doc = json.loads(bundled_model_path("genus2").read_text())
+    p = tmp_path / "genus2.json"
+    for polygon in ([], [row + [0.0] for row in doc["polygon"]]):
+        p.write_text(json.dumps({**doc, "polygon": polygon}))
+        with pytest.raises(ValueError, match="polygon"):
+            load_model(p)
 
 
 def test_constructor_rejects_reversed_polygon(genus2):
@@ -392,8 +415,8 @@ def test_orbit_searches_pinned(request, name):
 
 
 @pytest.mark.parametrize("name, search, radius", [
-    ("genus2", "ball", 7.0), ("genus2", "ball", 8.2), ("holed_torus", "ball", 7.0),
-    ("holed_torus", "lines", 8.2), ("holed_torus", "lines", 9.9),
+    ("genus2", "ball", 7.0), ("genus2", "ball", 8.2), ("genus2", "ball", 9.0),
+    ("holed_torus", "ball", 7.0), ("holed_torus", "lines", 8.2), ("holed_torus", "lines", 9.9),
 ])
 def test_orbit_search_matches_scalar_oracle(name, search, radius):
     """The frontier-at-a-time search returns the frozen one-image-at-a-time
@@ -406,13 +429,73 @@ def test_orbit_search_matches_scalar_oracle(name, search, radius):
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-def test_orbit_search_budget():
-    # at L = 11.5 the torus lines are still unit polars; from L = 11.65
-    # rounding drift breeds spurious lifts past the budget
+def test_chain_lines_match_scalar_oracle_at_the_old_ceiling():
+    """Just below the flat margin's ceiling (L = 11.6) the rho margin still
+    returns the flat-margin search's lines, order and bits included."""
     fresh = load_model(bundled_model_path("holed_torus"))
-    lines = chain_mod._chain_lines(fresh, 11.5)
-    assert len(lines) == 476
-    q = -(lines[:, 0] ** 2) + lines[:, 1] ** 2 + lines[:, 2] ** 2
-    assert np.max(np.abs(q - 1.0)) < 1e-6
+    got = chain_mod._chain_lines(fresh, 11.5)
+    radius = fresh.domain_radius() + chain_mod._simplex_radius(2, 11.5) + 3.5
+    ref = oracles.boundary_lines_reference(fresh, radius)
+    assert len(got) == 476 and got.tobytes() == ref.tobytes()
+
+
+def _same_lines(got, ref) -> bool:
+    """The same lifts: rows pair off one to one, each within 1e-12 of its
+    partner relative to the partner's largest component."""
+    dev = np.abs(got[:, None] - ref[None]).max(axis=2) / np.abs(ref).max(axis=1)
+    nearest = dev.argmin(axis=1)
+    return (got.shape == ref.shape and np.array_equal(np.sort(nearest), np.arange(len(ref)))
+            and dev.min(axis=1).max() < 1e-12)
+
+
+@pytest.mark.parametrize("L, count", [(4.0, 60), (12.0, 564), (14.0, 996), (19.95, 5324)])
+def test_chain_lines_match_the_decimal_oracle(torus, L, count):
+    """The chain's lines at large L are the lifts a 50-digit search finds,
+    exploring to twice the rho margin; 19.95 is the largest edge on a 0.05
+    grid that the oracle confirms, the last before the drift refusal."""
+    radius = torus.domain_radius() + chain_mod._simplex_radius(2, L) + 3.5
+    got = chain_mod._chain_lines(torus, L)
+    ref = oracles.boundary_lines_decimal(torus, radius, 2.0 * torus.domain_radius())
+    assert len(ref) == count and _same_lines(got, ref)
+
+
+def test_decimal_oracle_tells_a_spurious_lift():
+    # at L = 20 the float products breed one lift too many
+    fresh = load_model(bundled_model_path("holed_torus"))
+    radius = fresh.domain_radius() + chain_mod._simplex_radius(2, 20.0) + 3.5
+    ref = oracles.boundary_lines_decimal(fresh, radius, fresh.domain_radius())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface_mod, "_POLAR_DRIFT", math.inf)
+        got = fresh.boundary_lines(radius)
+    assert (len(got), len(ref)) == (5397, 5396)
+
+
+def test_drifted_polars_are_refused(torus):
+    with pytest.raises(RuntimeError, match=r"polars drifted to \|<u,u> - 1\| = 0.031"):
+        chain_mod._chain_lines(torus, 20.0)
+
+
+@pytest.mark.parametrize("L", [4.0, 6.0, 8.0, 12.0])
+def test_chain_lines_reach_every_lift_the_cells_can(torus, torus_net, L):
+    """A frame's base point lies within domain_radius() of the origin, each
+    vertex within the farthest vertex of _mirror_pair of the base, and its
+    cell center within covering radius + lookup slack of the vertex: every
+    lift that near is in the chain's line set."""
+    net = torus_net[0]
+    far = max(np.arccosh(q[:, 0]).max() for q in chain_mod._mirror_pair(L))
+    reach = torus.domain_radius() + far + net.covering_radius + net._lookup_slack
+    need, lines = torus.boundary_lines(reach), chain_mod._chain_lines(torus, L)
+    dev = np.abs(need[:, None] - lines[None]).max(axis=2) / np.abs(need).max(axis=1)[:, None]
+    assert 0 < len(need) < len(lines) and dev.min(axis=1).max() < 1e-12
+
+
+def test_orbit_search_budget():
+    # with the rho margin the searches explore far fewer images, but the cap
+    # still stops a genus-2 ball past r ~ 10 and the torus chain at L = 22,
+    # where rounding drift breeds spurious lifts
+    fresh = load_model(bundled_model_path("genus2"))
+    assert len(fresh.element_ball(10.0)) == 5433
     with pytest.raises(RuntimeError, match=f"over {ORBIT_MAX_IMAGES} images"):
-        chain_mod._chain_lines(fresh, 12.0)
+        fresh.element_ball(10.5)
+    with pytest.raises(RuntimeError, match=f"over {ORBIT_MAX_IMAGES} images"):
+        chain_mod._chain_lines(load_model(bundled_model_path("holed_torus")), 22.0)

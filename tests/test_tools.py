@@ -24,8 +24,20 @@ def test_stage_peaks_prints_one_row_per_run():
 def test_setup_times_prints_one_row_per_model():
     out = subprocess.run([sys.executable, str(TOOLS / "setup_times.py"), "--reps", "1"],
                          check=True, capture_output=True, text=True, timeout=300).stdout
-    rows = out.splitlines()[2:]
-    assert [r.split("|")[1].strip() for r in rows] == ["`genus2`, L = 6", "`holed_torus`, L = 4"]
-    for r in rows:
+    times, explored, torus = (t.splitlines()[2:] for t in out.split("\n\n"))
+    names = ["`genus2`, L = 6", "`holed_torus`, L = 4"]
+    assert [r.split("|")[1].strip() for r in times] == names
+    for r in times:
         load, ball, lines, rest, setup = (float(c.split()[0]) for c in r.split("|")[3:8])
         assert 0 < load + ball + lines + rest < setup
+    # explored images are deterministic: build_net's lines and ball, GammaNet's
+    # ball and the chain's lines, none on a closed model's lines
+    assert [r.split("|")[1:6] for r in explored] == [
+        [" " + names[0] + " ", " 0 ", " 2,208 ", " 1,696 ", " 0 "],
+        [" " + names[1] + " ", " 24 ", " 32 ", " 32 ", " 264 "],
+    ]
+    cells = {r.split("|")[1].strip(): r.split("|")[2:5] for r in torus}
+    assert [c.strip() for c in cells["12"]] == ["2,664", "564", "7.2e-07"]
+    assert [c.strip() for c in cells["14"]] == ["4,664", "996", "3.8e-06"]
+    assert "refused: boundary line polars drifted" in cells["20"][0]
+    assert "refused: orbit search explored over 200000 images" in cells["22"][0]
