@@ -261,7 +261,7 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
         if fun < best_val:
             best_val, best_x = float(fun), x
 
-    if best_val < -ideal_regular_volume(min(n, 3)).v_n - 1.0 and n <= 3:
+    if best_val < -ideal_regular_volume(n).v_n - 1.0:
         raise RuntimeError(
             f"optimizer diverged: value {best_val} below any attainable signed volume"
         )

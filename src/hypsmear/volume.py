@@ -7,9 +7,10 @@ longest-edge bisection with an interior (Grundmann-Moeller) rule pair for
 two-level error estimation.
 
 Closed forms: Gauss-Bonnet angle defect (n=2) and the ideal regular volume
-v_n, which is exact for n=2, a Lobachevsky evaluation for n=3, and a
-geometric-sequence extrapolation of finite regular-simplex volumes for
-n >= 4.
+v_n, which is exact for n=2 and a Lobachevsky evaluation for n=3.  For
+n >= 4, v_n comes from Schlaefli's differential formula along the family of
+regular simplices, a one-variable recursion in the edge length that is
+integrated by Chebyshev interpolation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "signed_volume",
     "lobachevsky",
     "ideal_regular_volume",
-    "extrapolated_regular_volume",
     "regular_simplex",
     "regular_simplex_volume",
     "triangle_areas",
@@ -66,10 +66,12 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
 
 
-# grid and quadrature of extrapolated_regular_volume
-_EXTRAP_L_MAX = 20.0
-_EXTRAP_SPACING = 4.0
-_EXTRAP_QUAD = QuadratureSpec(abs_tol=1e-7, max_subdivisions=6000)
+# Chebyshev fits of _schlafli_volume: the edge interval [0, _SCHLAFLI_END], at
+# whose end V_n is v_n to rounding for n >= 3; the two degrees whose difference
+# is the error estimate; and the largest relative error estimate accepted
+_SCHLAFLI_END = 40.0
+_SCHLAFLI_DEGREES = (400, 200)
+_SCHLAFLI_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ class VolumeConstants:
 
     n: int
     v_n: float
-    method: str  # "exact" | "lobachevsky" | "extrapolated"
+    method: str  # "exact" | "lobachevsky" | "schlafli"
     err_estimate: float = 0.0
 
 
@@ -359,47 +361,54 @@ def regular_simplex_volume(n: int, L: float, q: QuadratureSpec | None = None) ->
     return klein_volume(regular_simplex(n, L), q)
 
 
-def extrapolated_regular_volume(n: int) -> tuple:
-    """Aitken extrapolation of W(L) = klein_volume(regular_simplex(n, L))
-    toward L = infinity.  Returns (value, err_estimate).
+def _schlafli_volume(n: int):
+    """V_n(L), the volume of the regular n-simplex of edge L, as a Chebyshev
+    series on [0, _SCHLAFLI_END], and the error estimate of its value at L = _SCHLAFLI_END.
 
-    The deficit v_n - W(L) decays geometrically, so the grid L = 4, 8, ...
-    is extended only while consecutive increments stay resolvable above
-    quadrature noise (up to L = 20), and the last three resolvable values
-    are extrapolated.  Fewer than three resolvable, strictly increasing
-    values is an error: the quadrature is too coarse.
+    With h = cosh L, the dihedral angle a_n has cos a_n = h / (1 + (n-1) h),
+    and the C(n+1, 2) codimension-2 faces are regular (n-2)-simplices of
+    edge L.  Schlaefli's formula dV_n = -(1/(n-1)) sum_F V_{n-2}(F) da_F
+    then gives, from V_0 = 1 and V_1(L) = L,
+
+        V_n(L) = n(n+1) / (2(n-1)) int_0^L V_{n-2}(l) w_n(l) dl,
+        w_n(l) = sinh l / ((1 + (n-1)h) sqrt((1 + (n-2)h)(1 + nh))).
+
+    Every integrand is analytic in l, and w_n decays like e^(-l) for n >= 3,
+    so V_n(_SCHLAFLI_END) is v_n to rounding.  The recursion runs at both
+    _SCHLAFLI_DEGREES, and the difference of their values is the error
+    estimate.  A level whose estimate passes _SCHLAFLI_RTOL of its value, or
+    whose value underflows, is a ValueError: the estimate stays below 4e-15
+    relative up to n = 10 and passes the bound in the forties.
     """
-    ws, errs = [], []
-    L = _EXTRAP_SPACING
-    while L <= _EXTRAP_L_MAX + 1e-9:
-        r = regular_simplex_volume(n, L, _EXTRAP_QUAD)
-        if ws:
-            inc = r.value - ws[-1]
-            if inc <= 10.0 * (r.err_estimate + errs[-1]):
-                break  # increment no longer resolvable against noise
-        ws.append(r.value)
-        errs.append(r.err_estimate)
-        L += _EXTRAP_SPACING
-    if len(ws) < 3 or not all(a < b for a, b in zip(ws, ws[1:])):
-        raise ValueError(
-            "regular-simplex volumes are not resolvably increasing along the "
-            "grid; quadrature too coarse for extrapolation"
-        )
-    w1, w2, w3 = ws[-3:]
-    noise = sum(errs[-3:])
-    d1, d2 = w2 - w1, w3 - w2
-    rho = d2 / d1
-    if 0.0 < rho < 0.95:
-        corr = d2 * rho / (1.0 - rho)
-        return w3 + corr, noise + rho * corr
-    return w3 + d2, noise + 2.0 * d2
+    from numpy.polynomial import Chebyshev  # here, so that `import hypsmear.cli` does not load it
+
+    domain = [0.0, _SCHLAFLI_END]
+    fits = [Chebyshev.identity(domain=domain) ** (n % 2)] * len(_SCHLAFLI_DEGREES)  # V_0 or V_1
+    err = 0.0
+    for k in range(n % 2 + 2, n + 1, 2):
+
+        def integrand(x, prev):
+            h = np.cosh(x)
+            den = (1.0 + (k - 1) * h) * np.sqrt((1.0 + (k - 2) * h) * (1.0 + k * h))
+            return prev(x) * np.sinh(x) / den
+
+        scale = k * (k + 1) / (2.0 * (k - 1))
+        fits = [scale * Chebyshev.interpolate(integrand, deg, domain, args=(prev,)).integ(lbnd=0.0)
+                for prev, deg in zip(fits, _SCHLAFLI_DEGREES)]
+        value, other = (float(f(_SCHLAFLI_END)) for f in fits)
+        err = abs(value - other)
+        if not (value > 0.0 and err <= _SCHLAFLI_RTOL * value):
+            raise ValueError(f"v_{n} is out of reach: level {k} of the Schlaefli recursion is "
+                             f"{value:.3g} with error estimate {err:.2g}, "
+                             f"beyond {_SCHLAFLI_RTOL:g} relative")
+    return fits[0], err
 
 
 def ideal_regular_volume(n: int) -> VolumeConstants:
     """The volume v_n of the regular ideal n-simplex.
 
-    n=2 is exactly pi; n=3 is 3 Lambda(pi/3); n >= 4 extrapolates finite
-    regular volumes (see extrapolated_regular_volume).
+    n=2 is exactly pi; n=3 is 3 Lambda(pi/3); n >= 4 integrates Schlaefli's
+    formula along the regular family (see _schlafli_volume).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -407,8 +416,8 @@ def ideal_regular_volume(n: int) -> VolumeConstants:
         return VolumeConstants(2, math.pi, "exact")
     if n == 3:
         return VolumeConstants(3, 3.0 * lobachevsky(math.pi / 3.0), "lobachevsky", 1e-14)
-    value, err = extrapolated_regular_volume(n)
-    return VolumeConstants(n, value, "extrapolated", err)
+    fit, err = _schlafli_volume(n)
+    return VolumeConstants(n, float(fit(_SCHLAFLI_END)), "schlafli", err)
 
 
 # Gram columns of the vertex pairs (_P, _Q) = (0, 1), (0, 2), (1, 2); the angle

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from hypsmear import volume
 from hypsmear.bounds import _perturbed_vertices, gap_bound, solve_k, tube_factor, vl_estimate
 from hypsmear.cli import main as cli_main
 from hypsmear.hypgeom import from_klein_rows, transport_from_origin
@@ -24,7 +25,6 @@ from hypsmear.smear import (
     ratio_report,
 )
 from hypsmear.volume import (
-    extrapolated_regular_volume,
     ideal_regular_volume,
     klein_volume,
     lobachevsky,
@@ -57,8 +57,9 @@ def test_criterion_02_v3_consistency():
     assert v3.v_n == pytest.approx(
         3.0 * oracles.lobachevsky_fourier(math.pi / 3.0), abs=1e-6
     )
-    value, _ = extrapolated_regular_volume(3)
-    assert abs(value - v3.v_n) <= 1e-3
+    # Schlaefli's formula integrated along the regular family
+    fit, _ = volume._schlafli_volume(3)
+    assert abs(float(fit(volume._SCHLAFLI_END)) - v3.v_n) <= 1e-13
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -169,6 +170,7 @@ def test_criterion_10_determinism(tmp_path):
     t0 = time.perf_counter()
     battery = [
         ("vn", "--dim", "3"),
+        ("vn", "--dim", "5"),
         ("tube", "--dim", "4", "--t", "2.5"),
         ("vl", "--dim", "2", "--edge", "4.0", "--restarts", "2"),
         ("curve", "--kind", "vl_vs_L", "--grid", "4:6:2", "--restarts", "2",

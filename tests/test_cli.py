@@ -36,6 +36,20 @@ def test_vn_rejects_dim_1(capsys):
     assert "error" in err
 
 
+def test_vn_above_three_is_quick_and_fails_where_it_loses_accuracy(capsys):
+    for n in (4, 5, 6):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "vn", "--dim", str(n))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0 and json.loads(out)["method"] == "schlafli"
+    for n in (100, 10000):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "vn", "--dim", str(n))
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     # the gluing tower is `curve --kind glue_sequence`
@@ -225,16 +239,17 @@ def test_oversized_dim_is_a_usage_error(capsys):
 
 
 def test_memory_exhaustion_is_an_error_line():
-    # vn --dim 6 peaks near 2 GB; under a 512 MB address-space limit, set in
-    # the child only, its quadrature arrays cannot be allocated
+    # this 6-simplex quadrature needs more than 512 MB; under that address-space
+    # limit, set in the child only, its cell arrays cannot be allocated
     def cap():
         limit = 512 << 20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     src = str(Path(hypsmear.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    res = subprocess.run([sys.executable, "-m", "hypsmear.cli", "vn", "--dim", "6"],
-                         preexec_fn=cap, env=env, capture_output=True, text=True, timeout=120)
+    argv = ["regvol", "--dim", "6", "--edge", "8", "--tol", "1e-7"]
+    res = subprocess.run([sys.executable, "-m", "hypsmear.cli", *argv], preexec_fn=cap,
+                         env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
@@ -460,6 +475,7 @@ def test_commands_run_without_scipy(tmp_path):
     out = str(tmp_path / "o.json")
     commands = [
         ["vn", "--dim", "3"],
+        ["vn", "--dim", "5"],
         ["vl", "--dim", "2", "--edge", "6", "--restarts", "1"],
         ["vl", "--dim", "3", "--edge", "4", "--restarts", "1"],
         ["bound", "--dim", "2", "--edge", "6", "--r", "0.01", "--restarts", "1"],

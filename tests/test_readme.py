@@ -3,6 +3,8 @@ import io
 import re
 from pathlib import Path
 
+from hypsmear.volume import ideal_regular_volume
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -22,3 +24,11 @@ def test_library_example_prints_the_values_its_comments_show():
         assert len(values) == len(nums) > 0, line
         for value, num in zip(values, nums):
             assert round(value, len(num.split(".")[1])) == float(num), (value, num)
+
+
+def test_vn_table_shows_the_values_vn_prints():
+    table = README.read_text().split("| n | v_n |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| (\d+) \| (\S+) \|$", table, re.M)
+    assert [int(n) for n, _ in rows] == list(range(3, 11))
+    for n, shown in rows:
+        assert f"{ideal_regular_volume(int(n)).v_n:.12g}" == shown

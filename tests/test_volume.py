@@ -18,7 +18,6 @@ from hypsmear.hypgeom import (
 from hypsmear.volume import (
     MAX_EDGE,
     QuadratureSpec,
-    extrapolated_regular_volume,
     ideal_regular_volume,
     klein_volume,
     lobachevsky,
@@ -160,9 +159,21 @@ def test_ideal_constants():
         ideal_regular_volume(1)
 
 
-def test_extrapolation_reaches_v2():
-    value, err = extrapolated_regular_volume(2)
-    assert abs(value - math.pi) <= max(err, 1e-5)
+@pytest.mark.parametrize("n, L", [(3, 1.0), (3, 2.0), (3, 4.0), (4, 1.0), (4, 2.0)])
+def test_schlafli_recursion_matches_quadrature_at_finite_edge(n, L):
+    fit, _ = volume._schlafli_volume(n)
+    quad = regular_simplex_volume(n, L, QuadratureSpec(abs_tol=1e-9, max_subdivisions=4000))
+    assert quad.converged
+    assert abs(float(fit(L)) - quad.value) <= 1e-11
+
+
+def test_schlafli_constants_lie_within_the_extrapolated_ones():
+    # value and err_estimate of the Aitken extrapolation over Klein quadratures
+    # at L = 4, 8, ..., 20 that computed v_n for n >= 4 before the recursion
+    for n, old, err in ((4, 0.268895542941766, 2.7e-7), (5, 0.0575646678833460, 2.3e-7)):
+        c = ideal_regular_volume(n)
+        assert c.method == "schlafli" and c.err_estimate <= 1e-10 * c.v_n
+        assert abs(c.v_n - old) <= err
 
 
 def test_regular_volume_monotone_in_L():
