@@ -300,12 +300,12 @@ class RatioReport:
 class SmearChain:
     """Accumulated tallies of cell simplices; see the module docstring."""
 
-    def __init__(self, model: SurfaceModel, L: float, samples: int):
+    def __init__(self, model: SurfaceModel, net: GammaNet, L: float, samples: int):
         self.model = model
         self.L = float(L)
         self.samples = int(samples)
         self.scale = model.exact_area / samples
-        self.lines = _chain_lines(model, L)
+        self.lines = _chain_lines(model, net, L)
         self._count = 0
         # a frame adds at most one key per family: one reservation holds them all
         try:
@@ -341,7 +341,8 @@ class SmearChain:
         self.discarded[sign] += int(b - kept.size)
         if kept.size == 0:
             return areas
-        krows = _key_rows(ctok, em)[kept]
+        # basic indexing keeps a full family's rows without a copy
+        krows = _key_rows(ctok, em)[kept if kept.size < b else slice(None)]
         h = _row_hash(krows.T)
         first, inverse, urows = _number_rows(h, krows.T)
         del krows  # urows holds the distinct rows
@@ -377,20 +378,15 @@ class SmearChain:
         return areas
 
 
-def _simplex_radius(n: int, L: float) -> float:
-    return math.acosh(math.sqrt((n * math.cosh(L) + 1.0) / (n + 1.0)))
-
-
-def _chain_lines(model: SurfaceModel, L: float) -> np.ndarray:
-    """Boundary-line lifts the simplices of edge L can reach.  A frame's base
-    point lies within domain_radius() of the origin, its vertices within the
-    circumradius plus the minus-family apex's excess (1.063, 1.094 and 1.098
-    at L = 4, 6 and 8, tending to ln 3) of the base, and a cell center within
-    the covering radius plus the lookup slack (0.6) of its vertex.  So +3.5
-    over-estimates the reach by about 1.8: the exact reach keeps 20 torus
-    lines instead of 60 at L = 4, with the same output and CSV bytes, but it
-    would move the pinned line sets, so the margin stays."""
-    return model.boundary_lines(model.domain_radius() + _simplex_radius(2, L) + 3.5)
+def _chain_lines(model: SurfaceModel, net: GammaNet, L: float) -> np.ndarray:
+    """Boundary-line lifts the cells of the simplices of edge L can reach: a
+    frame's base point lies within domain_radius() of the origin, each vertex
+    within the farthest vertex of _mirror_pair of the base, and its cell
+    center within the net's snap radius of the vertex.  Folding needs no more:
+    reduction and folding only bring a vertex closer to the origin, so a line
+    it lies beyond is nearer still."""
+    far = max(np.arccosh(q[:, 0]).max() for q in _mirror_pair(L))
+    return model.boundary_lines(model.domain_radius() + far + net.snap_radius)
 
 
 def _mirror_pair(L: float) -> tuple:
@@ -424,7 +420,7 @@ def accumulate_chain(
     """Sample `samples` frames and tally both simplex families into a chain."""
     q_plus, q_minus = _mirror_pair(L)
     frames = haar_sample(model, samples, seed)  # rejects samples < 1 before the chain divides by it
-    chain = SmearChain(model, L, samples)
+    chain = SmearChain(model, net, L, samples)
     for mats in frames:
         u = np.zeros(len(mats))
         for sign, cells in _shard_families(model, net, chain.lines, mats, q_plus, q_minus):
@@ -545,7 +541,7 @@ def inclusion_check(
     vertex image is deeper than L+3 must be fully interior, and a retained
     simplex must have its base vertex image within depth L of the surface."""
     q_plus, q_minus = _mirror_pair(L)
-    lines = _chain_lines(model, L)
+    lines = _chain_lines(model, net, L)
     violations = 0
     for mats in haar_sample(model, samples, seed):
         # both families share the base vertex

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from hypsmear.hypgeom import from_klein_rows, mink_diag, renormalize_rows
+from hypsmear.hypgeom import from_klein_rows, mink_diag, minkowski, renormalize_rows
 from hypsmear.smear.surface import SurfaceModel, pairing_argmax
 
 __all__ = ["GammaNet", "build_net"]
@@ -49,16 +49,17 @@ class GammaNet:
         self.covering_radius = float(covering_radius)
         self._ctok = np.round(self.centers / CENTER_TOKEN_GRID).astype(np.int64)
 
-        # the dense-sample covering radius underestimates the true one by at
-        # most the sample gap; allow that slack in the lookup guard and reach.
-        # On 200,000 fresh polygon points the nearest cloud center lay at most
-        # 0.015 (genus2) and 0.020 (holed_torus) beyond the covering radius
-        self._lookup_slack = 0.2
+        # the farthest a row's cell center lies from the row.  The dense-sample
+        # covering radius underestimates the true one by at most the sample
+        # gap, and the 0.2 allows for that: on 200,000 fresh polygon points the
+        # nearest cloud center lay at most 0.015 (genus2) and 0.020
+        # (holed_torus) beyond the covering radius
+        self.snap_radius = self.covering_radius + 0.2
         # a reduced row lies in the polygon, within domain_radius() of the
-        # origin, and its center within covering radius + slack of it; the
-        # 0.05 is headroom (600,000 reduced vertex rows per model at L = 4, 8
-        # and 12 stayed within domain_radius()), kept as the ball is pinned
-        r_cloud = model.domain_radius() + self.covering_radius + self._lookup_slack + 0.05
+        # origin, and its center within the snap radius of it; the 0.05 is
+        # headroom (600,000 reduced vertex rows per model at L = 4, 8 and 12
+        # stayed within domain_radius()), kept as the ball is pinned
+        r_cloud = model.domain_radius() + self.snap_radius + 0.05
         elems = model.element_ball(r_cloud + model.domain_radius())
         pts, cids, eidx = [], [], []
         # candidate order (center index, BFS word order) implements the
@@ -97,7 +98,7 @@ class GammaNet:
 
         # <red, cloud> = -cosh(distance); nearest center maximizes the pairing
         idx, best = pairing_argmax(red * _J, self._cloud_pts.T)
-        if np.any(-best > math.cosh(self.covering_radius + self._lookup_slack)):
+        if np.any(-best > math.cosh(self.snap_radius)):
             raise RuntimeError("cell lookup failure: nearest center beyond covering radius")
 
         # center position in the sample frame, one well-conditioned stage at
@@ -106,6 +107,10 @@ class GammaNet:
         pos[rows] = np.einsum(
             "bij,bj->bi", unfold[rows], np.einsum("bij,bj->bi", gam2, pos[rows])
         )
+        # far reflections amplify rounding like cosh(2 dist): past some edge a
+        # mirrored center leaves the sheet and no rescaling brings it back
+        if not np.all(minkowski(pos[rows], pos[rows]) < 0.0):
+            raise RuntimeError("cell lookup failure: a mirrored center lost its Minkowski norm")
         pos_dom = renormalize_rows(pos)
         pos = renormalize_rows(np.einsum("bij,bj->bi", gam1, pos_dom))
 
@@ -143,7 +148,9 @@ def build_net(model: SurfaceModel, target_radius: float) -> GammaNet:
     extra = from_klein_rows(np.concatenate([kv, mids]))
     sample = np.concatenate([sample, renormalize_rows(extra)])
 
-    lines = model.boundary_lines(model.domain_radius() + 1.0)
+    # every sample lies within domain_radius() of the origin, so a line within
+    # _LINE_MARGIN of one lies within this radius
+    lines = model.boundary_lines(model.domain_radius() + _LINE_MARGIN)
     cand_ok = model.distance_to_boundary(sample, lines) >= _LINE_MARGIN
 
     # a center image h c within 1 of a sample s has d(o, h o) <= d(o, s) +

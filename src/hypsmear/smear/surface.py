@@ -47,18 +47,18 @@ __all__ = [
 ]
 
 REDUCE_MAX_STEPS = 200
-# explored images per orbit search: the torus chain's lines explore 4,664 at
-# L = 14 and the two genus2 balls of a smear run 2,208 and 1,696 (see
+# explored images per orbit search: the torus chain's lines explore 24,808 at
+# L = 23.6 and the two genus2 balls of a smear run 2,208 and 1,696 (see
 # tools/setup_times.py); a genus2 element_ball past r ~ 10 and the torus
-# chain at L = 22, where drift breeds spurious lifts, exceed it
+# chain from L = 25.25, where drift breeds spurious lifts, exceed it
 ORBIT_MAX_IMAGES = 200_000
 _CANDIDATE_BLOCK = 8192
 # rows per chunk of pairing_argmax, which bounds its (rows, columns) transient
 PAIRING_BLOCK = 1024
 _PAIRING_TOL = 1e-8
 # largest |<u, u> - 1| of returned polars: on holed_torus the chain's lines
-# equal tests/oracles.py's 50-digit ones up to L = 19.95 (drift 1.5e-3), and
-# from L = 20 a spurious lift comes with drift 3.1e-2
+# equal tests/oracles.py's 50-digit ones up to L = 23.6 (drift 1.5e-3), and
+# from L = 23.65 a spurious lift comes with drift 3.1e-2
 _POLAR_DRIFT = 1e-2
 _AREA_TOL = 1e-6
 _J = mink_diag(2)
@@ -272,6 +272,9 @@ class SurfaceModel:
         A row farther than distance 40 from the origin is an error.
         """
         x = np.array(coords, dtype=float)
+        # NaN passes the comparison below, and would become a token
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite coordinates cannot be reduced")
         # guard on the raw coordinates: past the budget the renormalizer
         # itself degenerates (cosh^2 - sinh^2 underflows to 0)
         if np.any(x[:, 0] > math.cosh(40.0)):
@@ -346,12 +349,8 @@ class SurfaceModel:
     def distance_to_boundary(self, coords: np.ndarray, lines: np.ndarray) -> np.ndarray:
         """Signed distance to the boundary-line family: positive depth inside
         the surface, negative depth inside a funnel.  +inf for closed models."""
-        x = np.atleast_2d(coords)
-        if lines.shape[0] == 0:
-            return np.full(x.shape[0], np.inf)
-        s = np.einsum("bj,lj,j->bl", x, lines, _J)
-        worst = np.max(s, axis=1)
-        return -np.arcsinh(worst)
+        s = np.einsum("bj,lj,j->bl", np.atleast_2d(coords), lines, _J)
+        return -np.arcsinh(np.max(s, axis=1, initial=-np.inf))
 
 
 def _tokens(x: np.ndarray, grid: float) -> np.ndarray:

@@ -134,10 +134,9 @@ class _Rules(NamedTuple):
     half_i: np.ndarray  # 0.5 * pts[:, I] over the off-diagonal pairs (I, J)
     pts_j: np.ndarray  # pts[:, J]
     pair_edge: np.ndarray  # edge index of each off-diagonal pair
-    pi: np.ndarray  # edge e joins vertices pi[e] < pj[e]
-    pj: np.ndarray
-    col_i: np.ndarray  # (E, n+1) cell columns of vertex pi[e]: coordinates, then defect
-    col_j: np.ndarray
+    # (2, E, n+1) cell columns of the vertices i < j of each edge (i, j):
+    # coordinates, then defect
+    ends: np.ndarray
     # cell columns: vertices [0, H), defects [H, DET), then det, value,
     # error estimate, and squared edge lengths [E2, width)
     H: int
@@ -155,7 +154,6 @@ def _rule_setup(n: int) -> _Rules:
     pts_hi, w_hi = _gm_rule(n, 3)
     pts = np.concatenate([pts_hi, pts_lo])
     edges = list(combinations(range(n + 1), 2))
-    pi, pj = (np.array(p) for p in zip(*edges))
     # i-major order: the quadratic form is summed in the order of the full
     # (n+1) x (n+1) contraction, whose diagonal terms are exact zeros
     pairs = [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
@@ -164,8 +162,8 @@ def _rule_setup(n: int) -> _Rules:
     H = (n + 1) * n
     DET = H + n + 1
     cols = np.column_stack([np.arange(H).reshape(n + 1, n), H + np.arange(n + 1)])
-    return _Rules(pts, w_hi, w_lo, 0.5 * pts[:, ii], pts[:, jj], pair_edge, pi, pj,
-                  cols[pi], cols[pj], H, DET, DET + 1, DET + 2, DET + 3, DET + 3 + len(edges))
+    return _Rules(pts, w_hi, w_lo, 0.5 * pts[:, ii], pts[:, jj], pair_edge, cols[np.array(edges).T],
+                  H, DET, DET + 1, DET + 2, DET + 3, DET + 3 + len(edges))
 
 
 def _rule_values(cells, r: _Rules, expo) -> None:
@@ -181,15 +179,16 @@ def _rule_values(cells, r: _Rules, expo) -> None:
     its position in it, so re-batching the cells of _integrate_adaptive
     moves the last bits of every volume.  The einsum reductions follow their
     operands' memory layout, too: the edge vectors must be C-ordered
-    (cell, edge, coordinate), which np.take gives and a gather that leaves
-    the cell axis innermost does not.
+    (cell, edge, coordinate), which the difference of the two (cell, edge,
+    coordinate) halves of np.take gives and a gather that leaves the cell
+    axis innermost does not.
     """
-    verts = cells[:, : r.H].reshape(len(cells), r.pts.shape[1], -1)
-    edge = np.take(verts, r.pi, axis=1) - np.take(verts, r.pj, axis=1)
+    ends = np.take(cells, r.ends[..., :-1], axis=1)
+    edge = ends[:, 0] - ends[:, 1]
     e2 = np.einsum("mek,mek->me", edge, edge)
-    lin = np.einsum("mj,pj->mp", cells[:, r.H : r.DET], r.pts)
-    quad = np.einsum("pt,mt,pt->mp", r.half_i, e2[:, r.pair_edge], r.pts_j)
-    dens = (lin + quad) ** expo
+    dens = np.einsum("mj,pj->mp", cells[:, r.H : r.DET], r.pts)
+    dens += np.einsum("pt,mt,pt->mp", r.half_i, e2[:, r.pair_edge], r.pts_j)
+    dens **= expo
     nh = len(r.w_hi)
     hi = dens[:, :nh] @ r.w_hi
     lo = dens[:, nh:] @ r.w_lo
@@ -232,8 +231,8 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
         sel = cells[mask]
         s = len(sel)
         ar = np.arange(s)[:, None]
-        am = np.argmax(sel[:, r.E2 :], axis=1)
-        ci, cj = r.col_i[am], r.col_j[am]
+        am = sel[:, r.E2 :].argmax(axis=1)
+        ci, cj = r.ends[:, am]
         mid = 0.5 * (sel[ar, ci] + sel[ar, cj])
         mid[:, -1] += 0.25 * sel[ar[:, 0], r.E2 + am]
 
@@ -244,7 +243,7 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
         _rule_values(kids, r, expo)
         cells = kids if s == len(cells) else np.concatenate([cells[~mask], kids])
 
-    return float(np.sum(cells[:, r.VAL])), float(np.sum(cells[:, r.ERR])), converged
+    return float(cells[:, r.VAL].sum()), float(cells[:, r.ERR].sum()), converged
 
 
 def klein_volume(verts: np.ndarray, q: QuadratureSpec | None = None) -> VolumeResult:

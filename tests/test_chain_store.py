@@ -21,7 +21,7 @@ def reference_chain(model, net, L, samples, seed):
     """Replays the accumulation with np.unique(axis=0) per shard and a dict
     of key tuples; new keys enter in the sorted order of each shard."""
     q_plus, q_minus = chain_mod._mirror_pair(L)
-    lines = SmearChain(model, L, samples).lines
+    lines = chain_mod._chain_lines(model, net, L)
     index, bp, bm, cls_of, area, verts, e1s, e2s = {}, [], [], [], [], [], [], []
     for mats in chain_mod.haar_sample(model, samples, seed):
         for sign, q in ((1, q_plus), (-1, q_minus)):
@@ -136,7 +136,7 @@ def test_constant_hash_raises_instead_of_merging(monkeypatch, genus2, genus2_net
     q_plus, _ = chain_mod._mirror_pair(6.0)
     cells = chain_mod._cells(genus2, net, chain.lines, mats, q_plus, len(mats))
     with pytest.raises(RuntimeError, match="collision"):
-        SmearChain(genus2, 6.0, 200)._absorb(1, *cells)
+        SmearChain(genus2, net, 6.0, 200)._absorb(1, *cells)
 
 
 def test_collision_with_stored_key_raises(monkeypatch, genus2, genus2_net):
@@ -256,7 +256,7 @@ def test_shard_families_match_single_family_reference(request, monkeypatch, name
     # pairing chunks per lookup
     monkeypatch.setattr(chain_mod, "_LOOKUP_BLOCK", 128)
     monkeypatch.setattr(surface_mod, "PAIRING_BLOCK", 32)
-    lines = SmearChain(model, L, 1).lines
+    lines = chain_mod._chain_lines(model, net, L)
     q_plus, q_minus = chain_mod._mirror_pair(L)
     assigned, assign = [], net.assign
 
@@ -293,7 +293,7 @@ def test_faces_are_two_vertex_keys(request, name, L):
     model = request.getfixturevalue(name)
     net = request.getfixturevalue(f"{name}_net")[0]
     mats = next(chain_mod.haar_sample(model, 2000, 41))
-    chain = SmearChain(model, L, len(mats))
+    chain = SmearChain(model, net, L, len(mats))
     for sign, q in zip((1, -1), chain_mod._mirror_pair(L)):
         ctok, em, pos3, outside = chain_mod._cells(model, net, chain.lines, mats, q, len(mats))
         rows = chain_mod._key_rows(ctok, em)
@@ -373,7 +373,7 @@ def test_shard_memory_within_budget(torus, torus_net):
     against 57.3 MB when they scaled with the shard; budget 38 MB."""
     net = torus_net[0]
     q_plus, q_minus = chain_mod._mirror_pair(4.0)
-    chain = SmearChain(torus, 4.0, chain_mod._SHARD)  # reserved before tracing
+    chain = SmearChain(torus, net, 4.0, chain_mod._SHARD)  # reserved before tracing
     mats = next(chain_mod.haar_sample(torus, chain_mod._SHARD, 1789))
     assert len(mats) == chain_mod._SHARD
 

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -436,10 +437,10 @@ def test_out_files_byte_identical(capsys, tmp_path):
 
 
 def test_smear_edge_past_the_orbit_budget_is_an_error(capsys):
-    # the torus lines at L = 22 drift off the orbit; the search stops at its
-    # image budget instead of handing the chain spurious lines
+    # from L = 25.25 the torus lines drift off the orbit; the search stops at
+    # its image budget instead of handing the chain spurious lines
     start = time.perf_counter()
-    code, out, err = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "22",
+    code, out, err = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "25.25",
                          "--samples", "10")
     assert code == 1
     assert out == "" and err.startswith("error:") and "orbit search" in err
@@ -456,11 +457,23 @@ def test_smear_edge_12_runs_on_the_bordered_model(capsys):
 
 
 def test_smear_edge_past_the_polar_drift_is_an_error(capsys):
-    # from L = 20 the float lines hold a spurious lift, and their polars drift
-    code, out, err = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "20",
+    # from L = 23.65 the float lines hold a spurious lift, and their polars drift
+    code, out, err = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "23.65",
                          "--samples", "10")
     assert code == 1
     assert out == "" and err.startswith("error:") and "drifted" in err
+
+
+def test_smear_center_off_the_sheet_is_an_error(capsys):
+    # at L = 16 the 81st frame of the default seed mirrors a cell center so far
+    # that rounding leaves <x, x> positive: refused by name, not as NaN tokens
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "16",
+                             "--samples", "81")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "lost its Minkowski norm" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_vl_edge_past_the_supported_range_is_an_error(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypsmear.hypgeom import renormalize_rows, to_klein
-from hypsmear.smear import SmearChain, build_net
+from hypsmear.smear import build_net
 from hypsmear.smear import chain as chain_mod
 from hypsmear.smear.chain import ELEMENT_TOKEN_GRID
 from hypsmear.smear.net import CENTER_TOKEN_GRID, GammaNet
@@ -81,7 +81,7 @@ def test_assign_returns_nearby_center(genus2, genus2_net):
     ctok, emat, pos = net.assign(genus2, pts, lines)
     assert ctok.shape == (300, 3) and emat.shape == (300, 3, 3) and pos.shape == (300, 3)
     for q, p in zip(pts, pos):
-        assert hdist(q, p) <= net.covering_radius + net._lookup_slack + 1e-9
+        assert hdist(q, p) <= net.snap_radius + 1e-9
     # E carries the orbit representative of the center to its position
     rep, _ = genus2.reduce_batch(pos)
     back = np.einsum("bij,bj->bi", emat, rep)
@@ -154,7 +154,7 @@ def test_net_covers_dense_sample(torus, torus_net):
     pts = sample_domain_points(torus, 2000, seed=37, shrink=0.97)
     _, _, pos = net.assign(torus, pts, lines)
     worst = max(hdist(q, p) for q, p in zip(pts, pos))
-    assert worst <= net.covering_radius + net._lookup_slack
+    assert worst <= net.snap_radius
 
 
 def assign_two_reductions(net, model, coords, lines):
@@ -191,7 +191,7 @@ def test_assign_matches_two_reduction_replay(torus, torus_net):
     net, _ = torus_net
     b = 1000  # 3000 vertices: a single pairing block
     mats = next(chain_mod.haar_sample(torus, b, 11))
-    lines = SmearChain(torus, 4.0, b).lines
+    lines = chain_mod._chain_lines(torus, net, 4.0)
     for q in chain_mod._mirror_pair(4.0):
         verts = renormalize_rows(np.einsum("bij,vj->bvi", mats, q)).reshape(-1, 3)
         ctok, emat, pos = net.assign(torus, verts, lines)

@@ -253,7 +253,7 @@ def test_sandwich_closed_bitwise_at_awkward_count(genus2, genus2_net):
 
 def test_empty_chain_reports(genus2, genus2_net):
     net, _ = genus2_net
-    chain = SmearChain(genus2, 6.0, 10)
+    chain = SmearChain(genus2, net, 6.0, 10)
     assert len(boundary_residuals(chain)) == 0
     with pytest.raises(ValueError):
         ratio_report(chain)

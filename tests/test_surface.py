@@ -8,6 +8,7 @@ import pytest
 from hypsmear.hypgeom import HPoint, minkowski, origin, renormalize_rows, to_klein
 from hypsmear.smear import chain as chain_mod
 from hypsmear.smear import surface as surface_mod
+from hypsmear.smear.net import _LINE_MARGIN
 from hypsmear.smear.surface import (
     ORBIT_MAX_IMAGES,
     SurfaceModel,
@@ -268,6 +269,13 @@ def test_reduce_batch_distance_budget(genus2):
         genus2.reduce_batch(far)
 
 
+def test_reduce_batch_refuses_non_finite_rows(genus2):
+    # NaN passes the distance guard's comparison and used to become a token
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            genus2.reduce_batch(np.array([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
+
+
 def test_boundary_lines_are_unit_polars(torus):
     lines = torus.boundary_lines(4.0)
     assert lines.shape[0] >= len(torus.boundary)
@@ -358,10 +366,10 @@ def fold_reference(model, coords, lines):
     return x, unf, steps
 
 
-def test_fold_batch_matches_always_compose_reference(torus):
+def test_fold_batch_matches_always_compose_reference(torus, torus_net):
     """Writing the first reflection straight into the unfold matrices gives
     the composed ones bit for bit, sign bits of zeros included."""
-    lines = torus.boundary_lines(torus.domain_radius() + chain_mod._simplex_radius(2, 4.0) + 3.5)
+    lines = chain_mod._chain_lines(torus, torus_net[0], 4.0)
     mats = next(chain_mod.haar_sample(torus, 3000, 5))
     verts = np.concatenate(
         [np.einsum("bij,vj->bvi", mats, q).reshape(-1, 3) for q in chain_mod._mirror_pair(4.0)]
@@ -388,8 +396,8 @@ ORBIT_DIGESTS = {
         "ball_build_net": "8a3f8cf905c5e81665177bc6d54aad18f78b2f15fe26247a25d574ff3c023ab7",
         "ball_gamma_net": "8a3f8cf905c5e81665177bc6d54aad18f78b2f15fe26247a25d574ff3c023ab7",
         "lines_build_net": "aec312fe59f283adb754ebaf02e53a1d411ed02bd5ec83151998036975cd36b3",
-        "lines_chain_4": "485cc90eda55f7ff1eed51d2c17fc2af8ada84ddd35712b9b1935a6de1f0d010",
-        "lines_chain_6": "a4b1ea0176ec5bc4e30aa535caf8363c7e257ae2e332f5d4d64bd51ce1c2c05c",
+        "lines_chain_4": "0809f0917567c61317abfd23d479dea977a7833fd83d70c7d8b66ba082edd4e5",
+        "lines_chain_6": "72ffa7d204ded010e68169853e8b197dc1a4c5aaef3086adf0da26914a25a9c8",
     },
 }
 
@@ -402,13 +410,13 @@ def test_orbit_searches_pinned(request, name):
     # a fresh model, so the searches run instead of answering from the memos
     fresh = load_model(bundled_model_path({"torus": "holed_torus"}.get(name, name)))
     dr = fresh.domain_radius()
-    r_cloud = dr + net.covering_radius + net._lookup_slack + 0.05
+    r_cloud = dr + net.snap_radius + 0.05
     got = {
         "ball_build_net": fresh.element_ball(2.0 * dr + 1.0),
         "ball_gamma_net": fresh.element_ball(r_cloud + dr),
-        "lines_build_net": fresh.boundary_lines(dr + 1.0),
-        "lines_chain_4": chain_mod._chain_lines(fresh, 4.0),
-        "lines_chain_6": chain_mod._chain_lines(fresh, 6.0),
+        "lines_build_net": fresh.boundary_lines(dr + _LINE_MARGIN),
+        "lines_chain_4": chain_mod._chain_lines(fresh, net, 4.0),
+        "lines_chain_6": chain_mod._chain_lines(fresh, net, 6.0),
     }
     digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in got.items()}
     assert digests == ORBIT_DIGESTS[name]
@@ -429,14 +437,22 @@ def test_orbit_search_matches_scalar_oracle(name, search, radius):
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-def test_chain_lines_match_scalar_oracle_at_the_old_ceiling():
-    """Just below the flat margin's ceiling (L = 11.6) the rho margin still
-    returns the flat-margin search's lines, order and bits included."""
-    fresh = load_model(bundled_model_path("holed_torus"))
-    got = chain_mod._chain_lines(fresh, 11.5)
-    radius = fresh.domain_radius() + chain_mod._simplex_radius(2, 11.5) + 3.5
-    ref = oracles.boundary_lines_reference(fresh, radius)
-    assert len(got) == 476 and got.tobytes() == ref.tobytes()
+def _reach(model, net, L) -> float:
+    """How far from the origin a cell center of the chain of edge L can lie:
+    the base point's domain_radius(), the farthest vertex of _mirror_pair and
+    the net's snap radius."""
+    far = max(np.arccosh(q[:, 0]).max() for q in chain_mod._mirror_pair(L))
+    return model.domain_radius() + far + net.snap_radius
+
+
+def test_chain_lines_match_scalar_oracle_at_the_old_ceiling(torus_net):
+    """At L = 11.5, just below where the flat-margin chain lines used to stop
+    at the orbit budget, the rho margin returns the lines of the one-image-at-
+    a-time search with flat margins, order and bits included."""
+    fresh, net = load_model(bundled_model_path("holed_torus")), torus_net[0]
+    got = chain_mod._chain_lines(fresh, net, 11.5)
+    ref = oracles.boundary_lines_reference(fresh, _reach(fresh, net, 11.5))
+    assert len(got) == 164 and got.tobytes() == ref.tobytes()
 
 
 def _same_lines(got, ref) -> bool:
@@ -448,54 +464,65 @@ def _same_lines(got, ref) -> bool:
             and dev.min(axis=1).max() < 1e-12)
 
 
-@pytest.mark.parametrize("L, count", [(4.0, 60), (12.0, 564), (14.0, 996), (19.95, 5324)])
-def test_chain_lines_match_the_decimal_oracle(torus, L, count):
+@pytest.mark.parametrize("L, count", [(4.0, 20), (12.0, 196), (14.0, 356), (23.6, 5364)])
+def test_chain_lines_match_the_decimal_oracle(torus, torus_net, L, count):
     """The chain's lines at large L are the lifts a 50-digit search finds,
-    exploring to twice the rho margin; 19.95 is the largest edge on a 0.05
+    exploring to twice the rho margin; 23.6 is the largest edge on a 0.05
     grid that the oracle confirms, the last before the drift refusal."""
-    radius = torus.domain_radius() + chain_mod._simplex_radius(2, L) + 3.5
-    got = chain_mod._chain_lines(torus, L)
-    ref = oracles.boundary_lines_decimal(torus, radius, 2.0 * torus.domain_radius())
+    net = torus_net[0]
+    got = chain_mod._chain_lines(torus, net, L)
+    ref = oracles.boundary_lines_decimal(torus, _reach(torus, net, L),
+                                         2.0 * torus.domain_radius())
     assert len(ref) == count and _same_lines(got, ref)
 
 
-def test_decimal_oracle_tells_a_spurious_lift():
-    # at L = 20 the float products breed one lift too many
-    fresh = load_model(bundled_model_path("holed_torus"))
-    radius = fresh.domain_radius() + chain_mod._simplex_radius(2, 20.0) + 3.5
+def test_decimal_oracle_tells_a_spurious_lift(torus_net):
+    # at L = 23.65 the float products breed one lift too many
+    fresh, net = load_model(bundled_model_path("holed_torus")), torus_net[0]
+    radius = _reach(fresh, net, 23.65)
     ref = oracles.boundary_lines_decimal(fresh, radius, fresh.domain_radius())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surface_mod, "_POLAR_DRIFT", math.inf)
         got = fresh.boundary_lines(radius)
-    assert (len(got), len(ref)) == (5397, 5396)
+    assert (len(got), len(ref)) == (5413, 5412)
 
 
-def test_drifted_polars_are_refused(torus):
+def test_drifted_polars_are_refused(torus, torus_net):
     with pytest.raises(RuntimeError, match=r"polars drifted to \|<u,u> - 1\| = 0.031"):
-        chain_mod._chain_lines(torus, 20.0)
+        chain_mod._chain_lines(torus, torus_net[0], 23.65)
+
+
+def _chain_columns(chain) -> list:
+    n = len(chain)
+    res = chain_mod.boundary_residuals(chain)
+    return [chain._keys[:n], *chain.counts(), chain._drop[:n],
+            res.keys, res.residual, res.z_score, res.total]
 
 
 @pytest.mark.parametrize("L", [4.0, 6.0, 8.0, 12.0])
-def test_chain_lines_reach_every_lift_the_cells_can(torus, torus_net, L):
+def test_chain_lines_reach_every_lift_the_cells_can(monkeypatch, torus, torus_net, L):
     """A frame's base point lies within domain_radius() of the origin, each
     vertex within the farthest vertex of _mirror_pair of the base, and its
-    cell center within covering radius + lookup slack of the vertex: every
-    lift that near is in the chain's line set."""
+    cell center within the net's snap radius of the vertex, so lifts farther
+    out change nothing: the chain with every lift within 3.5 more keeps its
+    keys, tallies, classes, areas, dropped faces and residuals bit for bit."""
     net = torus_net[0]
-    far = max(np.arccosh(q[:, 0]).max() for q in chain_mod._mirror_pair(L))
-    reach = torus.domain_radius() + far + net.covering_radius + net._lookup_slack
-    need, lines = torus.boundary_lines(reach), chain_mod._chain_lines(torus, L)
-    dev = np.abs(need[:, None] - lines[None]).max(axis=2) / np.abs(need).max(axis=1)[:, None]
-    assert 0 < len(need) < len(lines) and dev.min(axis=1).max() < 1e-12
+    exact = chain_mod.accumulate_chain(torus, net, L, 20_000, seed=3)
+    wide = torus.boundary_lines(_reach(torus, net, L) + 3.5)
+    assert len(wide) > len(exact.lines)
+    monkeypatch.setattr(chain_mod, "_chain_lines", lambda model, net, L: wide)
+    more = chain_mod.accumulate_chain(torus, net, L, 20_000, seed=3)
+    for a, b in zip(_chain_columns(exact), _chain_columns(more)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
 
 
-def test_orbit_search_budget():
+def test_orbit_search_budget(torus_net):
     # with the rho margin the searches explore far fewer images, but the cap
-    # still stops a genus-2 ball past r ~ 10 and the torus chain at L = 22,
-    # where rounding drift breeds spurious lifts
+    # still stops a genus-2 ball past r ~ 10 and the torus chain from
+    # L = 25.25, where rounding drift breeds spurious lifts
     fresh = load_model(bundled_model_path("genus2"))
     assert len(fresh.element_ball(10.0)) == 5433
     with pytest.raises(RuntimeError, match=f"over {ORBIT_MAX_IMAGES} images"):
         fresh.element_ball(10.5)
     with pytest.raises(RuntimeError, match=f"over {ORBIT_MAX_IMAGES} images"):
-        chain_mod._chain_lines(load_model(bundled_model_path("holed_torus")), 22.0)
+        chain_mod._chain_lines(load_model(bundled_model_path("holed_torus")), torus_net[0], 25.25)

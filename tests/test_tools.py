@@ -34,10 +34,10 @@ def test_setup_times_prints_one_row_per_model():
     # ball and the chain's lines, none on a closed model's lines
     assert [r.split("|")[1:6] for r in explored] == [
         [" " + names[0] + " ", " 0 ", " 2,208 ", " 1,696 ", " 0 "],
-        [" " + names[1] + " ", " 24 ", " 32 ", " 32 ", " 264 "],
+        [" " + names[1] + " ", " 8 ", " 32 ", " 32 ", " 88 "],
     ]
     cells = {r.split("|")[1].strip(): r.split("|")[2:5] for r in torus}
-    assert [c.strip() for c in cells["12"]] == ["2,664", "564", "7.2e-07"]
-    assert [c.strip() for c in cells["14"]] == ["4,664", "996", "3.8e-06"]
-    assert "refused: boundary line polars drifted" in cells["20"][0]
-    assert "refused: orbit search explored over 200000 images" in cells["22"][0]
+    assert [c.strip() for c in cells["12"]] == ["920", "196", "1.2e-08"]
+    assert [c.strip() for c in cells["14"]] == ["1,672", "356", "8.9e-08"]
+    assert "refused: boundary line polars drifted" in cells["23.65"][0]
+    assert "refused: orbit search explored over 200000 images" in cells["25.25"][0]

@@ -36,7 +36,7 @@ STAGES = ("import", "load_model", "element_ball", "boundary_lines", "build_net_r
           "chain_lines")
 # build_net searches the lines first, then its ball; GammaNet then its ball
 SEARCHES = ("lines_build_net", "ball_build_net", "ball_gamma_net", "chain_lines")
-TORUS_EDGES = (4.0, 8.0, 11.5, 12.0, 14.0, 16.0, 18.0, 19.95, 20.0, 22.0)
+TORUS_EDGES = (4.0, 8.0, 12.0, 14.0, 16.0, 20.0, 23.0, 23.6, 23.65, 25.25)
 
 
 def count_explored(model, log: list) -> None:
@@ -88,11 +88,11 @@ def measure(model_name: str, L: float) -> dict:
 
     # instance attributes shadow the methods for build_net's calls only
     model.element_ball, model.boundary_lines = timed("element_ball"), timed("boundary_lines")
-    build_net(model, NET_RADIUS)
+    net = build_net(model, NET_RADIUS)
     t3 = time.perf_counter()
     del model.element_ball, model.boundary_lines
     searches = len(log)
-    _chain_lines(model, L)
+    _chain_lines(model, net, L)
     t4 = time.perf_counter()
     explored.append(sum(log[searches:]))
     return {"import": t1 - t0, "load_model": t2 - t1, **spent,
@@ -105,16 +105,17 @@ def torus_lines() -> list:
     chain's lines at each of TORUS_EDGES, or the error that refuses them."""
     import numpy as np
 
-    from hypsmear.smear import load_model
+    from hypsmear.smear import build_net, load_model
     from hypsmear.smear.chain import _chain_lines
     from hypsmear.smear.surface import bundled_model_path
 
+    net = build_net(load_model(bundled_model_path("holed_torus")), NET_RADIUS)
     rows = []
     for L in TORUS_EDGES:
         model, log = load_model(bundled_model_path("holed_torus")), []
         count_explored(model, log)
         try:
-            u = _chain_lines(model, L)
+            u = _chain_lines(model, net, L)
         except RuntimeError as exc:
             rows.append([L, str(exc)])
             continue
