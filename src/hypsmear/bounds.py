@@ -58,15 +58,17 @@ DEFAULT_L_GRID = tuple(4.0 + j for j in range(13))
 
 @dataclass(frozen=True)
 class VLEstimate:
-    """At n = 2, optimizer_tol covers the optimizer's fatol (1e-10) plus the
-    area's rounding, below 1e-15 e^(L/2) (so <= 1e-10 for L <= 24); at
-    n >= 3, fatol plus the final quadrature's abs_tol."""
+    """At n = 2 the rows of best_perturbation are unit rows, one direction
+    per vertex, and optimizer_tol is the optimizer's fatol, the area's
+    rounding bound max(1e-10, 2e-15 e^(L/2)), floored at 1e-9; at n >= 3
+    the rows have norm <= 1 and optimizer_tol is fatol plus the final
+    quadrature's abs_tol."""
 
     n: int
     L: float
     value: float
     restarts: int
-    best_perturbation: np.ndarray  # (n+1, n) frame coefficients, each row norm <= 1
+    best_perturbation: np.ndarray  # (n+1, n) frame coefficients
     optimizer_tol: float
 
 
@@ -196,10 +198,35 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
     """Estimated infimum of signed volume over radius-1 vertex perturbations
     of the regular edge-L simplex.
 
-    Multistart Nelder-Mead over the (n+1) x n frame coefficients; the start
-    list is zero perturbation, symmetric inward pulls, a collapse toward
-    vertex 0, then seeded random ball points.  The winner is deterministic:
-    smallest value, ties by restart index.
+    Multistart Nelder-Mead; the start list is zero perturbation, symmetric
+    inward pulls, a collapse toward vertex 0, then seeded random ball points.
+    At n >= 3 it searches the (n+1) x n frame coefficients, rows past norm 1
+    projected onto the unit ball.  At n = 2 it searches one angle per vertex,
+    theta -> (cos theta, sin theta), and a start row maps to its arctan2: the
+    minimum over the three closed unit disks D_i is attained with every
+    vertex on its circle.  The winner is deterministic: smallest value, ties
+    by restart index.
+
+    Proof at n = 2.  With <,> the Minkowski form and den(a, b, c) =
+    1 - <a,b> - <b,c> - <c,a> >= 4 on the sheet, the signed area is
+    A = 2 arctan(det[a,b,c] / den), cyclic in (a, b, c).  It suffices that
+    for fixed b in D_1, c in D_2 some minimiser of A(., b, c) over D_0 lies
+    on its circle: moving each vertex of a minimiser in turn then gives one
+    with all three there.  If b = c (the disks overlap, L <= 2), A(., b, c)
+    is 0 and any point of the circle will do.  Let b != c, and let a
+    minimise A(., b, c) over D_0 with value t, a in the interior.  Then a
+    is a local minimum of A(., b, c) on H^2, i.e. of g = det[., b, c] -
+    tan(t/2) den(., b, c), which is affine, g(x) = <m, x> + const, and 0 at
+    a.  At a critical point on the sheet m = lambda a.  m = 0 would make
+    det[x, b, c] = -tan(t/2)(<x,b> + <x,c>) for all x; x = b gives
+    tan(t/2) = 0, as <b,b> + <b,c> <= -2, so det[., b, c] = 0 and b = c.
+    lambda > 0 makes a a strict local maximum of g, as <a, x> < -1 for
+    x != a on the sheet; so lambda < 0, g >= 0 on the sheet, and a is a
+    global minimum of A(., b, c) over H^2.  There is none: A(., b, c) < 0
+    beyond the line bc, so t < 0, and a point a' beyond a on the ray from
+    b through a gives a triangle (a', b, c) that splits into (a, b, c) and
+    (a', a, c), both of the same orientation and nondegenerate, so
+    A(a', b, c) < t.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -217,9 +244,17 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
     exact = n == 2
     spec_search = QuadratureSpec(abs_tol=3e-4, max_subdivisions=200)
     spec_final = QuadratureSpec(abs_tol=1e-6, max_subdivisions=1200)
+    if exact:
+        # fatol is the area's rounding bound, so noise cannot hold a restart
+        options = {"xatol": 1e-7, "fatol": max(1e-10, 2e-15 * math.exp(0.5 * L))}
+        chart = lambda x: np.column_stack((np.cos(x), np.sin(x)))
+    else:
+        options = {"xatol": 3e-4, "fatol": 3e-5}
+        chart = lambda x: x.reshape(n + 1, n)
+    options.update(maxiter=300 * (n + 1), maxfev=500 * (n + 1))
 
-    def objective(x: np.ndarray, spec: QuadratureSpec) -> float:
-        rows = _perturbed_vertices(qs, bases, x.reshape(n + 1, n))
+    def objective(w: np.ndarray, spec: QuadratureSpec) -> float:
+        rows = _perturbed_vertices(qs, bases, w)
         if exact:
             return triangle_signed_area(rows[0], rows[1], rows[2])
         # normalized a second time: that moves the last bit of about half the
@@ -246,16 +281,11 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = rng.random(n + 1) ** (1.0 / n)
         starts.append(g * radii[:, None])
-    starts = starts[:restarts]
-
-    if exact:
-        options = {"xatol": 1e-7, "fatol": 1e-10, "maxiter": 4000, "maxfev": 6000}
-    else:
-        options = {"xatol": 3e-4, "fatol": 3e-5, "maxiter": 300 * (n + 1), "maxfev": 500 * (n + 1)}
 
     best_val, best_x = math.inf, None
-    for idx, st in enumerate(starts):
-        x, fun, reason = _nelder_mead(lambda x: objective(x, spec_search), st.ravel(), **options)
+    for idx, st in enumerate(starts[:restarts]):
+        x0 = np.arctan2(st[:, 1], st[:, 0]) if exact else st.ravel()
+        x, fun, reason = _nelder_mead(lambda x: objective(chart(x), spec_search), x0, **options)
         if not np.isfinite(fun):
             raise RuntimeError(f"optimizer diverged at restart {idx}: value {fun} ({reason})")
         if fun < best_val:
@@ -266,19 +296,17 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
             f"optimizer diverged: value {best_val} below any attainable signed volume"
         )
 
-    w, _ = _unit_ball_projection(best_x.reshape(n + 1, n))
-    if exact:
-        value = objective(w.ravel(), spec_search)
-        tol = max(1e-9, 2e-15 * math.exp(0.5 * L))
-    else:
-        value = objective(w.ravel(), spec_final)
-        tol = float(options["fatol"]) + spec_final.abs_tol
+    w, _ = _unit_ball_projection(chart(best_x))
+    value = objective(w, spec_final)
+    tol = max(1e-9, options["fatol"]) if exact else options["fatol"] + spec_final.abs_tol
     out = VLEstimate(n, float(L), float(value), restarts, w, tol)
     _VL_CACHE[key] = out
     return out
 
 
 _L0_MARGIN = 1e-3
+# restarts of each V_L probe of the threshold searches
+_THRESHOLD_RESTARTS = 6
 
 
 def _scan(above, probes, lo):
@@ -302,14 +330,14 @@ def _bisect(above, lo, hi, midpoint):
     return lo, hi
 
 
-def _l0_bracket(n: int, restarts: int, seed: int):
+def _l0_bracket(n: int, seed: int):
     """Bracket [lo, hi] on the 0.25 grid with vl(lo) <= margin < vl(hi).
 
     Relies on monotonicity of vl_estimate in L (a spec'd invariant of the
     estimator).  Every probe is a vl_estimate call, which _VL_CACHE memoizes,
     so a repeated bracket costs only cache hits.
     """
-    above = lambda L: vl_estimate(n, L, restarts, seed).value > _L0_MARGIN
+    above = lambda L: vl_estimate(n, L, _THRESHOLD_RESTARTS, seed).value > _L0_MARGIN
     lo, hi = _scan(above, (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, MAX_EDGE), 2.0)
     if hi is None:
         raise RuntimeError(f"no positive-volume threshold found up to L = {MAX_EDGE:g}")
@@ -317,14 +345,14 @@ def _l0_bracket(n: int, restarts: int, seed: int):
     return _bisect(above, lo, hi, lambda lo, hi: lo + 0.25 * round((hi - lo) / 0.5))
 
 
-def l0_estimate(n: int, restarts: int = 6, seed: int = DEFAULT_SEED) -> float:
+def l0_estimate(n: int, seed: int = DEFAULT_SEED) -> float:
     """Threshold edge length above which every radius-1 perturbation keeps
     positive signed volume, located on a 0.25 grid and bisected to 0.01.
 
     The returned L satisfies vl_estimate(n, L) > 1e-3.
     """
-    lo, hi = _l0_bracket(n, restarts, seed)
-    above = lambda L: vl_estimate(n, L, restarts, seed).value > _L0_MARGIN
+    lo, hi = _l0_bracket(n, seed)
+    above = lambda L: vl_estimate(n, L, _THRESHOLD_RESTARTS, seed).value > _L0_MARGIN
     return _bisect(above, lo, hi, lambda lo, hi: 0.5 * (lo + hi) if hi - lo > 0.01 else lo)[1]
 
 
@@ -343,12 +371,7 @@ def gap_bound(n: int, L: float, r: float, vl: float) -> float:
     return (1.0 - outer) / (1.0 + rv * tube_factor(n, float(L))) * float(vl)
 
 
-def solve_k(
-    n: int,
-    eta: float,
-    restarts: int = 6,
-    seed: int = DEFAULT_SEED,
-) -> GapCertificate:
+def solve_k(n: int, eta: float, seed: int = DEFAULT_SEED) -> GapCertificate:
     """Constructive solver for the boundary-ratio constant k(eta, n).
 
     Finds the smallest half-integer L1 at or above the positivity threshold
@@ -364,9 +387,9 @@ def solve_k(
     # the 0.25-grid threshold anchors the half-integer grid; refining it to
     # 0.01 cannot move the smallest admissible half-integer point, because
     # every grid point below the coarse threshold has vl <= 1e-3 << target
-    _, l0 = _l0_bracket(n, restarts, seed)
+    _, l0 = _l0_bracket(n, seed)
     start = math.ceil(l0 / 0.5 - 1e-12) * 0.5
-    above = lambda i: vl_estimate(n, start + 0.5 * i, restarts, seed).value > target
+    above = lambda i: vl_estimate(n, start + 0.5 * i, _THRESHOLD_RESTARTS, seed).value > target
 
     # doubling scan over grid indices 0, 1, 3, 7, ... for an upper bracket,
     # its last step clamped to the last grid point within MAX_EDGE, then
@@ -381,9 +404,9 @@ def solve_k(
     _, i1 = _bisect(above, below, i1, lambda lo, hi: (lo + hi) // 2)
 
     L1 = start + 0.5 * i1
-    vl1 = vl_estimate(n, L1, restarts, seed)
+    vl1 = vl_estimate(n, L1, _THRESHOLD_RESTARTS, seed)
     if not vl1.value > target:
-        raise RuntimeError("threshold search lost monotonicity; increase restarts")
+        raise RuntimeError("threshold search lost monotonicity")
     c = (vn - eta) / target
     k = (1.0 - c) / (tube_factor(n, L1 + 3.0) + c * tube_factor(n, L1))
     bound = gap_bound(n, L1, k, vl1.value)

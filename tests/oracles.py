@@ -122,6 +122,28 @@ def grid_perturbed_minimum(n: int, L: float, steps: int = 5) -> float:
     return best
 
 
+def direction_grid_minimum(L: float, steps: int = 48) -> float:
+    """Least half-angle area over a steps^3 grid of unit perturbations of the
+    regular edge-L triangle: each vertex moves distance 1 in one of
+    ``steps`` equally spaced directions of its tangent plane.
+
+    Every grid point is an admissible perturbation, so this is an upper
+    bound for V_L: it checks a search, it certifies nothing.
+    """
+    from hypsmear.volume import regular_simplex
+
+    angles = 2.0 * math.pi * np.arange(steps) / steps
+    moved = []
+    for q in regular_simplex(2, L):
+        r = math.hypot(q[1], q[2])  # sinh of the distance from the origin
+        radial = np.array([r, q[0] * q[1] / r, q[0] * q[2] / r])
+        angular = np.array([0.0, -q[2] / r, q[1] / r])
+        moved.append([tuple(math.cosh(1.0) * q + math.sinh(1.0)
+                            * (math.cos(t) * radial + math.sin(t) * angular))
+                      for t in angles])
+    return min(half_angle_area(a, b, c) for a in moved[0] for b in moved[1] for c in moved[2])
+
+
 # --- the adaptive Klein quadrature before its cells became one array ---------
 # Kept verbatim (rule setup, rule evaluation, bisection loop) so tests can
 # assert that the production integrator reproduces it bit for bit.

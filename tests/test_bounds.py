@@ -79,8 +79,9 @@ def test_vl_perturbation_is_feasible():
     e = vl_estimate(2, 6.0)
     assert e.value == pytest.approx(VL_2_6, abs=1e-9)
     assert e.best_perturbation.shape == (3, 2)
+    # one direction per vertex: the minimum lies on the unit circles
     norms = np.linalg.norm(e.best_perturbation, axis=1)
-    assert np.all(norms <= 1.0 + 1e-9)
+    assert np.all(np.abs(norms - 1.0) <= 1e-9)
 
 
 def test_vl_below_unperturbed_and_above_grid_floor():
@@ -180,7 +181,7 @@ def test_nelder_mead_port_matches_scipy_to_the_end(f, x0, maxiter, reason):
 def test_vl_divergence_names_the_restart_and_the_stop_reason(monkeypatch):
     monkeypatch.setattr(bounds, "_VL_CACHE", {})
     monkeypatch.setattr(bounds, "triangle_signed_area", lambda a, b, c: math.nan)
-    with pytest.raises(RuntimeError, match=r"restart 0: value nan \(6000 evaluations spent\)"):
+    with pytest.raises(RuntimeError, match=r"restart 0: value nan \(1500 evaluations spent\)"):
         vl_estimate(2, 5.0, restarts=1)
 
 
@@ -237,7 +238,81 @@ def test_threshold_searches_probe_in_a_fixed_order(monkeypatch):
 
 
 def test_l0_estimate_frozen():
-    assert l0_estimate(2) == pytest.approx(2.1875, abs=1e-6)
+    assert l0_estimate(2) == pytest.approx(2.1953125, abs=1e-6)
+
+
+def test_l0_estimate_meets_its_margin_on_a_direction_grid():
+    # the grid minimum bounds V_L from above, so it must clear the margin
+    # the threshold claims; at the old threshold 2.1875 it does not
+    assert oracles.direction_grid_minimum(l0_estimate(2)) > 1e-3
+    assert oracles.direction_grid_minimum(2.1875) < 1e-3
+
+
+def test_l0_estimate_spends_no_restart_on_its_budget(monkeypatch):
+    # the angle search evaluated 13,633 points; the frame-coefficient search
+    # it replaced drifted outward and needed 112,927, 78,000 of them in 13
+    # restarts stopped by the budget
+    evals, reasons = [], []
+
+    def counted(f, x0, **options):
+        def g(x):
+            evals.append(1)
+            return f(x)
+        x, fun, reason = nelder_mead(g, x0, **options)
+        reasons.append(reason)
+        return x, fun, reason
+
+    nelder_mead = bounds._nelder_mead
+    monkeypatch.setattr(bounds, "_VL_CACHE", {})
+    monkeypatch.setattr(bounds, "_nelder_mead", counted)
+    assert l0_estimate(2) == 2.1953125
+    assert len(evals) <= 112_927 // 3
+    assert set(reasons) == {"converged"}
+
+
+@pytest.mark.parametrize("L", [2.1875, 2.25, 4.0, 6.0])
+def test_vl_estimate_reaches_the_direction_grid(L):
+    e = vl_estimate(2, L)
+    assert e.value <= oracles.direction_grid_minimum(L) + e.optimizer_tol
+
+
+# vl_estimate(2, L) (8 restarts, seed 1789) of the frame-coefficient search
+# that the angle search replaced, frozen from one run of it
+VL_2_FRAME_SEARCH = {
+    2.0: -0.12233077445437424,
+    2.25: 0.03803168809413737,
+    2.5: 0.1748265052091167,
+    2.75: 0.3062877523734713,
+    3.0: 0.4632363606029797,
+    3.25: 0.6380878491182829,
+    3.5: 0.8235271755640277,
+    3.75: 1.0129825136875787,
+    4.0: 1.2009375969073186,
+    4.25: 1.3830728238826635,
+    4.5: 1.556257477426528,
+    4.75: 1.7184353159631547,
+    5.0: 1.8684505508764415,
+    5.25: 2.0058544706408163,
+    5.5: 2.130720840635571,
+    5.75: 2.243485863767189,
+    6.0: 2.3448187717349764,
+    6.25: 2.4355227966416026,
+    6.5: 2.516462906144833,
+    6.75: 2.588515402454193,
+    7.0: 2.652534447766086,
+    7.25: 2.709331159271566,
+    7.5: 2.7596617170859257,
+    7.75: 2.8042217288551488,
+    8.0: 2.843644794395469,
+    12.0: 3.1011668977448332,
+    16.5: 3.1373316095110493,
+}
+
+
+def test_vl_estimate_is_no_worse_than_the_frame_coefficient_search():
+    for L, before in VL_2_FRAME_SEARCH.items():
+        e = vl_estimate(2, L)
+        assert e.value <= before + e.optimizer_tol
 
 
 def test_gap_bound_is_the_stated_algebra():
