@@ -404,9 +404,7 @@ def solve_k(n: int, eta: float, seed: int = DEFAULT_SEED) -> GapCertificate:
     _, i1 = _bisect(above, below, i1, lambda lo, hi: (lo + hi) // 2)
 
     L1 = start + 0.5 * i1
-    vl1 = vl_estimate(n, L1, _THRESHOLD_RESTARTS, seed)
-    if not vl1.value > target:
-        raise RuntimeError("threshold search lost monotonicity")
+    vl1 = vl_estimate(n, L1, _THRESHOLD_RESTARTS, seed)  # a _VL_CACHE hit: the search accepted L1
     c = (vn - eta) / target
     k = (1.0 - c) / (tube_factor(n, L1 + 3.0) + c * tube_factor(n, L1))
     bound = gap_bound(n, L1, k, vl1.value)

@@ -22,7 +22,7 @@ from hypsmear.bounds import (
     tube_factor,
     vl_estimate,
 )
-from hypsmear.volume import QuadratureSpec, ideal_regular_volume, regular_simplex_volume
+from hypsmear.volume import ideal_regular_volume, regular_simplex_volume
 
 _CLASS_NAMES = {1: "int", 2: "ext"}
 # most --grid points, --dim, --restarts, and the highest glue_sequence stage, a command accepts
@@ -144,16 +144,9 @@ def _cmd_vn(args) -> dict:
 
 
 def _cmd_regvol(args) -> dict:
-    # --tol 0 must reach QuadratureSpec, which rejects it
-    quad = QuadratureSpec(abs_tol=args.tol) if args.tol is not None else None
-    res = regular_simplex_volume(args.dim, args.edge, quad)
-    return {
-        "n": args.dim,
-        "edge": args.edge,
-        "volume": res.value,
-        "err_estimate": res.err_estimate,
-        "converged": res.converged,
-    }
+    res = regular_simplex_volume(args.dim, args.edge)
+    return {"n": args.dim, "edge": args.edge, "volume": res.value,
+            "err_estimate": res.err_estimate, "converged": res.converged}
 
 
 def _cmd_tube(args) -> dict:
@@ -377,10 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_vn)
 
-    sp = sub.add_parser("regvol", help="regular simplex volume by quadrature")
+    sp = sub.add_parser("regvol", help="regular simplex volume from the Schlaefli series")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--edge", type=_finite, required=True)
-    sp.add_argument("--tol", type=_finite, default=None, help="quadrature abs tolerance")
     common(sp)
     sp.set_defaults(fn=_cmd_regvol)
 

@@ -57,6 +57,14 @@ def test_klein_volume_tightened_tolerance():
     assert r.value == pytest.approx(EQUILATERAL_AREA_2, abs=1e-10)
 
 
+def test_quadrature_spec_rejects_what_it_cannot_honour():
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="abs_tol"):
+            QuadratureSpec(abs_tol=tol)
+    with pytest.raises(ValueError, match="max_subdivisions"):
+        QuadratureSpec(max_subdivisions=0)
+
+
 def test_gauss_bonnet_routes_agree():
     # the angle-defect route, the quadrature and the half-angle oracle must
     # match on a generic triangle
@@ -162,9 +170,54 @@ def test_ideal_constants():
 @pytest.mark.parametrize("n, L", [(3, 1.0), (3, 2.0), (3, 4.0), (4, 1.0), (4, 2.0)])
 def test_schlafli_recursion_matches_quadrature_at_finite_edge(n, L):
     fit, _ = volume._schlafli_volume(n)
-    quad = regular_simplex_volume(n, L, QuadratureSpec(abs_tol=1e-9, max_subdivisions=4000))
+    quad = klein_volume(regular_simplex(n, L), QuadratureSpec(abs_tol=1e-9, max_subdivisions=4000))
     assert quad.converged
     assert abs(float(fit(L)) - quad.value) <= 1e-11
+
+
+def _tetrahedron_tail(L: float) -> float:
+    # v_3 - V_3(L) = 3 int_L^oo l w_3(l) dl, Schlaefli's formula as in
+    # volume._schlafli_volume; the integrand is below 1e-80 past l = 200
+    from scipy import integrate
+
+    def f(x):
+        h = math.cosh(x)
+        return 3.0 * x * math.sinh(x) / ((1.0 + 2.0 * h) * math.sqrt((1.0 + h) * (1.0 + 3.0 * h)))
+
+    return integrate.quad(f, L, 200.0, epsabs=0.0, epsrel=1e-10)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_regular_simplex_volume_lies_within_its_error_estimate(n):
+    # references sharper than the series: the closed form at n = 2; at n >= 3
+    # the quadrature at L <= 0.2, with a tolerance a tenth of the series'
+    # estimate, and v_3 less its tail at L = 32.  Elsewhere the quadrature
+    # cannot reach that accuracy in seconds; the test above compares there
+    exact = lambda L: math.pi - 6.0 * math.asin(1.0 / math.sqrt(2.0 * (1.0 + math.cosh(L))))
+    for L in (0.01, 0.05, 0.2, 1.0, 2.0, 8.0, 32.0):
+        r = regular_simplex_volume(n, L)
+        assert r.converged
+        if n == 2:
+            ref, ref_err = exact(L), 0.0
+        elif L <= 0.2:
+            spec = QuadratureSpec(abs_tol=0.1 * r.err_estimate, max_subdivisions=4000)
+            quad = klein_volume(regular_simplex(n, L), spec)
+            assert quad.converged
+            ref, ref_err = quad.value, quad.err_estimate
+        elif (n, L) == (3, 32.0):
+            assert abs(r.value - V3) <= 1e-12
+            ref, ref_err = V3 - _tetrahedron_tail(L), 0.0
+        else:
+            continue
+        assert abs(r.value - ref) <= r.err_estimate + ref_err, (n, L)
+
+
+def test_regular_simplex_volume_guards():
+    for n, L in ((1, 2.0), (2, 0.0), (3, -1.0), (2, MAX_EDGE * 1.01)):
+        with pytest.raises(ValueError):
+            regular_simplex_volume(n, L)
+    with pytest.raises(ValueError, match="out of reach"):
+        regular_simplex_volume(100, 2.0)
 
 
 def test_schlafli_constants_lie_within_the_extrapolated_ones():
