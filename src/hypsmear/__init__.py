@@ -29,7 +29,6 @@ from hypsmear.bounds import (
     l0_estimate,
     gap_bound,
     solve_k,
-    gluing_ratio_sequence,
 )
 
 __version__ = "0.1.0"
@@ -57,5 +56,4 @@ __all__ = [
     "l0_estimate",
     "gap_bound",
     "solve_k",
-    "gluing_ratio_sequence",
 ]

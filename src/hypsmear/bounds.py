@@ -48,7 +48,6 @@ __all__ = [
     "l0_estimate",
     "gap_bound",
     "solve_k",
-    "gluing_ratio_sequence",
 ]
 
 DEFAULT_SEED = 1789
@@ -62,7 +61,8 @@ class VLEstimate:
     per vertex, and optimizer_tol is the optimizer's fatol, the area's
     rounding bound max(1e-10, 2e-15 e^(L/2)), floored at 1e-9; at n >= 3
     the rows have norm <= 1 and optimizer_tol is fatol plus the final
-    quadrature's abs_tol."""
+    quadrature's abs_tol, which assumes that quadrature stays within its
+    abs_tol: its own err_estimate is not a bound (see klein_volume)."""
 
     n: int
     L: float
@@ -199,7 +199,8 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
     of the regular edge-L simplex.
 
     Multistart Nelder-Mead; the start list is zero perturbation, symmetric
-    inward pulls, a collapse toward vertex 0, then seeded random ball points.
+    inward pulls (one at n = 2), a collapse toward vertex 0, then seeded
+    random ball points.
     At n >= 3 it searches the (n+1) x n frame coefficients, rows past norm 1
     projected onto the unit ball.  At n = 2 it searches one angle per vertex,
     theta -> (cos theta, sin theta), and a start row maps to its arctan2: the
@@ -268,13 +269,9 @@ def vl_estimate(n: int, L: float, restarts: int = 8, seed: int = DEFAULT_SEED) -
     for i in range(1, n + 1):
         collapse[i] = _frame_coefficients(log_direction(qs[i], qs[0]), bases[i], n)
 
-    starts = [
-        np.zeros((n + 1, n)),
-        inward,
-        0.9 * inward,
-        0.75 * inward,
-        collapse,
-    ]
+    # a start row at n = 2 maps to its angle, so a shortened pull repeats inward
+    pulls = [inward] if exact else [inward, 0.9 * inward, 0.75 * inward]
+    starts = [np.zeros((n + 1, n)), *pulls, collapse]
     while len(starts) < restarts:
         rng = np.random.default_rng([seed, len(starts)])
         g = rng.standard_normal((n + 1, n))
@@ -330,29 +327,19 @@ def _bisect(above, lo, hi, midpoint):
     return lo, hi
 
 
-def _l0_bracket(n: int, seed: int):
-    """Bracket [lo, hi] on the 0.25 grid with vl(lo) <= margin < vl(hi).
+def l0_estimate(n: int, seed: int = DEFAULT_SEED) -> float:
+    """Threshold edge length above which every radius-1 perturbation keeps
+    positive signed volume, located on a 0.25 grid and bisected to 0.01.
 
-    Relies on monotonicity of vl_estimate in L (a spec'd invariant of the
-    estimator).  Every probe is a vl_estimate call, which _VL_CACHE memoizes,
-    so a repeated bracket costs only cache hits.
+    The returned L satisfies vl_estimate(n, L) > 1e-3.  Relies on
+    monotonicity of vl_estimate in L (a spec'd invariant of the estimator).
     """
     above = lambda L: vl_estimate(n, L, _THRESHOLD_RESTARTS, seed).value > _L0_MARGIN
     lo, hi = _scan(above, (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, MAX_EDGE), 2.0)
     if hi is None:
         raise RuntimeError(f"no positive-volume threshold found up to L = {MAX_EDGE:g}")
     # the nearest 0.25-grid point to the middle, rounding half to even
-    return _bisect(above, lo, hi, lambda lo, hi: lo + 0.25 * round((hi - lo) / 0.5))
-
-
-def l0_estimate(n: int, seed: int = DEFAULT_SEED) -> float:
-    """Threshold edge length above which every radius-1 perturbation keeps
-    positive signed volume, located on a 0.25 grid and bisected to 0.01.
-
-    The returned L satisfies vl_estimate(n, L) > 1e-3.
-    """
-    lo, hi = _l0_bracket(n, seed)
-    above = lambda L: vl_estimate(n, L, _THRESHOLD_RESTARTS, seed).value > _L0_MARGIN
+    lo, hi = _bisect(above, lo, hi, lambda lo, hi: lo + 0.25 * round((hi - lo) / 0.5))
     return _bisect(above, lo, hi, lambda lo, hi: 0.5 * (lo + hi) if hi - lo > 0.01 else lo)[1]
 
 
@@ -374,27 +361,23 @@ def gap_bound(n: int, L: float, r: float, vl: float) -> float:
 def solve_k(n: int, eta: float, seed: int = DEFAULT_SEED) -> GapCertificate:
     """Constructive solver for the boundary-ratio constant k(eta, n).
 
-    Finds the smallest half-integer L1 at or above the positivity threshold
-    with vl_estimate(n, L1) > v_n - eta/2, then solves
-    (1 - k g(L1+3)) / (1 + k g(L1)) = (v_n - eta)/(v_n - eta/2) for k.
-    Any boundary ratio r <= k then certifies a gap bound >= v_n - eta.
+    Finds the smallest half-integer L1 with vl_estimate(n, L1) > v_n - eta/2,
+    then solves (1 - k g(L1+3)) / (1 + k g(L1)) = (v_n - eta)/(v_n - eta/2)
+    for k.  Any boundary ratio r <= k then certifies a gap bound >= v_n - eta.
+    As v_n - eta/2 > 0, L1 lies above the positivity threshold of
+    l0_estimate without asking for it.
     """
     vn = ideal_regular_volume(n).v_n
     if not (0.0 < eta < vn):
         raise ValueError(f"eta must lie in (0, v_n) = (0, {vn})")
     target = vn - eta / 2.0
+    above = lambda i: vl_estimate(n, 0.5 * (i + 1), _THRESHOLD_RESTARTS, seed).value > target
 
-    # the 0.25-grid threshold anchors the half-integer grid; refining it to
-    # 0.01 cannot move the smallest admissible half-integer point, because
-    # every grid point below the coarse threshold has vl <= 1e-3 << target
-    _, l0 = _l0_bracket(n, seed)
-    start = math.ceil(l0 / 0.5 - 1e-12) * 0.5
-    above = lambda i: vl_estimate(n, start + 0.5 * i, _THRESHOLD_RESTARTS, seed).value > target
-
-    # doubling scan over grid indices 0, 1, 3, 7, ... for an upper bracket,
-    # its last step clamped to the last grid point within MAX_EDGE, then
-    # bisection on the index (vl_estimate is monotone in L per its contract)
-    last = int((MAX_EDGE - start) / 0.5)
+    # doubling scan over the indices 0, 1, 3, 7, ... of the half-integer grid
+    # L = 0.5 (i + 1) for an upper bracket, its last step clamped to the last
+    # grid point within MAX_EDGE, then bisection on the index (vl_estimate is
+    # monotone in L per its contract)
+    last = int(MAX_EDGE / 0.5) - 1
     below, i1 = _scan(above, (min(2**j - 1, last) for j in range(last.bit_length() + 1)), -1)
     if i1 is None:
         raise RuntimeError(
@@ -403,7 +386,7 @@ def solve_k(n: int, eta: float, seed: int = DEFAULT_SEED) -> GapCertificate:
         )
     _, i1 = _bisect(above, below, i1, lambda lo, hi: (lo + hi) // 2)
 
-    L1 = start + 0.5 * i1
+    L1 = 0.5 * (i1 + 1)
     vl1 = vl_estimate(n, L1, _THRESHOLD_RESTARTS, seed)  # a _VL_CACHE hit: the search accepted L1
     c = (vn - eta) / target
     k = (1.0 - c) / (tube_factor(n, L1 + 3.0) + c * tube_factor(n, L1))
@@ -413,31 +396,3 @@ def solve_k(n: int, eta: float, seed: int = DEFAULT_SEED) -> GapCertificate:
             f"certificate failed self-validation: bound {bound} < v_n - eta {vn - eta}"
         )
     return GapCertificate(n, float(eta), float(L1), float(k), vl1, float(bound))
-
-
-def gluing_ratio_sequence(
-    volM: float,
-    volB0: float,
-    imax: int,
-    n: int = 2,
-    restarts: int = 6,
-    seed: int = DEFAULT_SEED,
-):
-    """Boundary ratios and best gap bounds along the doubling tower whose
-    i-th stage glues 2i copies of M along boundary B0.
-
-    Stage i has volume 2i vol(M) and boundary 2 vol(B0), so the ratio is
-    volB0/(i volM); the bound is maximized over DEFAULT_L_GRID.  Returns a list
-    of (i, r_i, bound_i), non-decreasing in bound_i.
-    """
-    if volM <= 0 or volB0 <= 0:
-        raise ValueError("volumes must be positive")
-    if imax < 1:
-        raise ValueError("imax must be >= 1")
-    vls = [(L, vl_estimate(n, L, restarts, seed).value) for L in DEFAULT_L_GRID]
-    rows = []
-    for i in range(1, imax + 1):
-        ri = volB0 / (i * volM)
-        bound = max(gap_bound(n, L, ri, vl) for L, vl in vls)
-        rows.append((i, ri, bound))
-    return rows

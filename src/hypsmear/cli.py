@@ -17,7 +17,6 @@ from hypsmear.bounds import (
     DEFAULT_L_GRID,
     DEFAULT_SEED,
     gap_bound,
-    gluing_ratio_sequence,
     solve_k,
     tube_factor,
     vl_estimate,
@@ -195,8 +194,13 @@ def _cmd_solvek(args) -> dict:
     }
 
 
-def _curve_edges(args):
-    return _parse_grid(args.edge_grid) if args.edge_grid else DEFAULT_L_GRID
+def _best_bounds(args, edges, ratios):
+    """For each ratio r, the edge of ``edges`` that maximizes the gap bound
+    at r, and that bound."""
+    ests = [(L, vl_estimate(args.dim, L, args.restarts, args.seed).value) for L in edges]
+    for r in ratios:
+        L, vl = max(ests, key=lambda le: gap_bound(args.dim, le[0], r, le[1]))
+        yield L, gap_bound(args.dim, L, r, vl)
 
 
 def _cmd_curve(args) -> str:
@@ -216,25 +220,24 @@ def _cmd_curve(args) -> str:
             rows.append((L, gap_bound(args.dim, L, args.r or 0.0, est.value)))
         return _tabular(("L", "bound"), rows, args.format, args.seed)
     if args.kind == "bound_vs_r":
-        edges = _curve_edges(args)
-        ests = [(L, vl_estimate(args.dim, L, args.restarts, args.seed).value) for L in edges]
-        rows = []
-        for r in grid:
-            best = max(ests, key=lambda le: gap_bound(args.dim, le[0], r, le[1]))
-            rows.append((r, best[0], gap_bound(args.dim, best[0], r, best[1])))
+        edges = _parse_grid(args.edge_grid) if args.edge_grid else DEFAULT_L_GRID
+        rows = [(r, *best) for r, best in zip(grid, _best_bounds(args, edges, grid))]
         return _tabular(("r", "L_best", "bound"), rows, args.format, args.seed)
     if args.kind == "glue_sequence":
+        # stage i of the doubling tower glues 2i copies of M along B0: volume
+        # 2i vol(M), boundary 2 vol(B0), so ratio volb / (i volm)
         if args.volm is None or args.volb is None:
             raise _Usage("glue_sequence needs --volm and --volb")
         for i in grid:
             if not 1 <= i <= _MAX_POINTS or i != int(i):
                 raise _Usage(f"glue_sequence stage {i:g} is not a whole number "
                              f"from 1 to {_MAX_POINTS}")
-        imax = int(max(grid))
-        wanted = {int(i) for i in grid}
-        seq = gluing_ratio_sequence(args.volm, args.volb, imax, args.dim,
-                                    restarts=args.restarts, seed=args.seed)
-        rows = [row for row in seq if row[0] in wanted]
+        if args.volm <= 0 or args.volb <= 0:
+            raise ValueError("volumes must be positive")
+        stages = sorted({int(i) for i in grid})
+        ratios = [args.volb / (i * args.volm) for i in stages]
+        rows = [(i, r, bound) for i, r, (_, bound)
+                in zip(stages, ratios, _best_bounds(args, DEFAULT_L_GRID, ratios))]
         return _tabular(("i", "r", "bound"), rows, args.format, args.seed)
     raise _Usage(f"unknown curve kind '{args.kind}'")
 

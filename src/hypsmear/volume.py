@@ -252,7 +252,10 @@ def klein_volume(verts: np.ndarray, q: QuadratureSpec | None = None) -> VolumeRe
     integrated adaptively in Klein coordinates.
 
     ``verts`` is the (n+1, n+1) array of hyperboloid vertex rows.  Vertices
-    must be finite: a light-cone (ideal) row is an error.
+    must be finite: a light-cone (ideal) row is an error.  The result's
+    err_estimate is an estimate, not a bound: at the regular 3-simplex of
+    edge 32 the default spec returns an estimate of 9.9e-9 for an error of
+    2.1e-8.
     """
     spec = q if q is not None else QuadratureSpec()
     verts = np.asarray(verts, dtype=float)
@@ -414,8 +417,8 @@ def _schlafli_volume(n: int):
         value, other = (float(f(_SCHLAFLI_END)) for f in fits)
         err = abs(value - other)
         if not (value > 0.0 and err <= _SCHLAFLI_RTOL * value):
-            raise ValueError(f"v_{n} is out of reach: level {k} of the Schlaefli recursion is "
-                             f"{value:.3g} with error estimate {err:.2g}, "
+            raise ValueError(f"the Schlaefli series at n = {n} is out of reach: its level {k} "
+                             f"is {value:.3g} with error estimate {err:.2g}, "
                              f"beyond {_SCHLAFLI_RTOL:g} relative")
     return tuple(fits)
 

@@ -9,7 +9,6 @@ import pytest
 from hypsmear import bounds
 from hypsmear.bounds import (
     gap_bound,
-    gluing_ratio_sequence,
     l0_estimate,
     solve_k,
     tube_factor,
@@ -211,8 +210,8 @@ def test_threshold_scans_stop_at_the_edge_limit(monkeypatch):
 
 
 def test_solve_k_scan_reaches_the_last_grid_point(monkeypatch):
-    # the doubling scan from 3.0 would step from 18.5 past the limit; its
-    # clamped last step at 32 brackets the threshold, and bisection finds it
+    # the doubling scan from 0.5 ends on the last grid point, 32, which
+    # brackets the threshold, and bisection finds it
     vn = ideal_regular_volume(3).v_n
     asked = _scripted_vl(monkeypatch, lambda L: vn if L >= 25.0 else (0.5 if L >= 3.0 else 0.0))
     cert = solve_k(3, 0.1)
@@ -229,12 +228,11 @@ def test_threshold_searches_probe_in_a_fixed_order(monkeypatch):
     vn = ideal_regular_volume(3).v_n
     asked = _scripted_vl(monkeypatch, lambda L: vn if L >= 25.0 else (0.5 if L >= 3.0 else 0.0))
     assert solve_k(3, 0.1).L1 == 25.0
-    assert asked == [3.0, 2.5, 2.75, 3.0, 3.5, 4.5, 6.5, 10.5, 18.5, 32.0,
-                     25.0, 21.5, 23.0, 24.0, 24.5, 25.0]
+    assert asked == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 24.0, 28.0, 26.0, 25.0, 24.5, 25.0]
 
     asked = _scripted_vl(monkeypatch, lambda L: vn if L >= 9.7 else (0.5 if L >= 2.3 else 0.0))
     assert solve_k(3, 0.1).L1 == 10.0
-    assert asked == [3.0, 2.5, 2.25, 2.5, 3.0, 4.0, 6.0, 10.0, 8.0, 9.0, 9.5, 10.0]
+    assert asked == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 12.0, 10.0, 9.0, 9.5, 10.0]
 
 
 def test_l0_estimate_frozen():
@@ -268,6 +266,24 @@ def test_l0_estimate_spends_no_restart_on_its_budget(monkeypatch):
     assert l0_estimate(2) == 2.1953125
     assert len(evals) <= 112_927 // 3
     assert set(reasons) == {"converged"}
+
+
+def test_n2_restarts_start_at_distinct_angles(monkeypatch):
+    # a start row at n = 2 maps to its angles, so 0.9 and 0.75 times the
+    # inward pull once started two restarts within 1e-15 of the inward one
+    starts = []
+
+    def recorded(f, x0, **options):
+        starts.append(x0)
+        return x0, 0.0, "converged"
+
+    monkeypatch.setattr(bounds, "_VL_CACHE", {})
+    monkeypatch.setattr(bounds, "_nelder_mead", recorded)
+    for L in (2.1953125, 4.0, 6.0, 12.0):
+        starts.clear()
+        vl_estimate(2, L, restarts=6)
+        assert len(starts) == 6
+        assert min(np.abs(a - b).max() for j, a in enumerate(starts) for b in starts[:j]) > 1e-6
 
 
 @pytest.mark.parametrize("L", [2.1875, 2.25, 4.0, 6.0])
@@ -327,22 +343,3 @@ def test_gap_bound_overflow_is_an_error():
     with pytest.raises(ValueError, match="overflows"):
         gap_bound(2, 6.0, 1e308, VL_2_6)
     assert math.isfinite(gap_bound(2, 6.0, 1e300, VL_2_6))
-
-
-def test_gluing_sequence_invariants(monkeypatch):
-    monkeypatch.setattr(bounds, "DEFAULT_L_GRID", (4.0, 6.0))
-    rows = gluing_ratio_sequence(10.0, 2.0, 3, restarts=2)
-    assert [i for i, _, _ in rows] == [1, 2, 3]
-    r1 = rows[0][1]
-    assert r1 == pytest.approx(0.2, rel=1e-15)
-    for i, r, _ in rows:
-        assert r == pytest.approx(r1 / i, rel=1e-15)
-    best = [b for _, _, b in rows]
-    assert all(a <= b + 1e-12 for a, b in zip(best, best[1:]))
-
-
-def test_gluing_sequence_guards():
-    with pytest.raises(ValueError):
-        gluing_ratio_sequence(0.0, 2.0, 3)
-    with pytest.raises(ValueError):
-        gluing_ratio_sequence(10.0, 2.0, 0)

@@ -7,12 +7,13 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import hypsmear
 from hypsmear import cli, volume
-from hypsmear.bounds import gap_bound, tube_factor, vl_estimate
+from hypsmear.bounds import DEFAULT_L_GRID, gap_bound, tube_factor, vl_estimate
 from hypsmear.cli import main
 
 
@@ -86,6 +87,12 @@ def test_non_finite_numbers_are_usage_errors(capsys):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             assert "finite" in err or "bad grid" in err
+
+
+def test_regvol_names_the_series_out_of_reach(capsys):
+    code, out, err = run(capsys, "regvol", "--dim", "50", "--edge", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the Schlaefli series at n = 50 is out of reach: ")
 
 
 def test_regvol_quadrature(capsys):
@@ -176,7 +183,7 @@ def test_curve_glue_requires_volumes(capsys, monkeypatch):
         raise AssertionError("vl_estimate ran before the stages were checked")
 
     # stage indices are whole numbers i >= 1; others were dropped from the output
-    monkeypatch.setattr("hypsmear.bounds.vl_estimate", no_vl)
+    monkeypatch.setattr(cli, "vl_estimate", no_vl)
     for grid, bad in (("1:3:0.5", "1.5"), ("0:2:1", "0")):
         code, out, err = run(capsys, "curve", "--kind", "glue_sequence", "--grid", grid,
                              "--volm", "10", "--volb", "2")
@@ -192,7 +199,6 @@ def test_oversized_grids_are_usage_errors(capsys, monkeypatch):
         raise AssertionError("the computation ran before the grid was checked")
 
     monkeypatch.setattr(cli, "vl_estimate", no_work)
-    monkeypatch.setattr(cli, "gluing_ratio_sequence", no_work)
     glue = ("--kind", "glue_sequence", "--volm", "10", "--volb", "2")
     for argv in (("--kind", "vl_vs_L", "--grid", "4:1e15:1"),
                  ("--kind", "vl_vs_L", "--grid", "1e16:1e16:1"),
@@ -207,8 +213,7 @@ def test_oversized_grids_are_usage_errors(capsys, monkeypatch):
         assert "10000" in err
     # the caps themselves are accepted
     assert len(cli._parse_grid("4:10003:1")) == cli._MAX_POINTS
-    monkeypatch.setattr(cli, "gluing_ratio_sequence",
-                        lambda volm, volb, imax, n, restarts=6, seed=None: [(imax, 0.1, 0.5)])
+    monkeypatch.setattr(cli, "vl_estimate", lambda n, L, restarts, seed: SimpleNamespace(value=1.0))
     assert run(capsys, "curve", *glue, "--grid", "10000:10000:1")[0] == 0
 
 
@@ -296,15 +301,15 @@ def test_curve_rejects_flags_of_other_kinds(capsys, monkeypatch):
     # glue_sequence passes --restarts on, with the library's default of 6
     seen = []
 
-    def sequence(volm, volb, imax, n, restarts=6, seed=None):
+    def recorded(n, L, restarts, seed):
         seen.append(restarts)
-        return [(1, volb / volm, 0.5)]
+        return SimpleNamespace(value=1.0)
 
-    monkeypatch.setattr(cli, "gluing_ratio_sequence", sequence)
+    monkeypatch.setattr(cli, "vl_estimate", recorded)
     glue = ("curve", "--kind", "glue_sequence", "--grid", "1:1:1", "--volm", "10", "--volb", "2")
     assert run(capsys, *glue, "--restarts", "3")[0] == 0
     assert run(capsys, *glue)[0] == 0
-    assert seen == [3, 6]
+    assert seen == [3] * len(DEFAULT_L_GRID) + [6] * len(DEFAULT_L_GRID)
 
 
 def test_glue_halving_ratios(capsys):
@@ -317,8 +322,52 @@ def test_glue_halving_ratios(capsys):
     assert [row[0] for row in rows] == [1, 2, 3]
     assert rows[0][1] == pytest.approx(0.2, rel=1e-15)
     assert rows[2][1] == pytest.approx(0.2 / 3.0, rel=1e-15)
+    for i, r, _ in rows:
+        assert r == pytest.approx(rows[0][1] / i, rel=1e-15)
     bounds = [row[2] for row in rows]
     assert bounds == sorted(bounds)
+
+
+def test_curve_glue_sequence_invariants(capsys, monkeypatch):
+    # stage i has ratio r_1 / i, and a smaller ratio never lowers the best bound
+    monkeypatch.setattr(cli, "DEFAULT_L_GRID", (4.0, 6.0))
+    code, out, _ = run(capsys, "curve", "--kind", "glue_sequence", "--grid", "1:3:1",
+                       "--volm", "10", "--volb", "2", "--restarts", "2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [i for i, _, _ in rows] == [1, 2, 3]
+    r1 = rows[0][1]
+    assert r1 == pytest.approx(0.2, rel=1e-15)
+    for i, r, _ in rows:
+        assert r == pytest.approx(r1 / i, rel=1e-15)
+    best = [b for _, _, b in rows]
+    assert all(a <= b + 1e-12 for a, b in zip(best, best[1:]))
+
+
+def test_curve_glue_sequence_guards(capsys, monkeypatch):
+    # volumes are checked after the stages and before any V_L estimate
+    def no_vl(*args, **kwargs):
+        raise AssertionError("vl_estimate ran before the volumes were checked")
+
+    monkeypatch.setattr(cli, "vl_estimate", no_vl)
+    for volm, volb in (("0", "2"), ("10", "0"), ("-1", "2")):
+        assert run(capsys, "curve", "--kind", "glue_sequence", "--grid", "1:3:1",
+                   "--volm", volm, "--volb", volb) == (1, "", "error: volumes must be positive\n")
+    code, _, err = run(capsys, "curve", "--kind", "glue_sequence", "--grid", "0:3:1",
+                       "--volm", "0", "--volb", "2")
+    assert code == 2 and "stage 0 " in err
+
+
+def test_curve_glue_stage_one_is_bound_vs_r_at_its_ratio(capsys):
+    # both read the maximiser over the same edges; stage 1 has r = volb / volm
+    glue = run(capsys, "curve", "--kind", "glue_sequence", "--grid", "1:1:1",
+               "--volm", "10", "--volb", "2", "--restarts", "2", "--format", "csv")
+    by_r = run(capsys, "curve", "--kind", "bound_vs_r", "--grid", "0.2:0.2:1",
+               "--edge-grid", "4:16:1", "--restarts", "2", "--format", "csv")
+    assert glue[0] == by_r[0] == 0
+    (i, r, bound), = (row.split(",") for row in glue[1].splitlines()[2:])
+    (r_best, _, bound_best), = (row.split(",") for row in by_r[1].splitlines()[2:])
+    assert (i, r, bound) == ("1", r_best, bound_best)
 
 
 def test_format_only_on_tabular_commands(capsys):

@@ -41,3 +41,13 @@ def test_setup_times_prints_one_row_per_model():
     assert [c.strip() for c in cells["14"]] == ["1,672", "356", "8.9e-08"]
     assert "refused: boundary line polars drifted" in cells["23.65"][0]
     assert "refused: orbit search explored over 200000 images" in cells["25.25"][0]
+
+
+def test_code_lines_rows_sum_to_the_total():
+    out = subprocess.run([sys.executable, str(TOOLS / "code_lines.py")],
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    rows = [r.split("|")[1:3] for r in out.splitlines()[2:]]
+    counts = {name.strip(): int(c.replace(",", "")) for name, c in rows}
+    total = counts.pop("total")
+    assert "hypsmear/bounds.py" in counts and all(c > 0 for c in counts.values())
+    assert sum(counts.values()) == total
