@@ -337,17 +337,17 @@ def _cmd_smear_run(args) -> dict:
 
 
 def _cmd_smear_check(args) -> dict:
-    from hypsmear.smear import build_net, inclusion_check
+    from hypsmear.smear import accumulate_chain, build_net
 
     model = _load_model(args.model)
     net = build_net(model, args.net_radius)
-    violations = inclusion_check(model, net, args.edge, args.samples, args.seed)
+    chain = accumulate_chain(model, net, args.edge, args.samples, args.seed)
     return {
         "model": args.model,
         "L": args.edge,
         "samples": args.samples,
         "seed": args.seed,
-        "violations": violations,
+        "violations": chain.violations,
     }
 
 

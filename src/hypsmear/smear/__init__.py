@@ -10,7 +10,6 @@ from hypsmear.smear.chain import (
     accumulate_chain,
     boundary_residuals,
     ratio_report,
-    inclusion_check,
     measure_sandwich,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "accumulate_chain",
     "boundary_residuals",
     "ratio_report",
-    "inclusion_check",
     "measure_sandwich",
 ]

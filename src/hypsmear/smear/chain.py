@@ -21,6 +21,11 @@ element is the identity.  Quantization grids sit orders of magnitude above
 the measured float noise and below the minimal separations, so equal keys
 mean equal cell simplices and conversely.
 
+The same pass counts the samples that break the retention rules near the
+boundary: a simplex whose base vertex lies deeper than L + 3 must be fully
+interior, and a kept simplex must have its base vertex within depth L of
+the surface.
+
 The chain is a set of numpy columns, one row per key in first-seen order
 (new keys of one shard in signed-lexicographic order), reserved once at
 2 * samples rows and committed page by page as keys are written.  Keys and
@@ -31,6 +36,7 @@ against the full rows, so a collision raises instead of merging distinct keys.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -49,7 +55,6 @@ __all__ = [
     "accumulate_chain",
     "boundary_residuals",
     "ratio_report",
-    "inclusion_check",
     "measure_sandwich",
 ]
 
@@ -216,6 +221,9 @@ _INT32 = np.iinfo(np.int32)
 # _drop[:, j] flags face j as dropped (both its vertices beyond one line)
 _COLUMNS = {"_keys": ((18,), np.int32), "_bp": ((), np.int64), "_bm": ((), np.int64),
             "_cls": ((), np.int8), "_area": ((), float), "_drop": ((3,), bool)}
+# most bytes one key costs: its columns, its hash-index entries (uint64 hash,
+# int64 key index) and their copies while np.insert grows the index
+_KEY_BYTES = sum(np.dtype(dt).itemsize * math.prod(shape) for shape, dt in _COLUMNS.values()) + 32
 # hash-prefix buckets of boundary_residuals, a power of two up to 128
 _FACE_BUCKETS = 64
 # face j drops vertex j: the _keys columns holding _key_rows of its two
@@ -239,6 +247,15 @@ def _row_hash(columns) -> np.ndarray:
         np.right_shift(h, np.uint64(31), out=shifted)
         h ^= shifted
     return h
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None  # sysconf gives -1 for an undefined value
 
 
 def _as_int32(tokens: np.ndarray) -> np.ndarray:
@@ -307,7 +324,13 @@ class SmearChain:
         self.scale = model.exact_area / samples
         self.lines = _chain_lines(model, net, L)
         self._count = 0
-        # a frame adds at most one key per family: one reservation holds them all
+        # a frame adds at most one key per family: one reservation holds them
+        # all.  The system commits its pages only as keys are written, so a
+        # chain that cannot fit is refused here, not once its pages fill
+        need, have = 2 * self.samples * _KEY_BYTES, _physical_memory()
+        if have is not None and need > have:
+            raise RuntimeError(f"a chain of {samples} samples may need {need / 1e6:,.0f} MB, "
+                               f"more than the {have / 1e6:,.0f} MB of physical memory")
         try:
             for name, (shape, dtype) in _COLUMNS.items():
                 setattr(self, name, np.zeros((2 * self.samples,) + shape, dtype))
@@ -319,6 +342,7 @@ class SmearChain:
         self.u_sum = 0.0
         self.u_sqsum = 0.0
         self.discarded = {1: 0, -1: 0}
+        self.violations = 0
 
     def __len__(self) -> int:
         return self._count
@@ -331,10 +355,14 @@ class SmearChain:
         n = self._count
         return self._bp[:n], self._bm[:n], self._cls[:n], self._area[:n]
 
-    def _absorb(self, sign: int, ctok, em, pos3, outside) -> np.ndarray:
-        """Merge one family's net cells of one shard, as _cells returns them;
-        returns per-sample interior simplex areas."""
+    def _absorb(self, sign: int, depth, ctok, em, pos3, outside) -> np.ndarray:
+        """Merge one family's net cells of one shard, as _cells returns them,
+        and count the samples whose classes break the retention rules at
+        their base vertices' `depth`; returns per-sample interior simplex
+        areas."""
         cls = _classify(outside)
+        self.violations += int(np.count_nonzero((depth > self.L + 3.0) & (cls != CLASS_INT))
+                               + np.count_nonzero((cls != CLASS_DISCARD) & (depth < -self.L)))
         b = len(cls)
         areas = np.zeros(b)
         kept = np.flatnonzero(cls != CLASS_DISCARD)
@@ -400,7 +428,6 @@ def _mirror_pair(L: float) -> tuple:
     unit deposits, which is what the binomial z-score model of
     boundary_residuals assumes.
     """
-    # the edge-length guard of both chain loops
     if L < 1.0:
         raise ValueError("L must be >= 1")
     q_plus = regular_simplex(2, L)
@@ -417,14 +444,17 @@ def _mirror_pair(L: float) -> tuple:
 def accumulate_chain(
     model: SurfaceModel, net: GammaNet, L: float, samples: int, seed: int = 1789
 ) -> SmearChain:
-    """Sample `samples` frames and tally both simplex families into a chain."""
+    """Sample `samples` frames and tally both simplex families into a chain,
+    counting the retention rules' violations as `chain.violations`."""
     q_plus, q_minus = _mirror_pair(L)
     frames = haar_sample(model, samples, seed)  # rejects samples < 1 before the chain divides by it
     chain = SmearChain(model, net, L, samples)
     for mats in frames:
+        # both families share the base vertex, whose depth the retention rules read
+        depth = model.distance_to_boundary(_vertex_images(mats, q_plus[:1])[:, 0], chain.lines)
         u = np.zeros(len(mats))
         for sign, cells in _shard_families(model, net, chain.lines, mats, q_plus, q_minus):
-            u += sign * chain._absorb(sign, *cells)
+            u += sign * chain._absorb(sign, depth, *cells)
             del cells  # free the plus family before the minus one is built
         u *= 0.5
         chain.u_sum += float(u.sum())
@@ -532,23 +562,3 @@ def measure_sandwich(chain: SmearChain) -> dict:
         out[name] = (mass, sigma)
     out["bracket"] = (low, high)
     return out
-
-
-def inclusion_check(
-    model: SurfaceModel, net: GammaNet, L: float, samples: int, seed: int = 1789
-) -> int:
-    """Count samples violating the retention logic: a simplex whose base
-    vertex image is deeper than L+3 must be fully interior, and a retained
-    simplex must have its base vertex image within depth L of the surface."""
-    q_plus, q_minus = _mirror_pair(L)
-    lines = _chain_lines(model, net, L)
-    violations = 0
-    for mats in haar_sample(model, samples, seed):
-        # both families share the base vertex
-        depth = model.distance_to_boundary(_vertex_images(mats, q_plus[:1])[:, 0], lines)
-        for _, cells in _shard_families(model, net, lines, mats, q_plus, q_minus):
-            cls = _classify(cells[3])
-            viol_deep = (depth > L + 3.0) & (cls != CLASS_INT)
-            viol_near = (cls != CLASS_DISCARD) & (depth < -L)
-            violations += int(viol_deep.sum()) + int(viol_near.sum())
-    return violations

@@ -10,7 +10,8 @@ that reworks which must not move a bit or an index can be checked against
 them: the adaptive Klein quadrature before its cells became one array, the
 greedy net covering before arccosh moved after the row minimum, the orbit
 search before it ran a frontier at a time, the surface model's inverse and
-boundary-side loops, and the recursive tube-factor integral.
+boundary-side loops, the recursive tube-factor integral, and the retention
+check's own second pass over the chain's frames.
 """
 
 from __future__ import annotations
@@ -476,3 +477,22 @@ def boundary_lines_decimal(model, radius: float, margin: float) -> np.ndarray:
     limit = ctx.create_decimal(math.sinh(radius))
     lines = np.array([[float(x) for x in u] for u in found if abs(u[0]) <= limit])
     return lines[np.lexsort(lines.T[::-1])]
+
+
+def retention_violations_reference(model, net, L: float, samples: int, seed: int) -> int:
+    """Samples breaking the chain's retention rules, counted in a pass of
+    their own: the same frames and cells as accumulate_chain, each family
+    classified again.  A simplex whose base vertex is deeper than L + 3 must
+    be interior, and a kept one must have its base vertex within depth L."""
+    from hypsmear.smear import chain as chain_mod
+
+    q_plus, q_minus = chain_mod._mirror_pair(L)
+    lines = chain_mod._chain_lines(model, net, L)
+    violations = 0
+    for mats in chain_mod.haar_sample(model, samples, seed):
+        depth = model.distance_to_boundary(chain_mod._vertex_images(mats, q_plus[:1])[:, 0], lines)
+        for _, cells in chain_mod._shard_families(model, net, lines, mats, q_plus, q_minus):
+            cls = chain_mod._classify(cells[3])
+            violations += int(((depth > L + 3.0) & (cls != chain_mod.CLASS_INT)).sum())
+            violations += int(((cls != chain_mod.CLASS_DISCARD) & (depth < -L)).sum())
+    return violations

@@ -136,7 +136,7 @@ def test_constant_hash_raises_instead_of_merging(monkeypatch, genus2, genus2_net
     q_plus, _ = chain_mod._mirror_pair(6.0)
     cells = chain_mod._cells(genus2, net, chain.lines, mats, q_plus, len(mats))
     with pytest.raises(RuntimeError, match="collision"):
-        SmearChain(genus2, net, 6.0, 200)._absorb(1, *cells)
+        SmearChain(genus2, net, 6.0, 200)._absorb(1, np.zeros(len(mats)), *cells)
 
 
 def test_collision_with_stored_key_raises(monkeypatch, genus2, genus2_net):
@@ -196,6 +196,23 @@ def test_refused_reservation_exits_1(monkeypatch, capsys):
     code = main(["smear", "run", "--model", "genus2", "--edge", "6.0", "--samples", "200"])
     assert code == 1
     assert "cannot reserve the chain store" in capsys.readouterr().err
+
+
+def test_chain_beyond_physical_memory_is_refused_before_sampling(monkeypatch, capsys, tmp_path):
+    # 200,000 samples may need 2 rows of _KEY_BYTES = 132 each per sample,
+    # 53 MB, against a probe that reports 10 MB; nothing is allocated or drawn
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("frames were sampled before the store was checked")
+
+    monkeypatch.setattr(chain_mod, "_physical_memory", lambda: 10**7)
+    monkeypatch.setattr(chain_mod, "_rejection_positions", no_sampling)
+    out = tmp_path / "run.json"
+    for command in ("run", "check"):
+        code = main(["smear", command, "--model", "holed_torus", "--edge", "4.0",
+                     "--samples", "200000", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert "200000 samples may need 53 MB, more than the 10 MB of physical memory" in err
 
 
 @pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
@@ -302,7 +319,7 @@ def test_faces_are_two_vertex_keys(request, name, L):
             cols = rows[:, chain_mod._FACES[j]]
             assert face.dtype == cols.dtype and face.tobytes() == cols.tobytes()
         n0 = len(chain)
-        chain._absorb(sign, ctok, em, pos3, outside)
+        chain._absorb(sign, np.zeros(len(mats)), ctok, em, pos3, outside)
         # a new key is stored from the lowest kept sample carrying it
         src = {}
         for i in np.flatnonzero(chain_mod._classify(outside) != chain_mod.CLASS_DISCARD):
@@ -378,8 +395,10 @@ def test_shard_memory_within_budget(torus, torus_net):
     assert len(mats) == chain_mod._SHARD
 
     def shard():
+        depth = torus.distance_to_boundary(chain_mod._vertex_images(mats, q_plus[:1])[:, 0],
+                                           chain.lines)
         for sign, cells in chain_mod._shard_families(torus, net, chain.lines, mats, q_plus, q_minus):
-            chain._absorb(sign, *cells)
+            chain._absorb(sign, depth, *cells)
             del cells
 
     assert traced_peak(shard) <= 38e6

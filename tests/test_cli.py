@@ -257,8 +257,9 @@ def _run_child(argv, preexec_fn=None):
 
 
 def test_memory_exhaustion_is_an_error_line():
-    # the chain store of 10^8 samples needs gigabytes; under a 512 MB
-    # address-space limit, set in the child only, it cannot be reserved
+    # the chain store of 10^8 samples needs gigabytes: it is refused against
+    # physical memory, or, on a host with more, cannot be reserved under a
+    # 512 MB address-space limit, set in the child only
     def cap():
         limit = 512 << 20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

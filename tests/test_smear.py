@@ -10,7 +10,6 @@ from hypsmear.smear import (
     accumulate_chain,
     boundary_residuals,
     haar_sample,
-    inclusion_check,
     measure_sandwich,
     ratio_report,
 )
@@ -286,7 +285,36 @@ def test_ratio_report_moderate_run(genus2, genus2_net):
 
 def test_inclusion_check_torus_small(torus, torus_net):
     net, _ = torus_net
-    assert inclusion_check(torus, net, 4.0, 20_000, seed=1789) == 0
+    chain = accumulate_chain(torus, net, 4.0, 20_000, seed=1789)
+    assert chain.violations == 0
+    assert chain.violations == oracles.retention_violations_reference(torus, net, 4.0, 20_000, 1789)
+
+
+@pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
+def test_violation_counter_matches_the_two_pass_count_on_a_mutant(
+    request, monkeypatch, name, L
+):
+    # every third interior simplex classed as crossing breaks the deep rule
+    # wherever base vertices lie deeper than L + 3, as on a closed model.  On
+    # the torus at L = 4 they lie at depths -2.2 to 1.3, where neither rule
+    # reads the class, so there the depths are also shifted by -(L + 1)
+    model = request.getfixturevalue(name)
+    net, _ = request.getfixturevalue(f"{name}_net")
+    classify = chain_mod._classify
+
+    def mutant(outside):
+        cls = classify(outside)
+        cls[np.flatnonzero(cls == chain_mod.CLASS_INT)[::3]] = chain_mod.CLASS_EXT
+        return cls
+
+    monkeypatch.setattr(chain_mod, "_classify", mutant)
+    if name == "torus":
+        depth = type(model).distance_to_boundary
+        monkeypatch.setattr(type(model), "distance_to_boundary",
+                            lambda self, coords, lines: depth(self, coords, lines) - (L + 1.0))
+    chain = accumulate_chain(model, net, L, 2000, seed=1789)
+    assert chain.violations > 0
+    assert chain.violations == oracles.retention_violations_reference(model, net, L, 2000, 1789)
 
 
 def test_sandwich_brackets_boundary_model(torus, torus_net):

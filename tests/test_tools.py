@@ -19,6 +19,7 @@ def test_stage_peaks_prints_one_row_per_run():
     for r in rows:
         chain_mb, residuals_mb = (float(c.split()[0]) for c in r.split("|")[3:5])
         assert 0 < chain_mb <= residuals_mb
+        assert float(r.split("|")[5]) >= 0  # the chain's wall time in seconds
 
 
 def test_setup_times_prints_one_row_per_model():

@@ -1,12 +1,13 @@
 """Peak RSS of a smear run after each stage: the chain, then the chain plus
-its boundary residuals, for the three runs of README's memory table.
+its boundary residuals, and the chain's wall time, for the three runs of
+README's memory table.
 
     python tools/stage_peaks.py                  # the table's sizes
     python tools/stage_peaks.py --samples 20000  # every run at 20,000 samples
 
 Each run is one fresh process (peak RSS belongs to a process), with BLAS on
 one thread: it builds the net at the CLI's default radius, accumulates the
-chain at the CLI's default seed, reads the peak RSS, computes
+chain at the CLI's default seed, timing it, reads the peak RSS, computes
 boundary_residuals and reads it again.  Prints one markdown table row per run.
 """
 
@@ -18,6 +19,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 RUNS = (("genus2", 6.0, 1_000_000), ("holed_torus", 4.0, 327_680), ("holed_torus", 8.0, 327_680))
@@ -30,16 +32,20 @@ def _peak_mb() -> float:
 
 
 def measure(model_name: str, L: float, samples: int) -> dict:
-    """One run in this process: keys per sample and the peak RSS in MB after
-    the chain and after its residuals."""
+    """One run in this process: keys per sample, the peak RSS in MB after the
+    chain and after its residuals, and the chain's wall time in seconds."""
     from hypsmear.smear import accumulate_chain, boundary_residuals, build_net, load_model
     from hypsmear.smear.surface import bundled_model_path
 
     model = load_model(bundled_model_path(model_name))
-    chain = accumulate_chain(model, build_net(model, NET_RADIUS), L, samples, seed=SEED)
+    net = build_net(model, NET_RADIUS)
+    t0 = time.perf_counter()
+    chain = accumulate_chain(model, net, L, samples, seed=SEED)
+    chain_s = time.perf_counter() - t0
     chain_mb = _peak_mb()
     boundary_residuals(chain)
-    return {"keys_per_sample": len(chain) / samples, "chain_mb": chain_mb, "residuals_mb": _peak_mb()}
+    return {"keys_per_sample": len(chain) / samples, "chain_mb": chain_mb,
+            "residuals_mb": _peak_mb(), "chain_s": chain_s}
 
 
 def main(argv=None) -> int:
@@ -54,15 +60,15 @@ def main(argv=None) -> int:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    print("| run | keys per sample | chain | chain + `boundary_residuals` |")
-    print("|---|---|---|---|")
+    print("| run | keys per sample | chain | chain + `boundary_residuals` | chain s |")
+    print("|---|---|---|---|---|")
     for model_name, L, samples in RUNS:
         samples = args.samples or samples
         out = subprocess.run([sys.executable, __file__, "--run", model_name, str(L), str(samples)],
                              env=env, check=True, capture_output=True, text=True).stdout
         r = json.loads(out.splitlines()[-1])
         print(f"| `{model_name}`, L = {L:g}, {samples:,} samples | {r['keys_per_sample']:.2f} "
-              f"| {r['chain_mb']:.0f} MB | {r['residuals_mb']:.0f} MB |", flush=True)
+              f"| {r['chain_mb']:.0f} MB | {r['residuals_mb']:.0f} MB | {r['chain_s']:.1f} |", flush=True)
     return 0
 
 
