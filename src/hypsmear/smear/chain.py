@@ -388,12 +388,11 @@ class SmearChain:
             lex = fresh[np.lexsort(urows[fresh].T[::-1])]
             src = kept[first[lex]]
             # narrowed before the store changes: an overflow leaves it intact
-            keys = _as_int32(urows[lex]), _as_int32(_key_rows(ctok[src, 1:], em[src, 1:])[:, 6:])
+            keys = _as_int32(urows[lex]), _as_int32(_key_rows(ctok[:, 1:], em[:, 1:])[src, 6:])
             n0, n1 = self._count, self._count + lex.size
             gidx[lex] = np.arange(n0, n1)
-            at = np.searchsorted(self._hsorted, uh[fresh])
-            self._hsorted = np.insert(self._hsorted, at, uh[fresh])
-            self._hperm = np.insert(self._hperm, at, gidx[fresh])
+            self._hsorted = np.insert(self._hsorted, pos[fresh], uh[fresh])
+            self._hperm = np.insert(self._hperm, pos[fresh], gidx[fresh])
             self._keys[n0:n1, :15], self._keys[n0:n1, 15:] = keys
             self._cls[n0:n1] = cls[src]
             self._area[n0:n1] = triangle_areas(pos3[src])
@@ -401,8 +400,7 @@ class SmearChain:
             self._count = n1
         tallies = self._bp if sign > 0 else self._bm
         tallies[gidx] += np.bincount(inverse)
-        sample_keys = gidx[inverse]
-        areas[kept] = self._area[sample_keys] * (self._cls[sample_keys] == CLASS_INT)
+        areas[kept] = (self._area[gidx] * (self._cls[gidx] == CLASS_INT))[inverse]
         return areas
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hypsmear.hypgeom import POINT_NORM_TOL, HPoint, to_klein
+from hypsmear.hypgeom import POINT_NORM_TOL, renormalize_rows, to_klein
 
 __all__ = [
     "MAX_EDGE",
@@ -45,7 +45,8 @@ _MAX_CELLS = 1_000_000
 
 # Longest supported regular-simplex edge.  Above about L = 36 the squared
 # circumradius cosh^2 nears 2^53 and the vertex rows lose <x,x> = -1 to
-# rounding, so HPoint rejects some of them; 32 keeps a margin of e^4.
+# rounding, so klein_volume's point check rejects some of them; 32 keeps a
+# margin of e^4.
 MAX_EDGE = 32.0
 
 
@@ -344,7 +345,7 @@ def _unit_regular_directions(n: int) -> np.ndarray:
 def regular_simplex(n: int, L: float) -> np.ndarray:
     """Vertex rows (n+1, n+1) of the regular geodesic n-simplex with all
     edge lengths L in (0, MAX_EDGE], centered at the reference point and
-    positively oriented; each row is validated and normalized by HPoint."""
+    positively oriented; each row normalized onto the sheet <x, x> = -1."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0 < L <= MAX_EDGE:
@@ -357,7 +358,7 @@ def regular_simplex(n: int, L: float) -> np.ndarray:
         u = u.copy()
         u[:, -1] *= -1.0
         verts = np.column_stack([np.full(n + 1, cosh_s), sinh_s * u])
-    return np.array([HPoint(row).coords for row in verts])
+    return renormalize_rows(verts)
 
 
 def regular_simplex_volume(n: int, L: float) -> VolumeResult:

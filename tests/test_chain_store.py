@@ -181,6 +181,20 @@ def test_store_is_reserved_once(monkeypatch, genus2, genus2_net):
         assert len(column) == 2 * 500
 
 
+@pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
+def test_hash_index_sorts_the_stored_keys(request, monkeypatch, name, L):
+    # after several shards the index holds each key's hash once, in
+    # ascending order, next to the key it hashes
+    model = request.getfixturevalue(name)
+    net = request.getfixturevalue(f"{name}_net")[0]
+    monkeypatch.setattr(chain_mod, "_SHARD", SHARD)
+    chain = accumulate_chain(model, net, L, 4 * SHARD, seed=13)
+    h, perm = chain._hsorted, chain._hperm
+    assert len(chain) > 0 and np.all(h[1:] > h[:-1])
+    assert np.array_equal(np.sort(perm), np.arange(len(chain)))
+    assert np.array_equal(h, chain_mod._row_hash(chain._keys[perm, :15].T))
+
+
 def test_refused_reservation_exits_1(monkeypatch, capsys):
     # numpy, except that every zeros() inside the chain module fails the way
     # an allocation the OS refuses does; nothing large is ever requested

@@ -15,6 +15,7 @@ import hypsmear
 from hypsmear import cli, volume
 from hypsmear.bounds import DEFAULT_L_GRID, gap_bound, tube_factor, vl_estimate
 from hypsmear.cli import main
+from hypsmear.smear import accumulate_chain
 
 
 def run(capsys, *argv):
@@ -412,6 +413,25 @@ def test_smear_run_summary_and_csv(capsys, tmp_path):
     rows = [l for l in csv_path.read_text().split("\n") if l and not l.startswith("#")]
     assert len(rows) - 1 == doc["entry_count"]  # header row
     assert rows[0].startswith("k0,")
+
+
+def test_smear_run_csv_rows_match_the_chain(capsys, tmp_path, torus, torus_net):
+    csv_path = tmp_path / "cells.csv"
+    code, out, _ = run(capsys, "smear", "run", "--model", "holed_torus", "--edge", "4.0",
+                       "--samples", "3000", "--seed", "5", "--csv", str(csv_path))
+    assert code == 0 and json.loads(out)["net_radius"] == 0.4  # the fixture's net
+    lines = csv_path.read_text().splitlines()
+    assert lines[:2] == ["# seed=5", ",".join(
+        [f"k{j}" for j in range(15)] + ["b_plus", "b_minus", "class", "area"])]
+    chain = accumulate_chain(torus, torus_net[0], 4.0, 3000, seed=5)
+    keys, (bp, bm, cls, area) = chain.key_array(), chain.counts()
+    assert len(lines) - 2 == len(chain) > 0
+    for i, line in enumerate(lines[2:]):
+        fields = line.split(",")
+        assert len(fields) == 19
+        assert [int(v) for v in fields[:17]] == keys[i].tolist() + [bp[i], bm[i]]
+        assert fields[17] == cli._CLASS_NAMES[cls[i]]
+        assert float(fields[18]) == float(f"{area[i]:.12g}")
 
 
 def test_unwritable_output_paths_fail_before_the_work(capsys, tmp_path, monkeypatch):
