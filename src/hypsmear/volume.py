@@ -130,22 +130,21 @@ class _Rules(NamedTuple):
     """Both Grundmann-Moeller rules of the pair for the n-simplex and the
     column layout of the cell array that _integrate_adaptive refines."""
 
-    pts: np.ndarray  # (P, n+1) barycentric points, high-degree rule first
+    # (P, n+1+E) density table of the stacked points, high-degree rule first:
+    # barycentric coordinates lam, then lam_i lam_j over the edges i < j
+    table: np.ndarray
     w_hi: np.ndarray
     w_lo: np.ndarray
-    half_i: np.ndarray  # 0.5 * pts[:, I] over the off-diagonal pairs (I, J)
-    pts_j: np.ndarray  # pts[:, J]
-    pair_edge: np.ndarray  # edge index of each off-diagonal pair
     # (2, E, n+1) cell columns of the vertices i < j of each edge (i, j):
     # coordinates, then defect
     ends: np.ndarray
-    # cell columns: vertices [0, H), defects [H, DET), then det, value,
-    # error estimate, and squared edge lengths [E2, width)
+    # cell columns: vertices [0, H), defects [H, E2), squared edge lengths
+    # [E2, DET), then det, value and error estimate
     H: int
+    E2: int
     DET: int
     VAL: int
     ERR: int
-    E2: int
     width: int
 
 
@@ -155,27 +154,25 @@ def _rule_setup(n: int) -> _Rules:
     pts_lo, w_lo = _gm_rule(n, 2)
     pts_hi, w_hi = _gm_rule(n, 3)
     pts = np.concatenate([pts_hi, pts_lo])
-    edges = list(combinations(range(n + 1), 2))
-    # i-major order: the quadratic form is summed in the order of the full
-    # (n+1) x (n+1) contraction, whose diagonal terms are exact zeros
-    pairs = [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
-    ii, jj = (np.array(p) for p in zip(*pairs))
-    pair_edge = np.array([edges.index((min(i, j), max(i, j))) for i, j in pairs])
+    edges = np.array(list(combinations(range(n + 1), 2))).T
     H = (n + 1) * n
-    DET = H + n + 1
+    E2 = H + n + 1
+    DET = E2 + edges.shape[1]
     cols = np.column_stack([np.arange(H).reshape(n + 1, n), H + np.arange(n + 1)])
-    return _Rules(pts, w_hi, w_lo, 0.5 * pts[:, ii], pts[:, jj], pair_edge, cols[np.array(edges).T],
-                  H, DET, DET + 1, DET + 2, DET + 3, DET + 3 + len(edges))
+    return _Rules(np.column_stack([pts, pts[:, edges[0]] * pts[:, edges[1]]]), w_hi, w_lo,
+                  cols[edges], H, E2, DET, DET + 1, DET + 2, DET + 3)
 
 
 def _rule_values(cells, r: _Rules, expo) -> None:
-    """Fill the value, error-estimate and squared-edge columns of ``cells``
+    """Fill the squared-edge, value and error-estimate columns of ``cells``
     from their vertex, defect and |det| columns.
 
-    The density argument 1 - |P|^2 at a barycentric point lam is evaluated as
-    lam.h + (1/2) lam^T D lam with D the squared-edge-length matrix; every
-    term is nonnegative, so deep near-boundary cells lose no precision.
-    Both rules are evaluated in one pass over their stacked points.
+    The density argument 1 - |P|^2 at a barycentric point lam, P the point's
+    Klein image, is lam.h + sum_{i<j} lam_i lam_j |v_i - v_j|^2 (h the
+    vertex defects 1 - |v_i|^2): one contraction of each cell's adjacent
+    defect and squared-edge columns against the density table.  Every term
+    is nonnegative, so deep near-boundary cells lose no precision.  Both
+    rules are evaluated in one pass over their stacked points.
     The einsum parts give each row the same bits in any batch, but the BLAS
     products `dens @ w` do not: a row's value depends on the batch size and
     its position in it, so re-batching the cells of _integrate_adaptive
@@ -183,13 +180,14 @@ def _rule_values(cells, r: _Rules, expo) -> None:
     operands' memory layout, too: the edge vectors must be C-ordered
     (cell, edge, coordinate), which the difference of the two (cell, edge,
     coordinate) halves of np.take gives and a gather that leaves the cell
-    axis innermost does not.
+    axis innermost does not.  The density contraction reads its row slice
+    of the cell array with the bits of a contiguous copy, as the reference
+    integrator in tests/oracles.py checks.
     """
     ends = np.take(cells, r.ends[..., :-1], axis=1)
     edge = ends[:, 0] - ends[:, 1]
-    e2 = np.einsum("mek,mek->me", edge, edge)
-    dens = np.einsum("mj,pj->mp", cells[:, r.H : r.DET], r.pts)
-    dens += np.einsum("pt,mt,pt->mp", r.half_i, e2[:, r.pair_edge], r.pts_j)
+    cells[:, r.E2 : r.DET] = np.einsum("mek,mek->me", edge, edge)
+    dens = np.einsum("mj,pj->mp", cells[:, r.H : r.DET], r.table)
     dens **= expo
     nh = len(r.w_hi)
     hi = dens[:, :nh] @ r.w_hi
@@ -197,7 +195,6 @@ def _rule_values(cells, r: _Rules, expo) -> None:
     dets = cells[:, r.DET]
     cells[:, r.VAL] = dets * hi
     cells[:, r.ERR] = np.abs(dets * (hi - lo))
-    cells[:, r.E2 :] = e2
 
 
 def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
@@ -211,7 +208,7 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
 
     cells = np.empty((1, r.width))
     cells[0, : r.H] = kverts.ravel()
-    cells[0, r.H : r.DET] = hs0
+    cells[0, r.H : r.E2] = hs0
     cells[0, r.DET] = det0
     _rule_values(cells, r, expo)
 
@@ -233,7 +230,7 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
         sel = cells[mask]
         s = len(sel)
         ar = np.arange(s)[:, None]
-        am = sel[:, r.E2 :].argmax(axis=1)
+        am = sel[:, r.E2 : r.DET].argmax(axis=1)
         ci, cj = r.ends[:, am]
         mid = 0.5 * (sel[ar, ci] + sel[ar, cj])
         mid[:, -1] += 0.25 * sel[ar[:, 0], r.E2 + am]
@@ -265,8 +262,8 @@ def klein_volume(verts: np.ndarray, q: QuadratureSpec | None = None) -> VolumeRe
         raise ValueError(f"need a top-dimensional simplex: k={k}, n={n}")
     # HPoint's own rule: <x,x> carries an absolute error ~ x0^2 * eps
     x0 = verts[:, 0]
-    q = np.sum(verts[:, 1:] ** 2, axis=1) - x0 * x0
-    if not np.all((x0 > 0) & (np.abs(q + 1.0) <= POINT_NORM_TOL * np.maximum(1.0, x0 * x0))):
+    norms = np.sum(verts[:, 1:] ** 2, axis=1) - x0 * x0
+    if not np.all((x0 > 0) & (np.abs(norms + 1.0) <= POINT_NORM_TOL * np.maximum(1.0, x0 * x0))):
         raise ValueError("vertex rows must be finite points of the upper sheet (<x,x> = -1); "
                          "ideal vertices are not supported")
 

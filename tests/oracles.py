@@ -147,7 +147,9 @@ def direction_grid_minimum(L: float, steps: int = 48) -> float:
 
 # --- the adaptive Klein quadrature before its cells became one array ---------
 # Kept verbatim (rule setup, rule evaluation, bisection loop) so tests can
-# assert that the production integrator reproduces it bit for bit.
+# assert that the production integrator reproduces it bit for bit.  The
+# density argument is a parameter: density_fused is the one the production
+# integrator evaluates, density_pairwise the one it evaluated before.
 
 _MAX_CELLS = 1_000_000
 
@@ -163,26 +165,45 @@ def _rule_setup(n: int, rule_order: int):
     return np.concatenate([pts_hi, pts_lo]), w_hi, w_lo, pi, pj
 
 
-def _rule_values(verts, hs, dets, rules, expo):
+def density_pairwise(hs, d2, pts):
+    """The density argument 1 - |P|^2 = lam.h + (1/2) lam^T D lam as the
+    quadrature summed it up to its fused form, frozen: a linear einsum plus
+    the three-operand quadratic form over the full (n+1) x (n+1) matrix D.
+
+    hs: (M, k+1) vertex defects; d2: (M, k+1, k+1) squared edge lengths;
+    pts: (P, k+1) barycentric points.  Returns (M, P).
+    """
+    lin = np.einsum("mj,pj->mp", hs, pts)
+    quad = 0.5 * np.einsum("pi,mij,pj->mp", pts, d2, pts)
+    return lin + quad
+
+
+def density_fused(hs, d2, pts):
+    """The same argument as one two-operand contraction: [h | D_ij over the
+    edges i < j] against [lam | lam_i lam_j], as `volume._rule_values`
+    evaluates it."""
+    i, j = np.triu_indices(pts.shape[1], 1)
+    table = np.column_stack([pts, pts[:, i] * pts[:, j]])
+    return np.einsum("mj,pj->mp", np.concatenate([hs, d2[:, i, j]], axis=1), table)
+
+
+def _rule_values(verts, hs, dets, rules, expo, density):
     """Integral and error estimate per simplex.
 
     verts: (M, k+1, k) Klein vertices; hs: (M, k+1) boundary defects
     1 - |v|^2 per vertex; dets: (M,) |det| of the edge matrices.
-    The density argument 1 - |P|^2 at a barycentric point lam is evaluated as
-    lam.h + (1/2) lam^T D lam with D the squared-edge-length matrix; every
-    term is nonnegative, so deep near-boundary cells lose no precision.
-    Both rules are evaluated in one pass over their stacked points.
-    The einsum parts give each row the same bits in any batch, but the BLAS
-    products `dens @ w` do not: a row's value depends on the batch size and
-    its position in it, so re-batching the cells of _integrate_adaptive
-    moves the last bits of every volume.
+    The density argument 1 - |P|^2 at a barycentric point lam comes from
+    ``density``; every term is nonnegative, so deep near-boundary cells
+    lose no precision.  Both rules are evaluated in one pass over their
+    stacked points.  The einsum parts give each row the same bits in any
+    batch, but the BLAS products `dens @ w` do not: a row's value depends
+    on the batch size and its position in it, so re-batching the cells of
+    _integrate_adaptive moves the last bits of every volume.
     """
     pts, w_hi, w_lo = rules
     diff = verts[:, :, None, :] - verts[:, None, :, :]
     d2 = np.einsum("mijk,mijk->mij", diff, diff)
-    lin = np.einsum("mj,pj->mp", hs, pts)
-    quad = 0.5 * np.einsum("pi,mij,pj->mp", pts, d2, pts)
-    dens = (lin + quad) ** expo
+    dens = density(hs, d2, pts) ** expo
     nh = len(w_hi)
     hi = dens[:, :nh] @ w_hi
     lo = dens[:, nh:] @ w_lo
@@ -191,7 +212,7 @@ def _rule_values(verts, hs, dets, rules, expo):
     return val, err
 
 
-def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
+def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec, density):
     n = kverts.shape[1]
     *rules, pi, pj = _rule_setup(n, 5)
     expo = -(n + 1) / 2.0
@@ -203,7 +224,7 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
     verts = kverts[None, :, :].copy()
     hs = hs0[None, :].copy()
     dets = np.array([det0])
-    val, err = _rule_values(verts, hs, dets, rules, expo)
+    val, err = _rule_values(verts, hs, dets, rules, expo, density)
 
     converged = False
     for _ in range(spec.max_subdivisions):
@@ -239,7 +260,7 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
         child_v = np.concatenate([c1, c2])
         child_h = np.concatenate([h1, h2])
         child_d = np.concatenate([0.5 * sd, 0.5 * sd])
-        cval, cerr = _rule_values(child_v, child_h, child_d, rules, expo)
+        cval, cerr = _rule_values(child_v, child_h, child_d, rules, expo, density)
 
         keep = ~mask
         verts = np.concatenate([verts[keep], child_v])
@@ -251,12 +272,12 @@ def _integrate_adaptive(kverts, hs0, spec: QuadratureSpec):
     return float(np.sum(val)), float(np.sum(err)), converged
 
 
-def klein_volume_reference(verts, spec) -> tuple:
+def klein_volume_reference(verts, spec, density=density_fused) -> tuple:
     """(value, err_estimate, converged) of the reference integrator on an
     (n+1, n+1) array of finite hyperboloid vertex rows."""
     verts = np.asarray(verts, dtype=float)
     v = verts[np.lexsort(verts.T[::-1])]
-    return _integrate_adaptive(to_klein(v), 1.0 / (v[:, 0] ** 2), spec)
+    return _integrate_adaptive(to_klein(v), 1.0 / (v[:, 0] ** 2), spec, density)
 
 
 def build_net_reference(model, target_radius: float) -> tuple:

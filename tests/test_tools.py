@@ -44,6 +44,17 @@ def test_setup_times_prints_one_row_per_model():
     assert "refused: orbit search explored over 200000 images" in cells["25.25"][0]
 
 
+def test_quad_times_prints_one_row_per_dimension_and_spec():
+    out = subprocess.run([sys.executable, str(TOOLS / "quad_times.py"), "--simplices", "2",
+                          "--reps", "1"],
+                         check=True, capture_output=True, text=True, timeout=300).stdout
+    rows = [r.split("|")[1:5] for r in out.splitlines()[2:]]
+    assert [(n.strip(), spec.split()[0]) for n, spec, _, _ in rows] == [
+        (n, spec) for n in ("2", "3", "4") for spec in ("search", "final")]
+    for _, _, ms, sweeps in rows:
+        assert float(ms) > 0 and float(sweeps) > 0
+
+
 def test_code_lines_rows_sum_to_the_total():
     out = subprocess.run([sys.executable, str(TOOLS / "code_lines.py")],
                          check=True, capture_output=True, text=True, timeout=60).stdout

@@ -244,13 +244,14 @@ def _klein_rows(*points) -> np.ndarray:
 
 def test_klein_volume_frozen_values():
     # exact values and error estimates of the adaptive quadrature, frozen
-    # so that a rework of the integrator must keep every bit
+    # so that a rework of the integrator must keep every bit; derived from
+    # tests/oracles.py klein_volume_reference with its fused density
     cases = [
         (regular_simplex(3, 2.0), QuadratureSpec(),
-         (0.39933855732678025, 5.134096834934914e-09)),
+         (0.3993385573267803, 5.134096858329168e-09)),
         (_klein_rows([0.1, -0.2, 0.05], [0.7, 0.1, -0.3], [-0.4, 0.6, 0.2], [0.0, -0.5, 0.8]),
          QuadratureSpec(abs_tol=3e-4),
-         (0.10144033777460651, 0.000205257729774096)),
+         (0.10144033777460654, 0.00020525772977413338)),
     ]
     for s, spec, (value, err) in cases:
         r = klein_volume(s, spec)
@@ -347,10 +348,8 @@ _ORACLE_SPECS = (
 )
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_klein_volume_matches_reference_integrator_bitwise(n):
-    # 2 x 4 x 2 x 42 = 672 perturbed simplices; value, error estimate and
-    # convergence flag must equal the reference's in every bit
+def _oracle_cases(n):
+    # 4 x 2 x 42 = 336 perturbed simplices and their specs, seeded by n
     rng = np.random.default_rng(100 + n)
     for L in (2.0, 4.0, 6.0, 9.0):
         qs = regular_simplex(n, L)
@@ -359,8 +358,117 @@ def test_klein_volume_matches_reference_integrator_bitwise(n):
             for _ in range(42):
                 g = rng.normal(size=(n + 1, n))
                 w = g / np.linalg.norm(g, axis=1, keepdims=True) * rng.uniform(0.0, 1.3, (n + 1, 1))
-                rows = renormalize_rows(_perturbed_vertices(qs, bases, w))
-                r = klein_volume(rows, spec)
-                ref = oracles.klein_volume_reference(rows, spec)
-                assert _bits(r.value, r.err_estimate) == _bits(*ref[:2])
-                assert r.converged == ref[2]
+                yield renormalize_rows(_perturbed_vertices(qs, bases, w)), spec
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_klein_volume_matches_reference_integrator_bitwise(n):
+    # 2 x 336 = 672 perturbed simplices; value, error estimate and
+    # convergence flag must equal the reference's in every bit
+    for rows, spec in _oracle_cases(n):
+        r = klein_volume(rows, spec)
+        ref = oracles.klein_volume_reference(rows, spec)
+        assert _bits(r.value, r.err_estimate) == _bits(*ref[:2])
+        assert r.converged == ref[2]
+
+
+def _gamma(k: int) -> float:
+    # Higham's gamma_k = k u / (1 - k u), with u the unit roundoff 2^-53
+    u = np.finfo(float).eps / 2
+    return k * u / (1.0 - k * u)
+
+
+def test_fused_density_matches_pairwise_density():
+    # Every term of both sums is nonnegative, so each lies within gamma_k of
+    # the exact sum S of its terms, k the roundings along any summation
+    # order: the fused form's N = (n+1)(n+2)/2 terms take one rounding for
+    # lam_i lam_j, one for the product and N - 1 additions (k = N + 1); the
+    # pairwise form's (n+1)^2 triple products take two roundings each,
+    # (n+1)^2 - 1 additions, and one more to add the linear part, whose own
+    # n + 1 terms round less (k = (n+1)^2 + 2).  So |fused - pairwise| <=
+    # (gamma_N+1 + gamma_(n+1)^2+2) S, and S <= pairwise / (1 - gamma_...).
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        pts = oracles._rule_setup(n, 5)[0]
+        g = rng.normal(size=(600, n + 1, n))
+        # radii up to 1 - 1e-12, so that some vertices lie deep
+        radius = 1.0 - 10.0 ** -rng.uniform(0.0, 12.0, (600, n + 1, 1))
+        verts = g / np.linalg.norm(g, axis=2, keepdims=True) * radius
+        hs = 1.0 - np.einsum("mik,mik->mi", verts, verts)
+        diff = verts[:, :, None, :] - verts[:, None, :, :]
+        d2 = np.einsum("mijk,mijk->mij", diff, diff)
+        fused = oracles.density_fused(hs, d2, pts)
+        pairwise = oracles.density_pairwise(hs, d2, pts)
+        k_fused, k_pairwise = (n + 1) * (n + 2) // 2 + 1, (n + 1) ** 2 + 2
+        bound = (_gamma(k_fused) + _gamma(k_pairwise)) / (1.0 - _gamma(k_pairwise))
+        assert np.all(hs > 0) and np.all(np.abs(fused - pairwise) <= bound * pairwise)
+    # the whole integrator: the fused density moves values by a few ulps and
+    # changes no convergence flag on the bitwise test's simplices
+    eps = np.finfo(float).eps
+    for n in (2, 3):
+        for rows, spec in _oracle_cases(n):
+            r = klein_volume(rows, spec)
+            value, _, converged = oracles.klein_volume_reference(rows, spec,
+                                                                 oracles.density_pairwise)
+            assert r.converged == converged
+            assert abs(r.value - value) <= 8 * eps * abs(value)
+
+
+def _density_at_rule_points(kverts, hs):
+    # the density argument klein_volume's _rule_values evaluates at every
+    # stacked rule point of each (k+1, k) Klein cell, read through one-hot
+    # rule weights on cells of |det| 1 with the exponent 1
+    m, k = len(kverts), kverts.shape[2]
+    r = volume._rule_setup(k)
+    cells = np.zeros((m, r.width))
+    cells[:, : r.H] = kverts.reshape(m, -1)
+    cells[:, r.H : r.E2] = hs
+    cells[:, r.DET] = 1.0
+    nh, out = len(r.w_hi), np.empty((m, len(r.table)))
+    for p, weights in enumerate(np.eye(len(r.table))):
+        probe = cells.copy()
+        volume._rule_values(probe, r._replace(w_hi=weights[:nh], w_lo=weights[nh:]), 1.0)
+        out[:, p] = probe[:, r.VAL] if p < nh else probe[:, r.ERR]
+    return out, r.table[:, : k + 1]
+
+
+def test_density_polynomial_is_one_minus_the_squared_klein_norm():
+    # lam.h + sum_{i<j} lam_i lam_j |v_i - v_j|^2 at every rule point equals
+    # 1 - |P|^2, P = sum lam_i v_i, within 1e-13 of a 30-digit value, also on
+    # deep cells (vertex x0 ~ 1e6) where 1 - |v_i|^2 ~ 1e-12.  Each vertex's
+    # defect is 1 - |v_i|^2 of its float Klein row, rounded once, and the
+    # barycentric coordinates are the rules' rationals (2b + 1)/(d + k - 2i).
+    mpmath = pytest.importorskip("mpmath")
+    from fractions import Fraction
+
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 4):
+        cells = [regular_simplex(n, L) for L in (1.0, 6.0, 29.0)]
+        for L in (6.0, 29.0):
+            qs = regular_simplex(n, L)
+            bases = np.stack([transport_from_origin(q)[:, 1:] for q in qs])
+            for _ in range(3):
+                g = rng.normal(size=(n + 1, n))
+                w = g / np.linalg.norm(g, axis=1, keepdims=True) * rng.uniform(0.0, 1.0, (n + 1, 1))
+                cells.append(renormalize_rows(_perturbed_vertices(qs, bases, w)))
+        # small cells around a center at distance 14.5 from the origin
+        for size in (1.0, 0.01):
+            d = rng.normal(size=n)
+            center = np.concatenate(([math.cosh(14.5)], math.sinh(14.5) * d / np.linalg.norm(d)))
+            cells.append(regular_simplex(n, size) @ transport_from_origin(center).T)
+        kverts = to_klein(np.array(cells))
+        assert kverts.shape[1:] == (n + 1, n)
+        assert max(float(np.max(c[:, 0])) for c in cells) > 5e5
+        with mpmath.workdps(30):
+            verts_mp = [[[mpmath.mpf(float(x)) for x in v] for v in cell] for cell in kverts]
+            hs = np.array([[float(1 - mpmath.fsum(x * x for x in v)) for v in cell]
+                           for cell in verts_mp])
+            dens, lam = _density_at_rule_points(kverts, hs)
+            exact = (Fraction(float(x)).limit_denominator(64) for x in lam.ravel())
+            lam_mp = np.array([mpmath.mpf(f.numerator) / f.denominator for f in exact],
+                              dtype=object).reshape(lam.shape)
+            for cell, row in zip(verts_mp, dens):
+                for lam_p, got in zip(lam_mp, row):
+                    point = [mpmath.fsum(l * v[c] for l, v in zip(lam_p, cell)) for c in range(n)]
+                    want = 1 - mpmath.fsum(x * x for x in point)
+                    assert abs(got - want) <= 1e-13 * want
