@@ -97,6 +97,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """The argparse type of --seed: an integer >= 0, as numpy's generators
+    take it, or a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
@@ -366,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if tabular:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
         if seed:
-            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     sp = sub.add_parser("vn", help="ideal regular simplex volume")
     sp.add_argument("--dim", type=int, required=True)

@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from hypsmear.hypgeom import from_klein_rows, lorentz_inverse, mink_diag, renormalize_rows
+from hypsmear.hypgeom import from_klein_rows, mink_diag, renormalize_rows
 from hypsmear.smear.net import GammaNet
 from hypsmear.smear.surface import PAIRING_BLOCK, SurfaceModel
 from hypsmear.volume import regular_simplex, triangle_areas
@@ -150,17 +150,27 @@ def _dropped_faces(outside: np.ndarray) -> np.ndarray:
 ELEMENT_TOKEN_GRID = 1.0
 
 
+def _element_tokens(e0: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(b, 3) int64 tokens round(e0^-1 v / grid) of (b, 3, 3) elements e0 and
+    (b, 3) points v.  e0^-1 = J e0^T J: the signs of J go on v and on the
+    result instead of into a formed inverse, which gives the same bits, since
+    a sign moves exactly through a product and a sum."""
+    t = np.einsum("bji,bj->bi", e0, v * _J) * _J
+    return np.round(t / ELEMENT_TOKEN_GRID).astype(np.int64)
+
+
 def _key_rows(ctok: np.ndarray, emat: np.ndarray) -> np.ndarray:
-    """Canonical integer key rows (b, 6k - 3) of the cell simplices with the
-    (b, k, 3) center tokens and (b, k, 3, 3) elements of _cells, k >= 2:
-    c0, then per vertex i >= 1 its center token ci and the element token
-    t_i = round(e0^-1 e_i o / grid).  A face is the key of its two vertices."""
-    e0inv = lorentz_inverse(emat[:, 0])
-    parts = [ctok[:, 0]]
+    """Canonical integer keys of the cell simplices with the (b, k, 3) center
+    tokens and (b, k, 3, 3) elements of _cells, k >= 2, as (6k - 3, b) int32
+    columns: c0, then per vertex i >= 1 its center token ci and the element
+    token t_i = round(e0^-1 e_i o / grid).  A face is the key of its two
+    vertices.  A token beyond int32 raises (_as_int32)."""
+    out = np.empty((6 * ctok.shape[1] - 3, len(ctok)), np.int64)
+    out[:3] = ctok[:, 0].T
     for i in range(1, ctok.shape[1]):
-        t = np.einsum("bij,bj->bi", e0inv, emat[:, i, :, 0])
-        parts += [ctok[:, i], np.round(t / ELEMENT_TOKEN_GRID).astype(np.int64)]
-    return np.concatenate(parts, axis=1)
+        out[6 * i - 3 : 6 * i] = ctok[:, i].T
+        out[6 * i : 6 * i + 3] = _element_tokens(emat[:, 0], emat[:, i, :, 0]).T
+    return _as_int32(out)
 
 
 def _vertex_images(mats: np.ndarray, qverts: np.ndarray) -> np.ndarray:
@@ -222,8 +232,13 @@ _INT32 = np.iinfo(np.int32)
 _COLUMNS = {"_keys": ((18,), np.int32), "_bp": ((), np.int64), "_bm": ((), np.int64),
             "_cls": ((), np.int8), "_area": ((), float), "_drop": ((3,), bool)}
 # most bytes one key costs: its columns, its hash-index entries (uint64 hash,
-# int64 key index) and their copies while np.insert grows the index
+# int64 key index) and 16 that cover a merge of _HashIndex's runs, which
+# holds one copied index column, np.insert's bool mask and the recent run
+# (at most 1/_RECENT_SHARE of the main run): 8 + 1 + 2 bytes
 _KEY_BYTES = sum(np.dtype(dt).itemsize * math.prod(shape) for shape, dt in _COLUMNS.values()) + 32
+# _HashIndex merges its recent run into the main run once the recent one
+# holds more than 1/_RECENT_SHARE as many entries
+_RECENT_SHARE = 8
 # hash-prefix buckets of boundary_residuals, a power of two up to 128
 _FACE_BUCKETS = 64
 # face j drops vertex j: the _keys columns holding _key_rows of its two
@@ -292,6 +307,56 @@ def _number_rows(h: np.ndarray, columns) -> tuple:
     return first, inverse, np.stack(urows, axis=1)
 
 
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """np.lexsort(rows.T[::-1]) of int32 rows (n, m), the permutation that
+    sorts them signed-lexicographically, from one stable argsort: with the
+    sign bit flipped, the rows' big-endian bytes compare in that order."""
+    flipped = (rows.view(np.uint32) ^ np.uint32(1 << 31)).astype(">u4", order="C")
+    return np.argsort(flipped.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel(),
+                      kind="stable")
+
+
+def _empty_run() -> list:
+    return [np.empty(0, np.uint64), np.empty(0, np.int64)]
+
+
+def _merge(run: list, h: np.ndarray, idx: np.ndarray) -> None:
+    """Insert the ascending hashes h, none of them in the sorted [hashes, key
+    indices] run, with their key indices idx.  The old hashes are freed before
+    the indices are copied, so a merge holds one column's copy at a time."""
+    pos = np.searchsorted(run[0], h)
+    run[0] = np.insert(run[0], pos, h)
+    run[1] = np.insert(run[1], pos, idx)
+
+
+class _HashIndex:
+    """The key index of each stored key's hash, as two sorted [uint64 hashes,
+    int64 key indices] runs: a main run, and a recent run that the new keys
+    of each shard enter and that merges into the main run once it passes
+    1/_RECENT_SHARE of it.  A shard's new keys then copy the recent run, not
+    the whole index."""
+
+    def __init__(self):
+        self.main, self.recent = _empty_run(), _empty_run()
+
+    def find(self, h: np.ndarray) -> np.ndarray:
+        """Key index of each of the ascending hashes h, -1 where none is stored."""
+        gidx = np.full(len(h), -1, np.int64)
+        for hs, idx in (self.main, self.recent):
+            pos = np.searchsorted(hs, h)
+            hit = pos < len(hs)
+            hit[hit] = hs[pos[hit]] == h[hit]
+            gidx[hit] = idx[pos[hit]]
+        return gidx
+
+    def add(self, h: np.ndarray, idx: np.ndarray) -> None:
+        """Store the ascending hashes h, none stored yet, with key indices idx."""
+        _merge(self.recent, h, idx)
+        if len(self.recent[0]) * _RECENT_SHARE > len(self.main[0]):
+            recent, self.recent = self.recent, _empty_run()
+            _merge(self.main, *recent)
+
+
 @dataclass(frozen=True, eq=False)
 class FaceResiduals:
     """Boundary faces as columns, by descending |z| (ties by face key)."""
@@ -336,9 +401,7 @@ class SmearChain:
                 setattr(self, name, np.zeros((2 * self.samples,) + shape, dtype))
         except MemoryError as exc:
             raise RuntimeError(f"cannot reserve the chain store for {samples} samples") from exc
-        # key hashes in ascending order, and the key index of each
-        self._hsorted = np.empty(0, dtype=np.uint64)
-        self._hperm = np.empty(0, dtype=np.int64)
+        self._index = _HashIndex()
         self.u_sum = 0.0
         self.u_sqsum = 0.0
         self.discarded = {1: 0, -1: 0}
@@ -369,31 +432,29 @@ class SmearChain:
         self.discarded[sign] += int(b - kept.size)
         if kept.size == 0:
             return areas
-        # basic indexing keeps a full family's rows without a copy
-        krows = _key_rows(ctok, em)[kept if kept.size < b else slice(None)]
-        h = _row_hash(krows.T)
-        first, inverse, urows = _number_rows(h, krows.T)
+        krows = _key_rows(ctok, em)
+        if kept.size < b:
+            krows = krows.take(kept, axis=1)
+        h = _row_hash(krows)
+        first, inverse, urows = _number_rows(h, krows)
         del krows  # urows holds the distinct rows
         uh = h[first]
-        pos = np.searchsorted(self._hsorted, uh)
-        hit = pos < len(self._hsorted)
-        hit[hit] = self._hsorted[pos[hit]] == uh[hit]
-        gidx = np.zeros(len(uh), dtype=np.int64)
-        gidx[hit] = self._hperm[pos[hit]]
+        gidx = self._index.find(uh)
+        hit = gidx >= 0
         _check_rows(self._keys[gidx[hit], :15], urows[hit])
 
         fresh = np.flatnonzero(~hit)
         if fresh.size:
             # new keys append in signed-lexicographic row order
-            lex = fresh[np.lexsort(urows[fresh].T[::-1])]
+            lex = fresh[_lex_order(urows[fresh])]
             src = kept[first[lex]]
-            # narrowed before the store changes: an overflow leaves it intact
-            keys = _as_int32(urows[lex]), _as_int32(_key_rows(ctok[:, 1:], em[:, 1:])[src, 6:])
+            # face 0's element token, of the samples new keys are stored
+            # from; formed before the store changes, so an overflow leaves it intact
+            face0 = _as_int32(_element_tokens(em[src, 1], em[src, 2, :, 0]))
             n0, n1 = self._count, self._count + lex.size
             gidx[lex] = np.arange(n0, n1)
-            self._hsorted = np.insert(self._hsorted, pos[fresh], uh[fresh])
-            self._hperm = np.insert(self._hperm, pos[fresh], gidx[fresh])
-            self._keys[n0:n1, :15], self._keys[n0:n1, 15:] = keys
+            self._index.add(uh[fresh], gidx[fresh])
+            self._keys[n0:n1, :15], self._keys[n0:n1, 15:] = urows[lex], face0
             self._cls[n0:n1] = cls[src]
             self._area[n0:n1] = triangle_areas(pos3[src])
             self._drop[n0:n1] = _dropped_faces(outside[src])

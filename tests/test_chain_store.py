@@ -27,7 +27,7 @@ def reference_chain(model, net, L, samples, seed):
         for sign, q in ((1, q_plus), (-1, q_minus)):
             # one net lookup of one family alone
             ctok, em, pos3, outside = chain_mod._cells(model, net, lines, mats, q, len(mats))
-            cls, rows = chain_mod._classify(outside), chain_mod._key_rows(ctok, em)
+            cls, rows = chain_mod._classify(outside), chain_mod._key_rows(ctok, em).T
             e0inv = lorentz_inverse(em[:, 0])
             kept = np.flatnonzero(cls != chain_mod.CLASS_DISCARD)
             urows, first, counts = np.unique(
@@ -158,7 +158,8 @@ def test_store_bytes_per_key_within_budget(genus2, genus2_net):
     chain = accumulate_chain(genus2, net, 6.0, 500, seed=3)
     capacity = len(chain._bp)
     per_key = sum(getattr(chain, name).nbytes for name in chain_mod._COLUMNS) / capacity
-    per_key += (chain._hsorted.nbytes + chain._hperm.nbytes) / len(chain)
+    per_key += sum(a.nbytes for run in (chain._index.main, chain._index.recent)
+                   for a in run) / len(chain)
     assert per_key <= 120
     assert chain.key_array().dtype == np.int32
 
@@ -183,16 +184,38 @@ def test_store_is_reserved_once(monkeypatch, genus2, genus2_net):
 
 @pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
 def test_hash_index_sorts_the_stored_keys(request, monkeypatch, name, L):
-    # after several shards the index holds each key's hash once, in
-    # ascending order, next to the key it hashes
+    # after several shards the index holds each key's hash once, each run
+    # in ascending order, next to the key it hashes
     model = request.getfixturevalue(name)
     net = request.getfixturevalue(f"{name}_net")[0]
     monkeypatch.setattr(chain_mod, "_SHARD", SHARD)
     chain = accumulate_chain(model, net, L, 4 * SHARD, seed=13)
-    h, perm = chain._hsorted, chain._hperm
-    assert len(chain) > 0 and np.all(h[1:] > h[:-1])
+    runs = chain._index.main, chain._index.recent
+    h, perm = (np.concatenate(col) for col in zip(*runs))
+    assert len(chain) > 0 and all(np.all(hs[1:] > hs[:-1]) for hs, _ in runs)
+    assert len(np.unique(h)) == len(h)
     assert np.array_equal(np.sort(perm), np.arange(len(chain)))
     assert np.array_equal(h, chain_mod._row_hash(chain._keys[perm, :15].T))
+    assert len(runs[1][0]) * chain_mod._RECENT_SHARE <= len(runs[0][0])
+
+
+def test_hash_index_finds_every_stored_hash():
+    # batches of new hashes fill the recent run and merge into the main one
+    rng = np.random.default_rng(5)
+    index, stored, merges = chain_mod._HashIndex(), np.empty(0, np.uint64), 0
+    for size in (40, 3, 3, 3, 3, 3, 60, 1, 2, 5, 7, 9):
+        h = np.unique(rng.integers(0, 2**64, 3 * size, dtype=np.uint64, endpoint=False))
+        new = np.setdiff1d(h, stored)[:size]
+        before = len(index.main[0])
+        index.add(new, np.arange(len(stored), len(stored) + len(new)))
+        merges += len(index.main[0]) > before
+        stored = np.concatenate([stored, new])
+        assert len(index.recent[0]) * chain_mod._RECENT_SHARE <= len(index.main[0])
+        probe = np.concatenate([stored, rng.integers(0, 2**64, 50, dtype=np.uint64)])
+        order = np.argsort(probe)
+        want = np.concatenate([np.arange(len(stored)), np.full(50, -1)])
+        assert np.array_equal(index.find(probe[order]), want[order])
+    assert merges > 1 and len(index.recent[0]) > 0
 
 
 def test_refused_reservation_exits_1(monkeypatch, capsys):
@@ -310,7 +333,7 @@ def test_shard_families_match_single_family_reference(request, monkeypatch, name
             classes.append(chain_mod._classify(ref[3]))
         # the families share vertices 0 and 1, hence their key tokens
         rows = [chain_mod._key_rows(fam[0], fam[1]) for _, fam in fams]
-        assert np.array_equal(rows[0][:, :9], rows[1][:, :9])
+        assert np.array_equal(rows[0][:9], rows[1][:9])
     if name == "torus":
         # the funnel paths are exercised: discards, crossings and interiors
         assert set(np.concatenate(classes).tolist()) == {0, 1, 2}
@@ -330,18 +353,18 @@ def test_faces_are_two_vertex_keys(request, name, L):
         rows = chain_mod._key_rows(ctok, em)
         for j, pair in ((2, [0, 1]), (1, [0, 2])):
             face = chain_mod._key_rows(ctok[:, pair], em[:, pair])
-            cols = rows[:, chain_mod._FACES[j]]
+            cols = rows[chain_mod._FACES[j]]
             assert face.dtype == cols.dtype and face.tobytes() == cols.tobytes()
         n0 = len(chain)
         chain._absorb(sign, np.zeros(len(mats)), ctok, em, pos3, outside)
         # a new key is stored from the lowest kept sample carrying it
         src = {}
         for i in np.flatnonzero(chain_mod._classify(outside) != chain_mod.CLASS_DISCARD):
-            src.setdefault(tuple(rows[i].tolist()), i)
+            src.setdefault(tuple(rows[:, i].tolist()), i)
         new = chain._keys[n0 : len(chain)]
         s = np.array([src[tuple(k)] for k in new[:, :15].tolist()], dtype=int)
         assert s.size and np.array_equal(
-            chain_mod._key_rows(ctok[s, 1:], em[s, 1:]), new[:, chain_mod._FACES[0]])
+            chain_mod._key_rows(ctok[s, 1:], em[s, 1:]).T, new[:, chain_mod._FACES[0]])
 
 
 def traced_peak(work) -> int:
@@ -400,7 +423,7 @@ def test_bucketed_residuals_match_one_pass(request, monkeypatch, name, L):
 
 def test_shard_memory_within_budget(torus, torus_net):
     """One full torus shard, both families looked up and absorbed, allocates
-    temporaries bounded by the lookup block: 31.1 MB traced with numpy 2.4,
+    temporaries bounded by the lookup block: 27.8 MB traced with numpy 2.4,
     against 57.3 MB when they scaled with the shard; budget 38 MB."""
     net = torus_net[0]
     q_plus, q_minus = chain_mod._mirror_pair(4.0)
@@ -425,3 +448,55 @@ def test_residuals_memory_within_budget(bolza_run):
     against 139.2 MB for one pass over all faces; budget 50 MB."""
     chain, _ = bolza_run
     assert traced_peak(lambda: boundary_residuals(chain)) <= 50e6
+
+
+def test_lex_order_matches_lexsort_on_adversarial_rows():
+    # extreme and negative tokens, distinct rows that differ only in the last
+    # column, and repeated rows, whose ties a stable sort keeps in row order
+    lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+    edge = np.array([lo, lo + 1, -65536, -256, -255, -1, 0, 1, 255, 256, 65536, hi - 1, hi],
+                    np.int32)
+    rng = np.random.default_rng(7)
+    rows = rng.choice(edge, (2000, 15))
+    twins = np.repeat(rows[:50], len(edge), axis=0)
+    twins[:, -1] = np.tile(edge, 50)
+    rows = np.concatenate([rows, twins, rows[:20]])
+    rows = rows[rng.permutation(len(rows))]
+    assert rows.dtype == np.int32
+    assert np.array_equal(chain_mod._lex_order(rows), np.lexsort(rows.T[::-1]))
+
+
+@pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
+def test_lex_order_matches_lexsort_on_a_shard(request, name, L):
+    # a shard's distinct key rows, in the hash order _number_rows gives them,
+    # and the order an empty chain stores them in
+    model = request.getfixturevalue(name)
+    net = request.getfixturevalue(f"{name}_net")[0]
+    mats = next(chain_mod.haar_sample(model, 3000, 17))
+    chain = SmearChain(model, net, L, len(mats))
+    ctok, em, pos3, outside = chain_mod._cells(model, net, chain.lines, mats,
+                                               chain_mod._mirror_pair(L)[0], len(mats))
+    kept = np.flatnonzero(chain_mod._classify(outside) != chain_mod.CLASS_DISCARD)
+    krows = chain_mod._key_rows(ctok, em).take(kept, axis=1)
+    urows = chain_mod._number_rows(chain_mod._row_hash(krows), krows)[2]
+    lex = np.lexsort(urows.T[::-1])
+    assert np.array_equal(chain_mod._lex_order(urows), lex)
+    chain._absorb(1, np.zeros(len(mats)), ctok, em, pos3, outside)
+    assert np.array_equal(chain.key_array(), urows[lex])
+
+
+@pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
+def test_element_tokens_match_the_formed_inverse(request, name, L):
+    # J's signs folded into the operands give the tokens of e0^-1 e_i o with
+    # the inverse formed, for the key rows and for face 0's token
+    model = request.getfixturevalue(name)
+    net = request.getfixturevalue(f"{name}_net")[0]
+    mats = next(chain_mod.haar_sample(model, 3000, 23))
+    lines = chain_mod._chain_lines(model, net, L)
+    for q in chain_mod._mirror_pair(L):
+        em = chain_mod._cells(model, net, lines, mats, q, len(mats))[1]
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            t = np.einsum("bij,bj->bi", lorentz_inverse(em[:, a]), em[:, b, :, 0])
+            want = np.round(t / chain_mod.ELEMENT_TOKEN_GRID).astype(np.int64)
+            got = chain_mod._element_tokens(em[:, a], em[:, b, :, 0])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -90,6 +90,32 @@ def test_non_finite_numbers_are_usage_errors(capsys):
             assert "finite" in err or "bad grid" in err
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    # numpy's generators take no negative seed: refused at parse time, which
+    # vl at 3 restarts once echoed as seed -5
+    for argv in (("vl", "--dim", "2", "--edge", "4", "--restarts", "3", "--seed", "-5"),
+                 ("vl", "--dim", "2", "--edge", "4", "--restarts", "8", "--seed", "-5"),
+                 ("curve", "--kind", "vl_vs_L", "--grid", "4:5:1", "--seed", "-1"),
+                 ("solvek", "--dim", "2", "--eta", "0.1", "--seed", "x")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--seed" in err and "integer >= 0" in err
+
+
+def test_negative_smear_seed_is_refused_before_the_net(capsys, monkeypatch):
+    import hypsmear.smear
+
+    def no_net(*args):
+        raise AssertionError("the net was built")
+
+    monkeypatch.setattr(hypsmear.smear, "build_net", no_net)
+    for command in ("run", "check"):
+        code, out, err = run(capsys, "smear", command, "--model", "holed_torus", "--edge", "4",
+                             "--samples", "100", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "--seed" in err and "integer >= 0" in err
+
+
 def test_regvol_names_the_series_out_of_reach(capsys):
     code, out, err = run(capsys, "regvol", "--dim", "50", "--edge", "2")
     assert code == 1 and out == ""

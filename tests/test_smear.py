@@ -161,7 +161,7 @@ def test_key_vertex_geometry(torus, torus_net):
             ctok, em, pos3, outside = chain_mod._cells(torus, net, chain.lines, mats, q, len(mats))
             kept = chain_mod._classify(outside) != chain_mod.CLASS_DISCARD
             verts.append(pos3[kept])
-            rows.append(chain_mod._key_rows(ctok, em)[kept])
+            rows.append(chain_mod._key_rows(ctok, em)[:, kept].T)
     assert len(np.unique(np.concatenate(rows), axis=0)) == len(chain)
     v = np.concatenate(verts)
     for i, j in ((0, 1), (0, 2), (1, 2)):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -20,6 +22,26 @@ def test_stage_peaks_prints_one_row_per_run():
         chain_mb, residuals_mb = (float(c.split()[0]) for c in r.split("|")[3:5])
         assert 0 < chain_mb <= residuals_mb
         assert float(r.split("|")[5]) >= 0  # the chain's wall time in seconds
+
+
+def test_chain_times_prints_one_row_per_model():
+    out = subprocess.run([sys.executable, str(TOOLS / "chain_times.py"), "--samples", "2000"],
+                         check=True, capture_output=True, text=True, timeout=300).stdout
+    header, _, *rows = out.splitlines()
+    columns = [c.strip() for c in header.split("|")[2:-1]]
+    assert columns[-3:] == ["other", "chain", "residuals"]
+    assert [r.split("|")[1].strip() for r in rows] == [
+        "`genus2`, L = 6, 2,000 samples",
+        "`holed_torus`, L = 4, 2,000 samples",
+    ]
+    for r in rows:
+        # every layer of this checkout is a function the tool times
+        times = dict(zip(columns, (float(c) for c in r.split("|")[2:-1])))
+        assert times["chain"] > 0 and times["residuals"] > 0
+        assert all(t >= 0 for c, t in times.items() if c != "other")
+        layers = sum(t for c, t in times.items() if c not in ("chain", "residuals"))
+        # each printed time is rounded to 0.01
+        assert layers == pytest.approx(times["chain"], abs=0.005 * len(columns))
 
 
 def test_setup_times_prints_one_row_per_model():
