@@ -270,19 +270,21 @@ def _residual_summary(residuals) -> dict:
     }
 
 
-def _cmd_smear_run(args) -> dict:
-    from hypsmear.smear import (
-        accumulate_chain,
-        boundary_residuals,
-        build_net,
-        measure_sandwich,
-        ratio_report,
-    )
-    from hypsmear.smear.chain import CLASS_EXT
+def _smear_chain(args):
+    """The chain of a smear command's --model, --net-radius, --edge,
+    --samples and --seed."""
+    from hypsmear.smear import accumulate_chain, build_net
 
     model = _load_model(args.model)
-    net = build_net(model, args.net_radius)
-    chain = accumulate_chain(model, net, args.edge, args.samples, args.seed)
+    return accumulate_chain(model, build_net(model, args.net_radius), args.edge, args.samples,
+                            args.seed)
+
+
+def _cmd_smear_run(args) -> dict:
+    from hypsmear.smear import boundary_residuals, measure_sandwich, ratio_report
+    from hypsmear.smear.chain import CLASS_EXT
+
+    chain = _smear_chain(args)
     bp, bm, cls, _ = chain.counts()
     ext = cls == CLASS_EXT
     ext_mass = chain.scale * float(bp[ext].sum() + bm[ext].sum()) / 2.0
@@ -349,11 +351,7 @@ def _cmd_smear_run(args) -> dict:
 
 
 def _cmd_smear_check(args) -> dict:
-    from hypsmear.smear import accumulate_chain, build_net
-
-    model = _load_model(args.model)
-    net = build_net(model, args.net_radius)
-    chain = accumulate_chain(model, net, args.edge, args.samples, args.seed)
+    chain = _smear_chain(args)
     return {
         "model": args.model,
         "L": args.edge,
@@ -434,22 +432,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("smear", help="smearing experiments on surface models")
     ssub = sp.add_subparsers(dest="subcommand", required=True)
 
-    sp2 = ssub.add_parser("run", help="accumulate a chain and report statistics")
-    sp2.add_argument("--model", required=True, help="bundled name or JSON path")
-    sp2.add_argument("--edge", type=_finite, required=True)
-    sp2.add_argument("--samples", type=int, required=True)
-    sp2.add_argument("--net-radius", type=_finite, default=0.4)
-    sp2.add_argument("--csv", default=None, help="also dump per-simplex CSV here")
-    common(sp2, seed=True)
-    sp2.set_defaults(fn=_cmd_smear_run)
+    def smear(name, summary, fn):
+        sp2 = ssub.add_parser(name, help=summary)
+        sp2.add_argument("--model", required=True, help="bundled name or JSON path")
+        sp2.add_argument("--edge", type=_finite, required=True)
+        sp2.add_argument("--samples", type=int, required=True)
+        sp2.add_argument("--net-radius", type=_finite, default=0.4)
+        common(sp2, seed=True)
+        sp2.set_defaults(fn=fn)
+        return sp2
 
-    sp2 = ssub.add_parser("check", help="retention-logic violation count")
-    sp2.add_argument("--model", required=True)
-    sp2.add_argument("--edge", type=_finite, required=True)
-    sp2.add_argument("--samples", type=int, required=True)
-    sp2.add_argument("--net-radius", type=_finite, default=0.4)
-    common(sp2, seed=True)
-    sp2.set_defaults(fn=_cmd_smear_check)
+    smear("run", "accumulate a chain and report statistics", _cmd_smear_run).add_argument(
+        "--csv", default=None, help="also dump per-simplex CSV here")
+    smear("check", "retention-logic violation count", _cmd_smear_check)
 
     return p
 

@@ -60,8 +60,9 @@ __all__ = [
 
 _SHARD = 32768
 # frames per net lookup, a multiple of surface.PAIRING_BLOCK.  On a torus
-# shard the absorb step then sets the traced peak (31 MB); 16384 frames lift
-# it to 43 MB, and 1024 to 4096 frames are slower and no lower in RSS
+# shard the absorb step then sets the traced peak (27.8 MB with numpy 2.4);
+# 16384 frames lift it to 43 MB, and 1024 to 4096 frames are slower and no
+# lower in RSS
 _LOOKUP_BLOCK = 8192
 _J = mink_diag(2)
 

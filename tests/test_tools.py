@@ -9,39 +9,29 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def test_stage_peaks_prints_one_row_per_run():
-    out = subprocess.run([sys.executable, str(TOOLS / "stage_peaks.py"), "--samples", "2000"],
+def test_chain_times_prints_one_row_per_model():
+    out = subprocess.run([sys.executable, str(TOOLS / "chain_times.py"), "--samples", "2000"],
                          check=True, capture_output=True, text=True, timeout=300).stdout
-    rows = out.splitlines()[2:]
+    header, _, *rows = out.splitlines()
+    columns = [c.strip() for c in header.split("|")[2:-1]]
+    assert columns[0] == "keys per sample"
+    assert columns[-5:] == ["other", "chain s", "residuals s", "chain MB", "chain + residuals MB"]
     assert [r.split("|")[1].strip() for r in rows] == [
         "`genus2`, L = 6, 2,000 samples",
         "`holed_torus`, L = 4, 2,000 samples",
         "`holed_torus`, L = 8, 2,000 samples",
     ]
     for r in rows:
-        chain_mb, residuals_mb = (float(c.split()[0]) for c in r.split("|")[3:5])
-        assert 0 < chain_mb <= residuals_mb
-        assert float(r.split("|")[5]) >= 0  # the chain's wall time in seconds
-
-
-def test_chain_times_prints_one_row_per_model():
-    out = subprocess.run([sys.executable, str(TOOLS / "chain_times.py"), "--samples", "2000"],
-                         check=True, capture_output=True, text=True, timeout=300).stdout
-    header, _, *rows = out.splitlines()
-    columns = [c.strip() for c in header.split("|")[2:-1]]
-    assert columns[-3:] == ["other", "chain", "residuals"]
-    assert [r.split("|")[1].strip() for r in rows] == [
-        "`genus2`, L = 6, 2,000 samples",
-        "`holed_torus`, L = 4, 2,000 samples",
-    ]
-    for r in rows:
         # every layer of this checkout is a function the tool times
-        times = dict(zip(columns, (float(c) for c in r.split("|")[2:-1])))
-        assert times["chain"] > 0 and times["residuals"] > 0
-        assert all(t >= 0 for c, t in times.items() if c != "other")
-        layers = sum(t for c, t in times.items() if c not in ("chain", "residuals"))
+        cells = dict(zip(columns, (float(c) for c in r.split("|")[2:-1])))
+        assert cells.pop("keys per sample") > 0
+        chain_mb, residuals_mb = cells.pop("chain MB"), cells.pop("chain + residuals MB")
+        assert 0 < chain_mb <= residuals_mb
+        assert cells["chain s"] > 0 and cells["residuals s"] > 0
+        assert all(t >= 0 for c, t in cells.items() if c != "other")
+        layers = sum(t for c, t in cells.items() if c not in ("chain s", "residuals s"))
         # each printed time is rounded to 0.01
-        assert layers == pytest.approx(times["chain"], abs=0.005 * len(columns))
+        assert layers == pytest.approx(cells["chain s"], abs=0.005 * len(cells))
 
 
 def test_setup_times_prints_one_row_per_model():

@@ -21,11 +21,11 @@ import os
 import statistics
 import sys
 import time
-from pathlib import Path
+
+from _fresh import ONE_THREAD, SEED, SRC
 
 DIMS = (2, 3, 4)
 EDGE = 6.0
-SEED = 1789  # the CLI's --seed default
 
 
 def simplices(n: int, count: int) -> list:
@@ -70,8 +70,8 @@ def measure(n: int, spec, count: int, reps: int) -> tuple:
 
 def main(argv=None) -> int:
     # before the first import of numpy loads BLAS
-    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    os.environ.update(ONE_THREAD)
+    sys.path.insert(0, SRC)
     from hypsmear.volume import QuadratureSpec
 
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])

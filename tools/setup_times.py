@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
+
+from _fresh import NET_RADIUS, child
 
 RUNS = (("genus2", 6.0), ("holed_torus", 4.0))  # the smear workloads' --edge
-NET_RADIUS = 0.4  # the CLI's --net-radius default
 STAGES = ("import", "load_model", "element_ball", "boundary_lines", "build_net_rest", "setup",
           "chain_lines")
 # build_net searches the lines first, then its ball; GammaNet then its ball
@@ -138,18 +136,12 @@ def main(argv=None) -> int:
         return 0
     if args.reps < 1:
         p.error("--reps must be >= 1")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     print("| model | `import hypsmear.cli` | `load_model` | 2 × `element_ball` | `boundary_lines` "
           "| rest of `build_net` | set-up | `_chain_lines` |")
     print("|---|---|---|---|---|---|---|---|")
-    child = lambda *a: json.loads(subprocess.run(
-        [sys.executable, __file__, *a], env=env, check=True, capture_output=True,
-        text=True).stdout.splitlines()[-1])
     explored = []
     for model_name, L in RUNS:
-        runs = [child("--run", model_name, str(L)) for _ in range(args.reps)]
+        runs = [child(__file__, "--run", model_name, L) for _ in range(args.reps)]
         med = {s: statistics.median(r[s] for r in runs) for s in STAGES}
         cells = " | ".join(f"{med[s]:.3f} s" for s in STAGES)
         print(f"| `{model_name}`, L = {L:g} | {cells} |", flush=True)
@@ -161,7 +153,7 @@ def main(argv=None) -> int:
         print(f"| `{model_name}`, L = {L:g} | " + " | ".join(f"{n[s]:,}" for s in SEARCHES) + " |")
     print("\n| `holed_torus` chain, L | explored images | lines | max \\|<u,u> - 1\\| |")
     print("|---|---|---|---|")
-    for row in child("--lines"):
+    for row in child(__file__, "--lines"):
         cells = (f"{row[1]:,} | {row[2]:,} | {row[3]:.2g}" if len(row) == 4
                  else "refused: " + row[1].replace("|", "\\|") + " | | ")
         print(f"| {row[0]:g} | {cells} |", flush=True)
