@@ -9,21 +9,42 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def test_chain_times_prints_one_row_per_model():
+@pytest.fixture(scope="module")
+def chain_times():
+    """chain_times.py's table at 2,000 samples: its column names and, per
+    run, the run's name and its cells by column."""
     out = subprocess.run([sys.executable, str(TOOLS / "chain_times.py"), "--samples", "2000"],
                          check=True, capture_output=True, text=True, timeout=300).stdout
     header, _, *rows = out.splitlines()
     columns = [c.strip() for c in header.split("|")[2:-1]]
+    return columns, [(r.split("|")[1].strip(),
+                      dict(zip(columns, (float(c) for c in r.split("|")[2:-1])))) for r in rows]
+
+
+RUN_NAMES = [
+    "`genus2`, L = 6, 2,000 samples",
+    "`holed_torus`, L = 4, 2,000 samples",
+    "`holed_torus`, L = 8, 2,000 samples",
+]
+
+
+def test_stage_peaks_prints_one_row_per_run(chain_times):
+    columns, rows = chain_times
+    assert columns[-2:] == ["chain MB", "chain + residuals MB"]
+    assert [name for name, _ in rows] == RUN_NAMES
+    for _, cells in rows:
+        assert 0 < cells["chain MB"] <= cells["chain + residuals MB"]
+        assert cells["chain s"] >= 0
+
+
+def test_chain_times_prints_one_row_per_model(chain_times):
+    columns, rows = chain_times
     assert columns[0] == "keys per sample"
     assert columns[-5:] == ["other", "chain s", "residuals s", "chain MB", "chain + residuals MB"]
-    assert [r.split("|")[1].strip() for r in rows] == [
-        "`genus2`, L = 6, 2,000 samples",
-        "`holed_torus`, L = 4, 2,000 samples",
-        "`holed_torus`, L = 8, 2,000 samples",
-    ]
-    for r in rows:
+    assert [name for name, _ in rows] == RUN_NAMES
+    for _, cells in rows:
         # every layer of this checkout is a function the tool times
-        cells = dict(zip(columns, (float(c) for c in r.split("|")[2:-1])))
+        cells = dict(cells)
         assert cells.pop("keys per sample") > 0
         chain_mb, residuals_mb = cells.pop("chain MB"), cells.pop("chain + residuals MB")
         assert 0 < chain_mb <= residuals_mb
