@@ -294,9 +294,10 @@ def _cmd_smear_run(args) -> dict:
         lo - 3.0 * sig <= mass <= hi + 3.0 * sig
         for mass, sig in (sw["plus"], sw["minus"])
     )
-    residuals = boundary_residuals(chain)
-    rsum = _residual_summary(residuals)
+    # the ratio first, and of the residuals only their summary, so the face
+    # columns are freed before the ratio's and the CSV's temporaries
     rep = ratio_report(chain)
+    rsum = _residual_summary(boundary_residuals(chain))
     vn = ideal_regular_volume(2).v_n
     doc = {
         "model": args.model,

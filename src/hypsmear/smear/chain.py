@@ -60,8 +60,8 @@ __all__ = [
 
 _SHARD = 32768
 # frames per net lookup, a multiple of surface.PAIRING_BLOCK.  On a torus
-# shard the absorb step then sets the traced peak (27.8 MB with numpy 2.4);
-# 16384 frames lift it to 43 MB, and 1024 to 4096 frames are slower and no
+# shard the absorb step then sets the traced peak (26.5 MB with numpy 2.4);
+# 16384 frames lift it to 42 MB, and 1024 to 4096 frames are slower and no
 # lower in RSS
 _LOOKUP_BLOCK = 8192
 _J = mink_diag(2)
@@ -161,17 +161,17 @@ def _element_tokens(e0: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _key_rows(ctok: np.ndarray, emat: np.ndarray) -> np.ndarray:
-    """Canonical integer keys of the cell simplices with the (b, k, 3) center
-    tokens and (b, k, 3, 3) elements of _cells, k >= 2, as (6k - 3, b) int32
-    columns: c0, then per vertex i >= 1 its center token ci and the element
-    token t_i = round(e0^-1 e_i o / grid).  A face is the key of its two
-    vertices.  A token beyond int32 raises (_as_int32)."""
-    out = np.empty((6 * ctok.shape[1] - 3, len(ctok)), np.int64)
+    """Canonical integer keys of the cell simplices with the (b, k, 3) int32
+    center tokens and (b, k, 3, 3) elements of _cells, k >= 2, as (6k - 3, b)
+    int32 columns: c0, then per vertex i >= 1 its center token ci and the
+    element token t_i = round(e0^-1 e_i o / grid).  A face is the key of its
+    two vertices.  A token beyond int32 raises (_as_int32)."""
+    out = np.empty((6 * ctok.shape[1] - 3, len(ctok)), np.int32)
     out[:3] = ctok[:, 0].T
     for i in range(1, ctok.shape[1]):
         out[6 * i - 3 : 6 * i] = ctok[:, i].T
-        out[6 * i : 6 * i + 3] = _element_tokens(emat[:, 0], emat[:, i, :, 0]).T
-    return _as_int32(out)
+        out[6 * i : 6 * i + 3] = _as_int32(_element_tokens(emat[:, 0], emat[:, i, :, 0])).T
+    return out
 
 
 def _vertex_images(mats: np.ndarray, qverts: np.ndarray) -> np.ndarray:
@@ -181,19 +181,21 @@ def _vertex_images(mats: np.ndarray, qverts: np.ndarray) -> np.ndarray:
 
 def _cells(model, net, lines, mats, qverts, block: int) -> list:
     """Net cells of the images of k reference vertices under (b, 3, 3)
-    frames, looked up `block` frames at a time: center tokens (b, k, 3),
-    elements (b, k, 3, 3), center positions (b, k, 3) and the centers'
-    funnel-side flags, bit-packed along the line axis (np.packbits) into
-    (b, k, ceil(lines / 8)) bytes.  The flags are signs of BLAS pairings
-    with the J-folded line polars, which is exact enough for a sign test."""
+    frames, looked up `block` frames at a time: int32 center tokens
+    (b, k, 3), elements (b, k, 3, 3), center positions (b, k, 3) and the
+    centers' funnel-side flags, bit-packed along the line axis (np.packbits)
+    into (b, k, ceil(lines / 8)) bytes.  The flags are signs of BLAS pairings
+    with the J-folded line polars, which is exact enough for a sign test.  A
+    center token beyond int32 raises (_as_int32)."""
     b, k = len(mats), len(qverts)
-    out = [np.empty((b, k, 3), np.int64), np.empty((b, k, 3, 3)), np.empty((b, k, 3)),
+    out = [np.empty((b, k, 3), np.int32), np.empty((b, k, 3, 3)), np.empty((b, k, 3)),
            np.empty((b, k, -(-len(lines) // 8)), np.uint8)]
     for s in range(0, b, block):
-        cells = net.assign(model, _vertex_images(mats[s : s + block], qverts).reshape(-1, 3), lines)
-        for col, cell in zip(out, cells):
+        ctok, *cells = net.assign(model, _vertex_images(mats[s : s + block], qverts).reshape(-1, 3),
+                                  lines)
+        for col, cell in zip(out, (_as_int32(ctok), *cells)):
             col[s : s + block] = cell.reshape(-1, *col.shape[1:])
-        del cells
+        del ctok, cells
     pos, flags, jlines_t = out[2].reshape(-1, 3), out[3].reshape(b * k, -1), (lines * _J).T
     for s in range(0, b * k, PAIRING_BLOCK):
         flags[s : s + PAIRING_BLOCK] = np.packbits(pos[s : s + PAIRING_BLOCK] @ jlines_t >= 0.0, axis=-1)
@@ -230,13 +232,17 @@ _INT32 = np.iinfo(np.int32)
 # per-key columns, name -> (row shape, dtype); _keys holds the 15
 # key tokens and, in columns 15-17, the element token of face 0, all int32;
 # _drop[:, j] flags face j as dropped (both its vertices beyond one line)
-_COLUMNS = {"_keys": ((18,), np.int32), "_bp": ((), np.int64), "_bm": ((), np.int64),
+# the int32 tallies and key indices hold at most 2 * samples (SmearChain)
+_COLUMNS = {"_keys": ((18,), np.int32), "_bp": ((), np.int32), "_bm": ((), np.int32),
             "_cls": ((), np.int8), "_area": ((), float), "_drop": ((3,), bool)}
-# most bytes one key costs: its columns, its hash-index entries (uint64 hash,
-# int64 key index) and 16 that cover a merge of _HashIndex's runs, which
-# holds one copied index column, np.insert's bool mask and the recent run
-# (at most 1/_RECENT_SHARE of the main run): 8 + 1 + 2 bytes
-_KEY_BYTES = sum(np.dtype(dt).itemsize * math.prod(shape) for shape, dt in _COLUMNS.values()) + 32
+# one _HashIndex entry: uint64 hash, int32 key index
+_INDEX_BYTES = 12
+# most bytes one key costs: its columns, its hash-index entry and as much
+# again to cover a merge of _HashIndex's runs, which holds one copied hash
+# column, np.insert's bool mask and the recent run (at most 1/_RECENT_SHARE
+# of the main run): 8 + 1 + 1.5 bytes
+_KEY_BYTES = (sum(np.dtype(dt).itemsize * math.prod(shape) for shape, dt in _COLUMNS.values())
+              + 2 * _INDEX_BYTES)
 # _HashIndex merges its recent run into the main run once the recent one
 # holds more than 1/_RECENT_SHARE as many entries
 _RECENT_SHARE = 8
@@ -318,7 +324,7 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
 
 
 def _empty_run() -> list:
-    return [np.empty(0, np.uint64), np.empty(0, np.int64)]
+    return [np.empty(0, np.uint64), np.empty(0, np.int32)]
 
 
 def _merge(run: list, h: np.ndarray, idx: np.ndarray) -> None:
@@ -332,7 +338,7 @@ def _merge(run: list, h: np.ndarray, idx: np.ndarray) -> None:
 
 class _HashIndex:
     """The key index of each stored key's hash, as two sorted [uint64 hashes,
-    int64 key indices] runs: a main run, and a recent run that the new keys
+    int32 key indices] runs: a main run, and a recent run that the new keys
     of each shard enter and that merges into the main run once it passes
     1/_RECENT_SHARE of it.  A shard's new keys then copy the recent run, not
     the whole index."""
@@ -342,7 +348,7 @@ class _HashIndex:
 
     def find(self, h: np.ndarray) -> np.ndarray:
         """Key index of each of the ascending hashes h, -1 where none is stored."""
-        gidx = np.full(len(h), -1, np.int64)
+        gidx = np.full(len(h), -1, np.int32)
         for hs, idx in (self.main, self.recent):
             pos = np.searchsorted(hs, h)
             hit = pos < len(hs)
@@ -388,11 +394,17 @@ class SmearChain:
         self.L = float(L)
         self.samples = int(samples)
         self.scale = model.exact_area / samples
+        # a frame adds at most one key per family: one reservation of
+        # 2 * samples rows holds them all, and the int32 key indices and
+        # tallies (at most samples per family) count up to it
+        if 2 * self.samples > _INT32.max:
+            raise RuntimeError(f"a chain of {samples} samples may hold {2 * self.samples} keys, "
+                               f"beyond the int32 limit {_INT32.max} of its tallies and key indices")
         self.lines = _chain_lines(model, net, L)
         self._count = 0
-        # a frame adds at most one key per family: one reservation holds them
-        # all.  The system commits its pages only as keys are written, so a
-        # chain that cannot fit is refused here, not once its pages fill
+        # the system commits the reservation's pages only as keys are
+        # written, so a chain that cannot fit is refused here, not once its
+        # pages fill
         need, have = 2 * self.samples * _KEY_BYTES, _physical_memory()
         if have is not None and need > have:
             raise RuntimeError(f"a chain of {samples} samples may need {need / 1e6:,.0f} MB, "
@@ -402,7 +414,7 @@ class SmearChain:
                 setattr(self, name, np.zeros((2 * self.samples,) + shape, dtype))
         except MemoryError as exc:
             raise RuntimeError(f"cannot reserve the chain store for {samples} samples") from exc
-        self._index = _HashIndex()
+        self._index = _HashIndex()  # read by _absorb only; accumulate_chain drops it
         self.u_sum = 0.0
         self.u_sqsum = 0.0
         self.discarded = {1: 0, -1: 0}
@@ -519,6 +531,7 @@ def accumulate_chain(
         u *= 0.5
         chain.u_sum += float(u.sum())
         chain.u_sqsum += float((u * u).sum())
+    chain._index = None  # nothing reads the index once the chain is built
     return chain
 
 
@@ -527,10 +540,15 @@ def ratio_report(chain: SmearChain) -> RatioReport:
     if len(chain) == 0:
         raise ValueError("chain is empty")
     bp, bm, cls, area = chain.counts()
+    # interior rows gathered first, the product and |a| formed in place: at
+    # most two float columns of interior rows are alive, and the values and
+    # the summed product are those of the whole columns, so the same bits
     interior = cls == CLASS_INT
-    a = chain.scale * (bp - bm) / 2.0
-    omega = float(np.sum(a[interior] * area[interior]))
-    l1 = float(np.sum(np.abs(a[interior])))
+    a = chain.scale * (bp[interior] - bm[interior]) / 2.0
+    weighted = area[interior]
+    weighted *= a
+    omega = float(np.sum(weighted))
+    l1 = float(np.sum(np.abs(a, out=a)))
     if omega <= 0.0:
         raise ValueError("omega <= 0: sample too small or L below the efficiency threshold")
     n = chain.samples

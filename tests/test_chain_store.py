@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypsmear.cli import main
+from hypsmear.cli import _residual_summary, main
 from hypsmear.hypgeom import lorentz_inverse
-from hypsmear.smear import SmearChain, accumulate_chain, boundary_residuals
+from hypsmear.smear import SmearChain, accumulate_chain, boundary_residuals, ratio_report
 from hypsmear.smear import chain as chain_mod
 from hypsmear.smear import surface as surface_mod
 from hypsmear.volume import triangle_areas
@@ -151,14 +151,30 @@ def test_collision_with_stored_key_raises(monkeypatch, genus2, genus2_net):
         accumulate_chain(genus2, net, 6.0, 200, seed=3)
 
 
-def test_store_bytes_per_key_within_budget(genus2, genus2_net):
+def last_index(monkeypatch) -> dict:
+    """Records under "index" the hash index as the last _absorb leaves it;
+    accumulate_chain drops it before it returns."""
+    seen, absorb = {}, SmearChain._absorb
+
+    def recording_absorb(self, *args):
+        areas = absorb(self, *args)
+        seen["index"] = self._index
+        return areas
+
+    monkeypatch.setattr(SmearChain, "_absorb", recording_absorb)
+    return seen
+
+
+def test_store_bytes_per_key_within_budget(monkeypatch, genus2, genus2_net):
     # every per-key column plus the hash index (sorted hashes and key
     # indices), counted on the arrays a chain actually allocates
     net, _ = genus2_net
+    seen = last_index(monkeypatch)
     chain = accumulate_chain(genus2, net, 6.0, 500, seed=3)
+    assert chain._index is None
     capacity = len(chain._bp)
     per_key = sum(getattr(chain, name).nbytes for name in chain_mod._COLUMNS) / capacity
-    per_key += sum(a.nbytes for run in (chain._index.main, chain._index.recent)
+    per_key += sum(a.nbytes for run in (seen["index"].main, seen["index"].recent)
                    for a in run) / len(chain)
     assert per_key <= 120
     assert chain.key_array().dtype == np.int32
@@ -189,8 +205,9 @@ def test_hash_index_sorts_the_stored_keys(request, monkeypatch, name, L):
     model = request.getfixturevalue(name)
     net = request.getfixturevalue(f"{name}_net")[0]
     monkeypatch.setattr(chain_mod, "_SHARD", SHARD)
+    seen = last_index(monkeypatch)
     chain = accumulate_chain(model, net, L, 4 * SHARD, seed=13)
-    runs = chain._index.main, chain._index.recent
+    runs = seen["index"].main, seen["index"].recent
     h, perm = (np.concatenate(col) for col in zip(*runs))
     assert len(chain) > 0 and all(np.all(hs[1:] > hs[:-1]) for hs, _ in runs)
     assert len(np.unique(h)) == len(h)
@@ -236,8 +253,8 @@ def test_refused_reservation_exits_1(monkeypatch, capsys):
 
 
 def test_chain_beyond_physical_memory_is_refused_before_sampling(monkeypatch, capsys, tmp_path):
-    # 200,000 samples may need 2 rows of _KEY_BYTES = 132 each per sample,
-    # 53 MB, against a probe that reports 10 MB; nothing is allocated or drawn
+    # 200,000 samples may need 2 rows of _KEY_BYTES = 116 each per sample,
+    # 46 MB, against a probe that reports 10 MB; nothing is allocated or drawn
     def no_sampling(*args, **kwargs):
         raise AssertionError("frames were sampled before the store was checked")
 
@@ -249,7 +266,25 @@ def test_chain_beyond_physical_memory_is_refused_before_sampling(monkeypatch, ca
                      "--samples", "200000", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1 and not out.exists()
-        assert "200000 samples may need 53 MB, more than the 10 MB of physical memory" in err
+        assert "200000 samples may need 46 MB, more than the 10 MB of physical memory" in err
+
+
+def test_chain_beyond_int32_is_refused_before_sampling(monkeypatch, capsys, tmp_path):
+    # 2**30 samples may hold 2**31 keys, one past the int32 tallies and key
+    # indices; with no memory probe to refuse the run, the int32 check does,
+    # before anything is allocated or drawn
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("frames were sampled before the int32 limit was checked")
+
+    monkeypatch.setattr(chain_mod, "_physical_memory", lambda: None)
+    monkeypatch.setattr(chain_mod, "_rejection_positions", no_sampling)
+    out = tmp_path / "run.json"
+    for command in ("run", "check"):
+        code = main(["smear", command, "--model", "genus2", "--edge", "6.0",
+                     "--samples", str(2**30), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert f"may hold {2**31} keys, beyond the int32 limit {2**31 - 1}" in err
 
 
 @pytest.mark.parametrize("name, L", [("genus2", 6.0), ("torus", 4.0)])
@@ -423,7 +458,7 @@ def test_bucketed_residuals_match_one_pass(request, monkeypatch, name, L):
 
 def test_shard_memory_within_budget(torus, torus_net):
     """One full torus shard, both families looked up and absorbed, allocates
-    temporaries bounded by the lookup block: 27.8 MB traced with numpy 2.4,
+    temporaries bounded by the lookup block: 26.5 MB traced with numpy 2.4,
     against 57.3 MB when they scaled with the shard; budget 38 MB."""
     net = torus_net[0]
     q_plus, q_minus = chain_mod._mirror_pair(4.0)
@@ -448,6 +483,22 @@ def test_residuals_memory_within_budget(bolza_run):
     against 139.2 MB for one pass over all faces; budget 50 MB."""
     chain, _ = bolza_run
     assert traced_peak(lambda: boundary_residuals(chain)) <= 50e6
+
+
+def test_smear_run_report_peaks_no_higher_than_the_residuals(bolza_run):
+    """The report of the 1M-sample genus-2 chain in smear run's order, the
+    ratio and then the residuals' summary, peaks no higher than
+    boundary_residuals alone: the face columns and the ratio's temporaries
+    are never alive together.  The residuals with their summary and then the
+    ratio peak at 42.3 MB, against 40.9 MB, traced with numpy 2.4."""
+    chain, _ = bolza_run
+
+    def report():
+        ratio_report(chain)
+        _residual_summary(boundary_residuals(chain))
+
+    report()  # untraced, so first-call allocations count in neither peak
+    assert traced_peak(report) <= traced_peak(lambda: boundary_residuals(chain))
 
 
 def test_lex_order_matches_lexsort_on_adversarial_rows():

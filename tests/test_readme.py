@@ -1,8 +1,12 @@
 import contextlib
 import io
+import math
 import re
 from pathlib import Path
 
+import numpy as np
+
+from hypsmear.smear import chain
 from hypsmear.volume import ideal_regular_volume
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,3 +36,15 @@ def test_vn_table_shows_the_values_vn_prints():
     assert [int(n) for n, _ in rows] == list(range(3, 11))
     for n, shown in rows:
         assert f"{ideal_regular_volume(int(n)).v_n:.12g}" == shown
+
+
+def test_store_paragraph_shows_the_bytes_the_chain_counts():
+    # a key row's columns, its hash-index entry and the worst case that the
+    # memory check multiplies by two rows per sample
+    text = " ".join(README.read_text().split())
+    row = sum(np.dtype(dt).itemsize * math.prod(shape) for shape, dt in chain._COLUMNS.values())
+    index = chain._INDEX_BYTES
+    assert f"one row of numpy columns, {row} bytes" in text
+    assert f"{index}-byte entry in the hash index" in text
+    assert (f"its worst case, {chain._KEY_BYTES} bytes per row (the key's {row}, its "
+            f"{index} in the index and {chain._KEY_BYTES - row - index} more") in text
